@@ -24,7 +24,7 @@ import numpy as np
 from .metric import FiniteMetricSpace
 from .moduli import FunctionalModulus
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
-from .svmap import PlainSetValuedMap, TLadder, embed_plain
+from .svmap import PlainSetValuedMap
 
 
 @dataclass
@@ -34,9 +34,6 @@ class RegularityQuery:
     F: PlainSetValuedMap
     W: list[tuple[int, int]]
     mu: Callable[[float], float]
-
-    def pairs(self):
-        return self.W
 
 
 @dataclass
@@ -255,11 +252,3 @@ def modulus_is_tight(F: PlainSetValuedMap, W: list[tuple[int, int]],
         fit.lam_star * (1.0 - shrink), fit.k))
     fails_below = not check_metric_regularity(qb, strict).holds
     return ok_at and fails_below
-
-
-# -- bridge to the parametric machinery ------------------------------------
-
-def as_param_map(F: PlainSetValuedMap, ladder: TLadder, closed: bool = False,
-                 policy: NumericPolicy = DEFAULT_POLICY):
-    """The ball embedding, re-exported here for script convenience."""
-    return embed_plain(F, ladder, closed=closed, policy=policy)

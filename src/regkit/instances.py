@@ -315,6 +315,15 @@ def _gen_evp(size: int, rng) -> dict:
     }
 
 
+def _linmap_graph(M) -> dict:
+    """Graph section of the single-valued map x -> M x (equality pairs)."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    mm, nn = M.shape
+    A = np.vstack([np.hstack([M, -np.eye(mm)]),
+                   np.hstack([-M, np.eye(mm)])])
+    return {"A": A.tolist(), "b": [0.0] * (2 * mm), "n_in": nn, "n_out": mm}
+
+
 def _gen_polyopt(size: int, rng) -> dict:
     """A random linear vector problem around the origin, optimal by design.
 
@@ -336,20 +345,13 @@ def _gen_polyopt(size: int, rng) -> dict:
     gamma = rng.uniform(0.0, 1.0, size=n_rows).round(3)
     MF = -(beta * MG + wmul * MH + (gamma @ AS)[None, :])
     ray = {"A": [[-1.0]], "b": [0.0]}          # the half-line t >= 0
-    def linmap(M):
-        M = np.atleast_2d(M)
-        mm, nn = M.shape
-        A = np.vstack([np.hstack([M, -np.eye(mm)]),
-                       np.hstack([-M, np.eye(mm)])])
-        return {"A": A.tolist(), "b": [0.0] * (2 * mm),
-                "n_in": nn, "n_out": mm}
     return {
         "poly": {
             "n": n, "p": p, "q": q, "r": r,
             "S": {"A": AS.tolist(), "b": [0.0] * n_rows},
             "C": ray, "D": ray, "Q": ray,
-            "F_graph": linmap(MF), "G_graph": linmap(MG),
-            "H_graph": linmap(MH),
+            "F_graph": _linmap_graph(MF), "G_graph": _linmap_graph(MG),
+            "H_graph": _linmap_graph(MH),
             "base": [[0.0] * n, [0.0] * p, [0.0] * q],
         },
         "meta": {"certificate": {"v": 1.0, "k": beta, "w": wmul,
@@ -365,13 +367,6 @@ def demo_polyopt_raw() -> dict:
     The origin is optimal with multipliers v* = 1, k* = 1.
     """
     ray = {"A": [[-1.0]], "b": [0.0]}
-    def linmap(M):
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        mm = M.shape[0]
-        A = np.vstack([np.hstack([M, -np.eye(mm)]),
-                       np.hstack([-M, np.eye(mm)])])
-        return {"A": A.tolist(), "b": [0.0] * (2 * mm),
-                "n_in": M.shape[1], "n_out": mm}
     return {
         "version": FORMAT_VERSION,
         "kind": "polyhedral-opt",
@@ -380,9 +375,9 @@ def demo_polyopt_raw() -> dict:
             "n": 2, "p": 1, "q": 1, "r": 1,
             "S": {"A": [[0.0, 0.0]], "b": [0.0]},
             "C": ray, "D": ray, "Q": ray,
-            "F_graph": linmap([[0.0, -1.0]]),
-            "G_graph": linmap([[0.0, 1.0]]),
-            "H_graph": linmap([[1.0, 0.0]]),
+            "F_graph": _linmap_graph([[0.0, -1.0]]),
+            "G_graph": _linmap_graph([[0.0, 1.0]]),
+            "H_graph": _linmap_graph([[1.0, 0.0]]),
             "base": [[0.0, 0.0], [0.0], [0.0]],
         },
     }

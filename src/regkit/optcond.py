@@ -12,19 +12,27 @@ Conventions: Q is stored through its closure (a polyhedral cone) and
 treated as its interior; bd Q is the union of the facet-equality slices
 of that closure.  Derivative sets that come out empty are represented
 as None.
+
+Everything the rule needs at one critical triple that depends on neither
+the sampled x nor the multipliers (F+, G+, the joint second-order cones
+of their graphs and of gph H, the second-order sets of S and
+A2(-D, zbar, k)) is built once per call by `_triple_sets`; each sampled x
+only slices the prebuilt cones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import product
+from typing import Optional
 
 import numpy as np
 
 from . import linsolve
-from .polyhedra import (Polyhedron, PolyhedronError, cone_hull_shifted,
+from .polyhedra import (Polyhedron, SecondOrderSets, cone_hull_shifted,
                         fourier_motzkin, normal_cone_generators,
-                        sample_cone_points, sampled_second_order_membership,
-                        second_order_sets, tangent_cone)
+                        sample_cone_points, sample_directions,
+                        sampled_second_order_membership, second_order_sets,
+                        tangent_cone)
 
 
 class OptError(ValueError):
@@ -57,14 +65,6 @@ class PolyMapSpec:
         """d_inf(y, E(x)); +inf when E(x) is empty."""
         V = self.value_polyhedron(x)
         return np.inf if V is None else V.linf_distance(np.asarray(y, dtype=float))
-
-    @classmethod
-    def linear(cls, M: np.ndarray) -> "PolyMapSpec":
-        """Single-valued x -> M x as equality pairs in the graph."""
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        m, n = M.shape
-        A = np.vstack([np.hstack([M, -np.eye(m)]), np.hstack([-M, np.eye(m)])])
-        return cls(Polyhedron(A, np.zeros(2 * m)), n, m)
 
 
 def _slice_polyhedron(A: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -109,6 +109,22 @@ def graph_plus_cone(E: PolyMapSpec, K: Polyhedron) -> PolyMapSpec:
 
 # -- graph derivatives ------------------------------------------------------
 
+def _graph_tangent_cone(E: PolyMapSpec, xbar, ebar, tol) -> Polyhedron:
+    """T(gph E, (xbar, ebar)) in (x, e)."""
+    base = np.concatenate([np.asarray(xbar, float), np.asarray(ebar, float)])
+    if not E.graph.contains(base, tol):
+        raise OptError("base point off the graph")
+    return tangent_cone(E.graph, base, tol)
+
+
+def _slice_cone(T: Optional[Polyhedron], x) -> Optional[Polyhedron]:
+    """{e : (x, e) in T}; None when T is None or the slice is empty."""
+    if T is None:
+        return None
+    x = np.asarray(x, dtype=float)
+    return _slice_polyhedron(T.A, T.b, x, T.dim - x.size)
+
+
 def graph_derivative(E: PolyMapSpec, xbar, ebar, u,
                      tol: float = 1e-9) -> Optional[Polyhedron]:
     """DE(xbar, ebar)(u) = {v : (u, v) in T(gph E, (xbar, ebar))}.
@@ -116,11 +132,18 @@ def graph_derivative(E: PolyMapSpec, xbar, ebar, u,
     For polyhedral graphs the contingent and lower derivatives coincide;
     the sampled-limit oracle in the test suite audits this.
     """
-    base = np.concatenate([np.asarray(xbar, float), np.asarray(ebar, float)])
-    if not E.graph.contains(base, tol):
-        raise OptError("base point off the graph")
-    T = tangent_cone(E.graph, base, tol)
-    return _slice_polyhedron(T.A, T.b, np.asarray(u, dtype=float), E.n_out)
+    return _slice_cone(_graph_tangent_cone(E, xbar, ebar, tol), u)
+
+
+def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u, v,
+                              tol) -> Optional[Polyhedron]:
+    """Unsliced second-order derivative set in (x, e); None when the
+    direction pair leaves the graph's tangent cone."""
+    direction = np.concatenate([np.asarray(u, float), np.asarray(v, float)])
+    T = _graph_tangent_cone(E, xbar, ebar, tol)
+    if not T.contains(direction, tol):
+        return None
+    return tangent_cone(T, direction, tol)
 
 
 def second_order_graph_derivative(E: PolyMapSpec, xbar, ebar, u, v, x,
@@ -131,15 +154,7 @@ def second_order_graph_derivative(E: PolyMapSpec, xbar, ebar, u, v, x,
     the slice of the nested tangent cone, which equals both the
     contingent and adjacent second-order sets for polyhedral graphs.
     """
-    base = np.concatenate([np.asarray(xbar, float), np.asarray(ebar, float)])
-    if not E.graph.contains(base, tol):
-        raise OptError("base point off the graph")
-    direction = np.concatenate([np.asarray(u, float), np.asarray(v, float)])
-    T = tangent_cone(E.graph, base, tol)
-    if not T.contains(direction, tol):
-        return None
-    T2 = tangent_cone(T, direction, tol)
-    return _slice_polyhedron(T2.A, T2.b, np.asarray(x, dtype=float), E.n_out)
+    return _slice_cone(_joint_second_order_graph(E, xbar, ebar, u, v, tol), x)
 
 
 # -- problem instances ------------------------------------------------------
@@ -235,18 +250,13 @@ class CriticalTriple:
     k: np.ndarray
 
 
-def _boundary_slices(K: Polyhedron):
-    """bd K as a list of (facet equality row) systems over the closure."""
-    return [i for i in range(K.m)]
-
-
 def _point_on_minus_boundary(K: Polyhedron, inside: Polyhedron,
                              tol: float = 1e-9):
     """A point v with v in `inside`, -v in K, and -v on some facet of K."""
-    for i in _boundary_slices(K):
-        # -v in K, facet i tight, v in the derivative polyhedron
-        A_ub = np.vstack([-K.A, inside.A])
-        b_ub = np.concatenate([K.b, inside.b])
+    # -v in K and v in the derivative polyhedron, facet i tight
+    A_ub = np.vstack([-K.A, inside.A])
+    b_ub = np.concatenate([K.b, inside.b])
+    for i in range(K.m):
         A_eq = -K.A[i][None, :]
         b_eq = np.array([K.b[i]])
         res = linsolve.feasible_point(K.dim, A_ub, b_ub, A_eq, b_eq, tol)
@@ -261,34 +271,39 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
     """Sampled enumeration of the critical-direction system.
 
     Candidate u come from a direction sample plus the coordinate axes;
-    for each u the three memberships are resolved by linear feasibility:
-    v in DF+(xbar, ybar)(u) meeting -bd Q (facet by facet), k in
-    DG+(xbar, zbar)(u) meeting -cl cone(D + zbar), and (u, 0) in the
-    tangent cone of gph H.  Every returned triple re-verifies each
+    a u outside T(S, xbar) is skipped (IT2(S, xbar, u) is empty there).
+    For each remaining u the three memberships are resolved by linear
+    feasibility: v in DF+(xbar, ybar)(u) meeting -bd Q (facet by facet),
+    k in DG+(xbar, zbar)(u) meeting -cl cone(D + zbar), and (u, 0) in
+    the tangent cone of gph H.  Every returned triple re-verifies each
     membership.  An empty list is a valid outcome.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    from .polyhedra import sample_directions
     cands = [np.zeros(inst.n)]
     cands += [e for e in np.eye(inst.n)] + [-e for e in np.eye(inst.n)]
     cands += list(sample_directions(inst.n, n_dirs, rng))
 
-    Fp, Gp = inst.F_plus(), inst.G_plus()
+    # first-order cones at the base point, sliced per candidate u
+    TS = tangent_cone(inst.S, inst.xbar, tol)
     TH = tangent_cone(inst.H.graph,
                       np.concatenate([inst.xbar, np.zeros(inst.r)]), tol)
+    TF = _graph_tangent_cone(inst.F_plus(), inst.xbar, inst.ybar, tol)
+    TG = _graph_tangent_cone(inst.G_plus(), inst.xbar, inst.zbar, tol)
     big_cone = cone_hull_shifted(inst.D, inst.zbar)
 
     out: list[CriticalTriple] = []
     for u in cands:
+        if not TS.contains(u, tol):
+            continue
         if not TH.contains(np.concatenate([u, np.zeros(inst.r)]), tol):
             continue
-        DV = graph_derivative(Fp, inst.xbar, inst.ybar, u, tol)
+        DV = _slice_cone(TF, u)
         if DV is None:
             continue
         v = _point_on_minus_boundary(inst.Q, DV, tol)
         if v is None:
             continue
-        DK = graph_derivative(Gp, inst.xbar, inst.zbar, u, tol)
+        DK = _slice_cone(TG, u)
         if DK is None:
             continue
         # k = 0 first when admissible: it carries no orthogonality
@@ -305,24 +320,24 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
             kcands.append(resk.point)
         for k in kcands:
             trip = CriticalTriple(u=np.asarray(u, float), v=v, k=k)
-            if _verify_critical(inst, trip, Fp, Gp, TH, big_cone, tol):
+            if _verify_critical(inst, trip, TS, TH, TF, TG, big_cone, tol):
                 out.append(trip)
     return out
 
 
-def _verify_critical(inst, trip, Fp, Gp, TH, big_cone, tol) -> bool:
+def _verify_critical(inst, trip, TS, TH, TF, TG, big_cone, tol) -> bool:
+    if not TS.contains(trip.u, tol):
+        return False
     if not TH.contains(np.concatenate([trip.u, np.zeros(inst.r)]), tol):
         return False
-    DV = graph_derivative(Fp, inst.xbar, inst.ybar, trip.u, tol)
+    DV = _slice_cone(TF, trip.u)
     if DV is None or not DV.contains(trip.v, tol):
         return False
     if not inst.Q.contains(-trip.v, tol):
         return False
-    on_bd = any(abs(inst.Q.A[i] @ -trip.v - inst.Q.b[i]) <= tol
-                for i in range(inst.Q.m))
-    if inst.Q.m and not on_bd:
+    if inst.Q.m and not (np.abs(inst.Q.A @ -trip.v - inst.Q.b) <= tol).any():
         return False
-    DK = graph_derivative(Gp, inst.xbar, inst.zbar, trip.u, tol)
+    DK = _slice_cone(TG, trip.u)
     if DK is None or not DK.contains(trip.k, tol):
         return False
     return big_cone.contains(-trip.k, tol)
@@ -386,6 +401,50 @@ def a2_of_minus_D(inst: OptInstance, k, tol: float = 1e-9) -> Optional[Polyhedro
     return second_order_sets(mD, inst.zbar, k, tol).A2
 
 
+@dataclass
+class _TripleSets:
+    """What the rule needs at one critical triple, independent of the
+    sampled x and of the multipliers.
+
+    TF2, TG2 and TH2 are the joint second-order cones in (x, e) of the F+,
+    G+ and H graphs along (u, v), (u, k) and (u, 0), each None when that
+    pair leaves the graph's tangent cone; slicing one at x gives the
+    second-order derivative set at x.
+    """
+
+    S2: SecondOrderSets             # second-order sets of S at (xbar, u)
+    A2: Optional[Polyhedron]        # A2(-D, zbar, k)
+    TF2: Optional[Polyhedron]
+    TG2: Optional[Polyhedron]
+    TH2: Optional[Polyhedron]
+
+    def slices(self, x):
+        """The F+, G+ and H second-order derivative sets at x."""
+        return tuple(_slice_cone(T, x) for T in (self.TF2, self.TG2, self.TH2))
+
+
+def _triple_sets(inst: OptInstance, trip: CriticalTriple,
+                 tol: float) -> _TripleSets:
+    zero = np.zeros(inst.r)
+    return _TripleSets(
+        S2=second_order_sets(inst.S, inst.xbar, trip.u, tol),
+        A2=a2_of_minus_D(inst, trip.k, tol),
+        TF2=_joint_second_order_graph(inst.F_plus(), inst.xbar, inst.ybar,
+                                      trip.u, trip.v, tol),
+        TG2=_joint_second_order_graph(inst.G_plus(), inst.xbar, inst.zbar,
+                                      trip.u, trip.k, tol),
+        TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero,
+                                      tol))
+
+
+def _sample_points(P: Polyhedron, rng: np.random.Generator) -> np.ndarray:
+    """A few points of P: sampled when P is a cone, else one LP point."""
+    if P.is_cone():
+        return sample_cone_points(P, 4, rng)
+    pt = linsolve.feasible_point(P.dim, P.A, P.b).point
+    return pt[None, :] if pt is not None else np.zeros((0, P.dim))
+
+
 def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
                           mult: Multipliers, n_samples: int = 32,
                           rng: Optional[np.random.Generator] = None,
@@ -396,7 +455,9 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     LP value (-inf on the empty set, in which case the inequality is
     vacuously true on the d-side).  The left-hand side is minimized over
     each of the three derivative sets at every sampled x from the strict
-    second-order set of S; the verdict reports the worst margin.
+    second-order set of S; the verdict reports the worst margin.  This
+    is the sampled oracle for the joint LP of `exact_rule_margin` and
+    never solves it.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     notes: list[str] = []
@@ -410,7 +471,8 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     if abs(mult.v_star @ trip.v) > 1e-7 or abs(mult.k_star @ trip.k) > 1e-7:
         raise OptError("multiplier invariant: orthogonality fails")
 
-    A2 = a2_of_minus_D(inst, trip.k, tol)
+    sets = _triple_sets(inst, trip, tol)
+    A2 = sets.A2
     if A2 is None:
         rhs = -np.inf
         notes.append("A2(-D, zbar, k) empty: d-side vacuous")
@@ -420,21 +482,15 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
             return RuleVerdict(False, -np.inf, rhs,
                                notes=["rhs unbounded: rule vacuous/violated"])
 
-    so = second_order_sets(inst.S, inst.xbar, trip.u, tol)
-    xs = sample_cone_points(so.IT2, n_samples, rng)
-    Fp, Gp = inst.F_plus(), inst.G_plus()
+    IT2 = sets.S2.IT2
+    xs = sample_cone_points(IT2, n_samples, rng)
 
     worst, arg = np.inf, None
     checked = 0
     for x in xs:
-        if so.IT2.m and not (so.IT2.A @ x < -tol).all():
+        if IT2.m and not (IT2.A @ x < -tol).all():
             continue
-        FY = second_order_graph_derivative(Fp, inst.xbar, inst.ybar,
-                                           trip.u, trip.v, x, tol)
-        GZ = second_order_graph_derivative(Gp, inst.xbar, inst.zbar,
-                                           trip.u, trip.k, x, tol)
-        HW = second_order_graph_derivative(inst.H, inst.xbar, np.zeros(inst.r),
-                                           trip.u, np.zeros(inst.r), x, tol)
+        FY, GZ, HW = sets.slices(x)
         fy, ay = _min_support(mult.v_star, FY)
         gz, az = _min_support(mult.k_star, GZ)
         hw, aw = _min_support(mult.w_star, HW)
@@ -447,38 +503,20 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
             worst, arg = margin, (x.copy(), ay, az, aw)
     if checked == 0:
         notes.append("no admissible sample: inequality vacuous at resolution")
-        return RuleVerdict(True, np.inf, rhs if A2 is not None else -np.inf,
-                           n_samples=0, notes=notes)
-    return RuleVerdict(bool(worst >= -tol), float(worst),
-                       float(rhs) if A2 is not None else -np.inf,
+        return RuleVerdict(True, np.inf, rhs, n_samples=0, notes=notes)
+    return RuleVerdict(bool(worst >= -tol), float(worst), float(rhs),
                        argmin=arg, n_samples=checked, notes=notes)
 
 
-def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u, v, tol):
-    """Unsliced second-order derivative set in (x, e); None when the
-    direction pair leaves the graph's tangent cone."""
-    base = np.concatenate([np.asarray(xbar, float), np.asarray(ebar, float)])
-    direction = np.concatenate([np.asarray(u, float), np.asarray(v, float)])
-    T = tangent_cone(E.graph, base, tol)
-    if not T.contains(direction, tol):
-        return None
-    return tangent_cone(T, direction, tol)
-
-
-def _joint_rule_system(inst: OptInstance, trip: CriticalTriple, tol: float):
+def _joint_rule_system(inst: OptInstance, sets: _TripleSets):
     """Inequality system over (x, y, z, w) whose slice at x gives the
     three left-hand-side sets of the rule; None when some derivative set
     is globally empty (the inequality is then vacuous)."""
-    TF = _joint_second_order_graph(inst.F_plus(), inst.xbar, inst.ybar,
-                                   trip.u, trip.v, tol)
-    TG = _joint_second_order_graph(inst.G_plus(), inst.xbar, inst.zbar,
-                                   trip.u, trip.k, tol)
-    TH2 = _joint_second_order_graph(inst.H, inst.xbar, np.zeros(inst.r),
-                                    trip.u, np.zeros(inst.r), tol)
-    if TF is None or TG is None or TH2 is None:
+    TF, TG, TH = sets.TF2, sets.TG2, sets.TH2
+    if TF is None or TG is None or TH is None:
         return None
     n, p, q, r = inst.n, inst.p, inst.q, inst.r
-    so = second_order_sets(inst.S, inst.xbar, trip.u, tol)
+    A2S = sets.S2.A2
     nvar = n + p + q + r
 
     def block(T, lo, hi):
@@ -488,72 +526,39 @@ def _joint_rule_system(inst: OptInstance, trip: CriticalTriple, tol: float):
         return rows
 
     A_ub = np.vstack([
-        np.hstack([so.A2.A, np.zeros((so.A2.m, p + q + r))]),
+        np.hstack([A2S.A, np.zeros((A2S.m, p + q + r))]),
         block(TF, n, n + p),
         block(TG, n + p, n + p + q),
-        block(TH2, n + p + q, nvar),
+        block(TH, n + p + q, nvar),
     ])
-    b_ub = np.concatenate([so.A2.b, TF.b, TG.b, TH2.b])
+    b_ub = np.concatenate([A2S.b, TF.b, TG.b, TH.b])
     return A_ub, b_ub
-
-
-def exact_rule_margin(inst: OptInstance, trip: CriticalTriple,
-                      mult: Multipliers, tol: float = 1e-9) -> float:
-    """Exact worst-case margin of the rule over the closed second-order
-    set of S, via one joint linear program in (x, y, z, w).
-
-    The closure over-covers the strict set, so a nonnegative value here
-    certifies the sampled inequality at every admissible point; +inf
-    means the inequality is vacuous (empty d-side or no admissible x),
-    -inf that the left-hand side is unbounded below.
-    """
-    A2d = a2_of_minus_D(inst, trip.k, tol)
-    if A2d is None:
-        return np.inf
-    rhs, _ = linsolve.max_support(mult.k_star, inst.q, A2d.A, A2d.b)
-    if rhs == np.inf:
-        return -np.inf
-    if rhs == -np.inf:            # d-side empty after all: vacuous
-        return np.inf
-    system = _joint_rule_system(inst, trip, tol)
-    if system is None:
-        return np.inf
-    A_ub, b_ub = system
-    c = np.concatenate([np.zeros(inst.n), mult.v_star, mult.k_star,
-                        mult.w_star])
-    res = linsolve.solve_lp(c, A_ub=A_ub, b_ub=b_ub)
-    if res.status == 3:
-        return -np.inf
-    if res.status == 2:           # no admissible point at all: vacuous
-        return np.inf
-    if res.status != 0:
-        raise OptError(f"joint rule LP failed with status {res.status}")
-    return float(res.fun - rhs)
 
 
 _BOX = 1e6
 
 
-def _exact_rule_state(inst: OptInstance, trip: CriticalTriple,
-                      mult: Multipliers, tol: float = 1e-9):
-    """Boxed exact margin plus a violating tuple (y, z, w, d) for use as
-    a cutting plane; the box turns unbounded certificates into finite
-    (very negative) margins with a concrete violating point."""
-    A2d = a2_of_minus_D(inst, trip.k, tol)
-    if A2d is None:
+def _rule_lp(inst: OptInstance, A2: Optional[Polyhedron], system,
+             mult: Multipliers):
+    """Boxed margin of the rule over the closed second-order set of S and
+    a violating tuple (y, z, w, d) for use as a cutting plane.
+
+    The box keeps both programs bounded: an unbounded left-hand side or
+    right-hand side comes out as a finite, very negative margin with a
+    concrete violating point.  (+inf, None) means the inequality is
+    vacuous: an empty d-side or no admissible x.
+    """
+    if A2 is None or system is None:
         return np.inf, None
     res_d = linsolve.solve_lp(-mult.k_star,
-                              A_ub=A2d.A if A2d.m else None,
-                              b_ub=A2d.b if A2d.m else None,
+                              A_ub=A2.A if A2.m else None,
+                              b_ub=A2.b if A2.m else None,
                               bounds=(-_BOX, _BOX))
     if res_d.status == 2:
         return np.inf, None
     if res_d.status != 0:
         raise OptError(f"rule rhs LP failed with status {res_d.status}")
     rhs, darg = -float(res_d.fun), np.asarray(res_d.x)
-    system = _joint_rule_system(inst, trip, tol)
-    if system is None:
-        return np.inf, None
     A_ub, b_ub = system
     c = np.concatenate([np.zeros(inst.n), mult.v_star, mult.k_star,
                         mult.w_star])
@@ -566,6 +571,21 @@ def _exact_rule_state(inst: OptInstance, trip: CriticalTriple,
     n, p, q = inst.n, inst.p, inst.q
     cut = (sol[n:n + p], sol[n + p:n + p + q], sol[n + p + q:], darg)
     return float(res.fun - rhs), cut
+
+
+def exact_rule_margin(inst: OptInstance, trip: CriticalTriple,
+                      mult: Multipliers, tol: float = 1e-9) -> float:
+    """Exact worst-case margin of the rule over the closed second-order
+    set of S, via one joint linear program in (x, y, z, w).
+
+    The closure over-covers the strict set, so a nonnegative value here
+    certifies the sampled inequality at every admissible point; +inf
+    means the inequality is vacuous (empty d-side or no admissible x).
+    The program is boxed, so a left-hand side unbounded below shows as
+    a large negative margin.
+    """
+    sets = _triple_sets(inst, trip, tol)
+    return _rule_lp(inst, sets.A2, _joint_rule_system(inst, sets), mult)[0]
 
 
 def find_multipliers(inst: OptInstance, trip: CriticalTriple,
@@ -602,38 +622,28 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     eqs_b = np.array([0.0, 0.0, 1.0])
 
     # sampled rule data: lhs - <k*, d> >= 0 at tuples (y, z, w, d)
-    so = second_order_sets(inst.S, inst.xbar, trip.u, tol)
-    xs = sample_cone_points(so.IT2, n_samples, rng)
-    A2 = a2_of_minus_D(inst, trip.k, tol)
-    if A2 is not None:
+    sets = _triple_sets(inst, trip, tol)
+    xs = sample_cone_points(sets.S2.IT2, n_samples, rng)
+    if sets.A2 is not None:
         # 0 always lies in the second-order cone and realizes the rhs sup
         # whenever <k*, .> is nonpositive on it, so it must be sampled
         ds = np.vstack([np.zeros((1, inst.q)),
-                        sample_cone_points(A2, max(4, n_samples // 4), rng)])
+                        sample_cone_points(sets.A2, max(4, n_samples // 4),
+                                           rng)])
     else:
-        ds = np.zeros((0, inst.q))
-    Fp, Gp = inst.F_plus(), inst.G_plus()
+        ds = np.zeros((1, inst.q))
     tuples: list[tuple] = []
     for x in xs:
-        FY = second_order_graph_derivative(Fp, inst.xbar, inst.ybar,
-                                           trip.u, trip.v, x, tol)
-        GZ = second_order_graph_derivative(Gp, inst.xbar, inst.zbar,
-                                           trip.u, trip.k, x, tol)
-        HW = second_order_graph_derivative(inst.H, inst.xbar, np.zeros(inst.r),
-                                           trip.u, np.zeros(inst.r), x, tol)
+        FY, GZ, HW = sets.slices(x)
         if FY is None or GZ is None or HW is None:
             continue
-        ys = sample_cone_points(FY, 4, rng) if FY.is_cone() else _verts_or_point(FY)
-        zs = sample_cone_points(GZ, 4, rng) if GZ.is_cone() else _verts_or_point(GZ)
-        ws = sample_cone_points(HW, 4, rng) if HW.is_cone() else _verts_or_point(HW)
-        dpool = ds if ds.shape[0] else np.zeros((1, inst.q))
+        ys, zs, ws = (_sample_points(P, rng) for P in (FY, GZ, HW))
         for y in ys:
             for z in zs:
                 for w in ws:
-                    for d in dpool:
+                    for d in ds:
                         tuples.append((y, z, w, d))
-
-    from itertools import product
+    system = _joint_rule_system(inst, sets)
 
     def rule_row(sigma, y, z, w, d):
         row = np.zeros(nvar)
@@ -670,7 +680,7 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                 w_star=sigma * sol[nq + nn:])
             if not mult.nonzero(tol):
                 break
-            margin, cut = _exact_rule_state(inst, trip, mult, tol)
+            margin, cut = _rule_lp(inst, sets.A2, system, mult)
             if margin >= -1e-9:
                 candidates.append((float(sol[:nq].sum()), len(candidates),
                                    mult))
@@ -690,11 +700,6 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
         if verdict.holds and verdict.margin >= -1e-9:
             return mult
     return None
-
-
-def _verts_or_point(P: Polyhedron) -> np.ndarray:
-    pt = linsolve.feasible_point(P.dim, P.A, P.b).point
-    return pt[None, :] if pt is not None else np.zeros((0, P.dim))
 
 
 # -- constraint qualification ----------------------------------------------
@@ -721,24 +726,18 @@ def check_cq(inst: OptInstance, trip: CriticalTriple, n_samples: int = 32,
     rank check fails fast when the generators do not even span linearly.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    so = second_order_sets(inst.S, inst.xbar, trip.u, tol)
-    xs = sample_cone_points(so.IT2, n_samples, rng)
-    A2 = a2_of_minus_D(inst, trip.k, tol)
-    ds = sample_cone_points(A2, max(4, n_samples // 4), rng) \
-        if A2 is not None else np.zeros((1, inst.q))
+    sets = _triple_sets(inst, trip, tol)
+    xs = sample_cone_points(sets.S2.IT2, n_samples, rng)
+    ds = sample_cone_points(sets.A2, max(4, n_samples // 4), rng) \
+        if sets.A2 is not None else np.zeros((1, inst.q))
     if ds.shape[0] == 0:
         ds = np.zeros((1, inst.q))
-    Gp = inst.G_plus()
     gens: list[np.ndarray] = []
     for x in xs:
-        GZ = second_order_graph_derivative(Gp, inst.xbar, inst.zbar,
-                                           trip.u, trip.k, x, tol)
-        HW = second_order_graph_derivative(inst.H, inst.xbar, np.zeros(inst.r),
-                                           trip.u, np.zeros(inst.r), x, tol)
+        GZ, HW = _slice_cone(sets.TG2, x), _slice_cone(sets.TH2, x)
         if GZ is None or HW is None:
             continue
-        zs = sample_cone_points(GZ, 4, rng) if GZ.is_cone() else _verts_or_point(GZ)
-        ws = sample_cone_points(HW, 4, rng) if HW.is_cone() else _verts_or_point(HW)
+        zs, ws = _sample_points(GZ, rng), _sample_points(HW, rng)
         for z in zs:
             for w in ws:
                 for d in ds:
@@ -814,12 +813,8 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
         raise OptError("claim-2 gate failed: "
                        + ", ".join(n for n, ok in rep.gate if not ok))
 
-    so_S = second_order_sets(inst.S, inst.xbar, trip.u, tol)
-    mD = inst.minus_D()
-    T_mD = tangent_cone(mD, inst.zbar, tol)
-    so_mD = second_order_sets(mD, inst.zbar, trip.k, tol) \
-        if T_mD.contains(trip.k, tol) else None
-    Gp = inst.G_plus()
+    sets = _triple_sets(inst, trip, tol)
+    IT2, A2mD = sets.S2.IT2, sets.A2     # A2(-D) and IT2(-D) share rows
     Omega = inst.feasible_set()
     # H^{-1}(0) cap S as a polyhedron in x
     AH, bH = inst.H.graph.A, inst.H.graph.b
@@ -831,25 +826,22 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
     # and the G-derivative meeting the strict second-order set of -D
     # (the last two via a joint system in (x, z))
     n, q = inst.n, inst.q
-    TG2 = _joint_second_order_graph(Gp, inst.xbar, inst.zbar,
-                                    trip.u, trip.k, tol)
-    TH2 = _joint_second_order_graph(inst.H, inst.xbar, np.zeros(inst.r),
-                                    trip.u, np.zeros(inst.r), tol)
-    if TG2 is None or TH2 is None or so_mD is None:
+    TG2, TH2 = sets.TG2, sets.TH2
+    if TG2 is None or TH2 is None or A2mD is None:
         rep.skipped.append("a second-order derivative set is empty")
         rep.vacuous = True
         return rep
     joint = Polyhedron(np.vstack([
-        np.hstack([so_S.IT2.A, np.zeros((so_S.IT2.m, q))]),
+        np.hstack([IT2.A, np.zeros((IT2.m, q))]),
         np.hstack([TG2.A[:, :n], TG2.A[:, n:]]),
-        np.hstack([np.zeros((so_mD.IT2.m, n)), so_mD.IT2.A]),
+        np.hstack([np.zeros((A2mD.m, n)), A2mD.A]),
         np.hstack([TH2.A[:, :n], np.zeros((TH2.m, q))]),
-    ]), np.concatenate([so_S.IT2.b, TG2.b, so_mD.IT2.b - 1e-9, TH2.b]))
+    ]), np.concatenate([IT2.b, TG2.b, A2mD.b - 1e-9, TH2.b]))
     # the region is a cone but may have empty interior (equality-like row
     # pairs), so rejection sampling is hopeless: take LP vertices of an
     # eps-tightened, boxed copy under random objectives and rescale
-    strict_rows = np.concatenate([np.ones(so_S.IT2.m), np.zeros(TG2.m),
-                                  np.ones(so_mD.IT2.m), np.zeros(TH2.m)])
+    strict_rows = np.concatenate([np.ones(IT2.m), np.zeros(TG2.m),
+                                  np.ones(A2mD.m), np.zeros(TH2.m)])
     nv = n + q
     A_all = np.vstack([joint.A, np.eye(nv), -np.eye(nv)])
     b_all = np.concatenate([joint.b - 1e-6 * strict_rows, np.ones(2 * nv)])
@@ -866,22 +858,19 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
         return rep
     for xz in samples:
         x = xz[:n]
-        if so_S.IT2.m and not (so_S.IT2.A @ x < -tol).all():
+        if IT2.m and not (IT2.A @ x < -tol).all():
             rep.skipped.append("sample left the strict second-order set")
             continue
-        GZ = second_order_graph_derivative(Gp, inst.xbar, inst.zbar,
-                                           trip.u, trip.k, x, tol)
-        HW = second_order_graph_derivative(inst.H, inst.xbar, np.zeros(inst.r),
-                                           trip.u, np.zeros(inst.r), x, tol)
+        GZ, HW = _slice_cone(TG2, x), _slice_cone(TH2, x)
         if HW is None or not HW.contains(np.zeros(inst.r), tol):
             rep.skipped.append("0 not in the second-order H-derivative")
             continue
-        if GZ is None or so_mD is None:
+        if GZ is None:
             rep.skipped.append("G-derivative or -D second-order set empty")
             continue
         meet = linsolve.feasible_point(
-            inst.q, np.vstack([GZ.A, so_mD.IT2.A]),
-            np.concatenate([GZ.b, so_mD.IT2.b - 1e-9]), tol=tol)
+            inst.q, np.vstack([GZ.A, A2mD.A]),
+            np.concatenate([GZ.b, A2mD.b - 1e-9]), tol=tol)
         if not meet.feasible:
             rep.skipped.append("derivative misses the strict -D set")
             continue

@@ -37,9 +37,6 @@ class NumericPolicy:
             return True
         return a <= b + self.tol_strict
 
-    def is_zero(self, a: float) -> bool:
-        return abs(a) <= self.tol_strict
-
     def with_overrides(self, **kw) -> "NumericPolicy":
         kw = {k: v for k, v in kw.items() if v is not None}
         return replace(self, **kw) if kw else self

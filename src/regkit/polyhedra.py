@@ -111,11 +111,6 @@ class Polyhedron:
     def orthant(cls, n: int) -> "Polyhedron":
         return cls(-np.eye(n), np.zeros(n))
 
-    @classmethod
-    def from_rows(cls, rows, rhs, strict: bool = False) -> "Polyhedron":
-        return cls(np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float),
-                   strict=strict)
-
 
 # -- first-order cones ------------------------------------------------------
 

@@ -125,13 +125,21 @@ def test_ekeland_solve_and_verify(evp_file, capsys):
             "ekeland/stationary"} <= ids
 
 
-def test_optcond_tasks_on_demo(demo_file, capsys):
+def test_optcond_tasks_on_demo(demo_file, tmp_path, capsys):
     assert main(["optcond", demo_file, "--task", "cones",
                  "--validate"]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     ids = {r["check_id"] for r in doc["rows"]}
     assert "optcond/tangent" in ids and "optcond/oracle-agreement" in ids
     assert main(["optcond", demo_file, "--task", "critical"]) == EXIT_PASS
+    for task in ("multipliers", "cq", "claim2"):
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{task}-{tag}.json"
+            assert main(["optcond", demo_file, "--task", task,
+                         "--out", str(out)]) == EXIT_PASS, task
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], task
 
 
 def test_run_plan(plain_file, capsys):

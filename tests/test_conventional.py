@@ -6,7 +6,7 @@ import helpers
 from regkit import conventional
 from regkit.moduli import FunctionalModulus
 from regkit.policy import DEFAULT_POLICY, INF
-from regkit.svmap import TLadder
+from regkit.svmap import TLadder, embed_plain
 
 
 def test_three_properties_agree_on_random_queries():
@@ -134,5 +134,5 @@ def test_generated_bilipschitz_lam_below_construction():
 def test_param_bridge_matches_embed():
     pc = helpers.make_plain_chain(3)
     lad = TLadder(np.linspace(0.0, pc.F.Y.diameter() + 1.0, 9))
-    P = conventional.as_param_map(pc.F, lad)
+    P = embed_plain(pc.F, lad)
     assert set(P.fibre(pc.H, 0).tolist()) == {0}

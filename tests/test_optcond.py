@@ -10,7 +10,7 @@ from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
                             critical_directions, exact_rule_margin,
                             find_multipliers, graph_derivative,
                             second_order_graph_derivative)
-from regkit.polyhedra import Polyhedron
+from regkit.polyhedra import Polyhedron, tangent_cone
 
 
 def _demo():
@@ -58,7 +58,6 @@ def test_critical_directions_verified_on_demo():
                                 rng=np.random.default_rng(0))
     assert trips
     Fp, Gp = inst.F_plus(), inst.G_plus()
-    from regkit.polyhedra import tangent_cone
     TH = tangent_cone(inst.H.graph,
                       np.concatenate([inst.xbar, np.zeros(inst.r)]))
     big = optcond.cone_hull_shifted(inst.D, inst.zbar)
@@ -119,7 +118,25 @@ def test_a2_of_minus_D_none_branch():
     # k outside the tangent cone of -D at zbar = 0: -D = (-inf, 0], k = 1
     assert a2_of_minus_D(inst, np.array([1.0])) is None
     A2 = a2_of_minus_D(inst, np.array([-1.0]))
-    assert A2 is not None and A2.contains(np.array([5.0])) is not None
+    # zbar = 0 is the apex of -D, so A2 is the whole line
+    assert A2 is not None and A2.contains(np.array([5.0]))
+
+
+@pytest.mark.parametrize("size,seed,rng_seed", [(2, 1093277560, 1998254285),
+                                                (5, 501939972, 1353055115)])
+def test_critical_directions_stay_in_tangent_cone_of_S(size, seed, rng_seed):
+    # on these problems a sampled axis direction passes every graph test
+    # but leaves T(S, xbar), where IT2(S, xbar, u) is empty
+    inst = parse_instance(generate_instance("polyhedral-opt", size, seed)).opt
+    trips = critical_directions(inst, n_dirs=16,
+                                rng=np.random.default_rng(rng_seed))
+    assert trips
+    TS = tangent_cone(inst.S, inst.xbar)
+    for trip in trips:
+        assert TS.contains(trip.u)
+        find_multipliers(inst, trip, n_samples=16,
+                         rng=np.random.default_rng(1))
+        check_cq(inst, trip, rng=np.random.default_rng(2))
 
 
 def test_check_cq_on_demo():
