@@ -2,7 +2,8 @@
 
 Subcommands: load, gen, induct, certify, regcheck, ekeland, optcond, run.
 Global flags: --tol, --horizon, --seed, --out, --validate.  Exit codes:
-0 all checks pass, 1 at least one check failed, 2 input/usage error.
+0 all checks pass, 1 at least one check failed, 2 input/usage error
+(every regkit error, reported as "error: ..." on stderr).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
 from .instances import (InstanceError, demo_polyopt_raw, generate_instance,
                         load_instance, save_instance)
 from .moduli import ModulusError
+from .policy import RegkitError
 from .polyhedra import (sample_directions, sampled_tangent_membership,
                         tangent_cone)
 from .reports import Report
@@ -447,7 +449,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InstanceError, PreconditionError, ModulusError, OSError) as e:
+    except (RegkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

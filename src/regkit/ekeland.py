@@ -27,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .metric import FiniteMetricSpace
-from .policy import DEFAULT_POLICY, INF, NumericPolicy
+from .policy import DEFAULT_POLICY, INF, NumericPolicy, RegkitError
 
 
-class EVPError(ValueError):
+class EVPError(RegkitError, ValueError):
     pass
 
 

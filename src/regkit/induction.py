@@ -20,11 +20,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .metric import FiniteMetricSpace
-from .policy import DEFAULT_POLICY, INF, NumericPolicy
+from .policy import DEFAULT_POLICY, INF, NumericPolicy, RegkitError
 from .svmap import LadderError, ParamSetValuedMap, TLadder
 
 
-class PreconditionError(ValueError):
+class PreconditionError(RegkitError, ValueError):
     pass
 
 
@@ -92,14 +92,6 @@ class SequenceSpec:
 
     def b_partial(self, n: int) -> float:
         return float(sum(self.b.value(i) for i in range(n)))
-
-    def tail_bound(self, n: int) -> float:
-        if self.b.kind == "geometric":
-            return self.b.first * self.b.ratio ** n / (1.0 - self.b.ratio)
-        return float(sum(self.table_rest(n)))
-
-    def table_rest(self, n: int):
-        return self.b.table[n:] if self.b.kind == "explicit" else ()
 
 
 @dataclass

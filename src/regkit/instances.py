@@ -19,7 +19,7 @@ from .ekeland import EVPError, EVPInstance
 from .metric import FiniteMetricSpace, MetricError
 from .moduli import AuxScheme, FunctionalModulus, ModulusError
 from .optcond import OptInstance, PolyMapSpec
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, NumericPolicy, RegkitError
 from .polyhedra import Polyhedron, PolyhedronError
 from .svmap import (LadderError, ParamSetValuedMap, PlainSetValuedMap, TLadder,
                     embed_plain)
@@ -27,7 +27,7 @@ from .svmap import (LadderError, ParamSetValuedMap, PlainSetValuedMap, TLadder,
 FORMAT_VERSION = 1
 
 
-class InstanceError(ValueError):
+class InstanceError(RegkitError, ValueError):
     """Schema or invariant violation, carrying a JSON-pointer location."""
 
     def __init__(self, pointer: str, message: str):

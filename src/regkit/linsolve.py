@@ -15,8 +15,10 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
+from .policy import RegkitError
 
-class LinSolveError(RuntimeError):
+
+class LinSolveError(RegkitError, RuntimeError):
     pass
 
 

@@ -13,12 +13,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, INF, NumericPolicy
+from .policy import DEFAULT_POLICY, INF, NumericPolicy, RegkitError
 
 NORM_METRICS = ("euclidean", "manhattan", "chebyshev")
 
 
-class MetricError(ValueError):
+class MetricError(RegkitError, ValueError):
     pass
 
 

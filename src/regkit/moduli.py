@@ -7,15 +7,15 @@ upper semicontinuous by construction; mu(+inf) = +inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .policy import INF
+from .policy import INF, RegkitError
 
 
-class ModulusError(ValueError):
+class ModulusError(RegkitError, ValueError):
     pass
 
 
@@ -174,15 +174,3 @@ def canonical_mu(scheme: AuxScheme, tau: float, horizon: int,
     if cur > tol:
         return INF  # orbit failed to vanish: series not certified finite
     return total
-
-
-@dataclass
-class TabulatedMu:
-    """mu given pointwise on the values where a certificate needs it."""
-
-    values: dict = field(default_factory=dict)
-
-    def __call__(self, t: float) -> float:
-        if t == INF:
-            return INF
-        return self.values[t]

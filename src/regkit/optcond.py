@@ -10,8 +10,9 @@ cross-checks at gamma_n = 2^-n.
 
 Conventions: Q is stored through its closure (a polyhedral cone) and
 treated as its interior; bd Q is the union of the facet-equality slices
-of that closure.  Derivative sets that come out empty are represented
-as None.
+of that closure.  A derivative set is None only when it is known empty
+without an LP (a direction pair off the tangent cone, a slice row
+0 <= rhs < 0); the LP that uses any other set reports it empty.
 
 Everything the rule needs at one critical triple that depends on neither
 the sampled x nor the multipliers (F+, G+, the joint second-order cones
@@ -28,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import linsolve
+from .policy import RegkitError
 from .polyhedra import (Polyhedron, SecondOrderSets, cone_hull_shifted,
                         fourier_motzkin, normal_cone_generators,
                         sample_cone_points, sample_directions,
@@ -35,7 +37,7 @@ from .polyhedra import (Polyhedron, SecondOrderSets, cone_hull_shifted,
                         tangent_cone)
 
 
-class OptError(ValueError):
+class OptError(RegkitError, ValueError):
     pass
 
 
@@ -54,7 +56,7 @@ class PolyMapSpec:
             raise OptError("graph dimension mismatch")
 
     def value_polyhedron(self, x) -> Optional[Polyhedron]:
-        """E(x) as a polyhedron in the output space; None when empty."""
+        """E(x) in the output space; None when known empty without an LP."""
         return _slice_polyhedron(self.graph.A, self.graph.b,
                                  np.asarray(x, dtype=float), self.n_out)
 
@@ -69,7 +71,9 @@ class PolyMapSpec:
 
 def _slice_polyhedron(A: np.ndarray, b: np.ndarray, x: np.ndarray,
                       n_out: int) -> Optional[Polyhedron]:
-    """{y : A (x, y) <= b} as a polyhedron in y; None when empty."""
+    """{y : A (x, y) <= b} as a polyhedron in y; None only when a row
+    without y-part reads 0 <= rhs < 0.  No LP: the caller's own LP finds
+    any other empty slice."""
     if A.shape[0] == 0:
         return Polyhedron.whole_space(n_out)
     n_in = A.shape[1] - n_out
@@ -79,11 +83,8 @@ def _slice_polyhedron(A: np.ndarray, b: np.ndarray, x: np.ndarray,
     degenerate = row_norm <= 1e-12
     if (rhs[degenerate] < -1e-9).any():
         return None
-    P = Polyhedron(Ay[~degenerate], rhs[~degenerate]) if (~degenerate).any() \
-        else Polyhedron.whole_space(n_out)
-    if P.is_empty():
-        return None
-    return P
+    return Polyhedron(Ay[~degenerate], rhs[~degenerate]) \
+        if (~degenerate).any() else Polyhedron.whole_space(n_out)
 
 
 def graph_plus_cone(E: PolyMapSpec, K: Polyhedron) -> PolyMapSpec:
@@ -118,7 +119,7 @@ def _graph_tangent_cone(E: PolyMapSpec, xbar, ebar, tol) -> Polyhedron:
 
 
 def _slice_cone(T: Optional[Polyhedron], x) -> Optional[Polyhedron]:
-    """{e : (x, e) in T}; None when T is None or the slice is empty."""
+    """{e : (x, e) in T}; None when T is None or known empty without an LP."""
     if T is None:
         return None
     x = np.asarray(x, dtype=float)
@@ -129,8 +130,9 @@ def graph_derivative(E: PolyMapSpec, xbar, ebar, u,
                      tol: float = 1e-9) -> Optional[Polyhedron]:
     """DE(xbar, ebar)(u) = {v : (u, v) in T(gph E, (xbar, ebar))}.
 
-    For polyhedral graphs the contingent and lower derivatives coincide;
-    the sampled-limit oracle in the test suite audits this.
+    None only when the slice is known empty without an LP.  For
+    polyhedral graphs the contingent and lower derivatives coincide; the
+    sampled-limit oracle in the test suite audits this.
     """
     return _slice_cone(_graph_tangent_cone(E, xbar, ebar, tol), u)
 
@@ -150,9 +152,10 @@ def second_order_graph_derivative(E: PolyMapSpec, xbar, ebar, u, v, x,
                                   tol: float = 1e-9) -> Optional[Polyhedron]:
     """D2E(xbar, ebar, u, v)(x), the second-order derivative set at x.
 
-    Empty (None) when (u, v) leaves the graph's tangent cone; otherwise
-    the slice of the nested tangent cone, which equals both the
-    contingent and adjacent second-order sets for polyhedral graphs.
+    None when (u, v) leaves the graph's tangent cone or the slice is
+    known empty without an LP; otherwise the slice of the nested tangent
+    cone, which equals both the contingent and adjacent second-order
+    sets for polyhedral graphs.
     """
     return _slice_cone(_joint_second_order_graph(E, xbar, ebar, u, v, tol), x)
 
@@ -438,7 +441,8 @@ def _triple_sets(inst: OptInstance, trip: CriticalTriple,
 
 
 def _sample_points(P: Polyhedron, rng: np.random.Generator) -> np.ndarray:
-    """A few points of P: sampled when P is a cone, else one LP point."""
+    """A few points of P: sampled when P is a cone (then it holds 0), else
+    one LP point, or none when P is empty."""
     if P.is_cone():
         return sample_cone_points(P, 4, rng)
     pt = linsolve.feasible_point(P.dim, P.A, P.b).point

@@ -11,6 +11,10 @@ from dataclasses import dataclass, replace
 INF = float("inf")
 
 
+class RegkitError(Exception):
+    """Base of every regkit error; the CLI turns it into exit code 2."""
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     tol_strict: float = 1e-12

@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import linsolve
+from .policy import RegkitError
 
 
-class PolyhedronError(ValueError):
+class PolyhedronError(RegkitError, ValueError):
     pass
 
 

@@ -18,10 +18,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .metric import FiniteMetricSpace
-from .policy import DEFAULT_POLICY, INF, NumericPolicy
+from .policy import DEFAULT_POLICY, INF, NumericPolicy, RegkitError
 
 
-class LadderError(ValueError):
+class LadderError(RegkitError, ValueError):
     pass
 
 

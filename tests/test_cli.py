@@ -53,6 +53,22 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["load", str(tmp_path / "missing.json")]) == EXIT_INPUT
 
 
+def test_regkit_errors_exit_2(tmp_path, capsys):
+    # t off the ladder (LadderError) and eps below f(x0) - inf f (EVPError)
+    pm, ev = str(tmp_path / "pm.json"), str(tmp_path / "e.json")
+    assert main(["gen", "--kind", "param-monotone", "--size", "10",
+                 "--seed", "3", "--out", pm]) == EXIT_PASS
+    assert main(["gen", "--kind", "evp", "--size", "10", "--seed", "1",
+                 "--out", ev]) == EXIT_PASS
+    capsys.readouterr()
+    for argv in (["certify", pm, "--criterion", "decrease", "--x", "0",
+                  "--y", "0", "--t", "0.33"],
+                 ["ekeland", ev, "--epsilon", "1e-9"]):
+        assert main(argv) == EXIT_INPUT, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_load_reports_to_stdout(plain_file, capsys):
     assert main(["load", plain_file]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)

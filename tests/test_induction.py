@@ -27,10 +27,8 @@ def test_sequence_spec_totals():
     s = SequenceSpec(a=Seq.geometric(1.0, 0.5), b=Seq.geometric(1.0, 0.5))
     assert s.b_total() == pytest.approx(2.0)
     assert s.b_partial(2) == pytest.approx(1.5)
-    assert s.tail_bound(2) == pytest.approx(0.5)
     e = SequenceSpec(a=Seq.explicit([1.0]), b=Seq.explicit([2.0, 1.0]))
     assert e.b_total() == 3.0
-    assert e.tail_bound(1) == 1.0
 
 
 def test_constructed_instances_certify():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regkit.moduli import (AuxScheme, FunctionalModulus, ModulusError,
-                           TabulatedMu, canonical_mu)
+                           canonical_mu)
 from regkit.policy import INF
 
 
@@ -107,11 +107,3 @@ def test_canonical_mu_satisfies_functional_inequality():
         lhs = canonical_mu(sch, tau, 128)
         rhs = sch.m(tau) + canonical_mu(sch, sch.b(tau), 128)
         assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-def test_tabulated_mu():
-    mu = TabulatedMu({0.0: 0.0, 1.0: 2.5})
-    assert mu(1.0) == 2.5
-    assert mu(INF) == INF
-    with pytest.raises(KeyError):
-        mu(0.3)

@@ -5,11 +5,11 @@ import pytest
 from regkit import optcond
 from regkit.instances import demo_polyopt_raw, generate_instance, parse_instance
 from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
-                            OptError, TableExtension, a2_of_minus_D,
-                            check_claim2, check_cq, check_multiplier_rule,
-                            critical_directions, exact_rule_margin,
-                            find_multipliers, graph_derivative,
-                            second_order_graph_derivative)
+                            OptError, PolyMapSpec, TableExtension,
+                            a2_of_minus_D, check_claim2, check_cq,
+                            check_multiplier_rule, critical_directions,
+                            exact_rule_margin, find_multipliers,
+                            graph_derivative, second_order_graph_derivative)
 from regkit.polyhedra import Polyhedron, tangent_cone
 
 
@@ -43,6 +43,19 @@ def test_second_order_derivative_of_linear_map():
     bad = second_order_graph_derivative(inst.F, inst.xbar, inst.ybar,
                                         u, v + 5.0, x)
     assert bad is None
+
+
+def test_empty_value_set_is_left_to_its_lp():
+    # gph E = {(x, y) : 0 <= y <= x}; E(-1) is empty, and only the LP of
+    # each consumer finds that out
+    E = PolyMapSpec(Polyhedron(np.array([[0.0, -1.0], [-1.0, 1.0]]),
+                               np.zeros(2)), 1, 1)
+    x = np.array([-1.0])
+    V = E.value_polyhedron(x)
+    assert isinstance(V, Polyhedron) and V.is_empty()
+    assert E.dist_to_value(np.zeros(1), x) == np.inf
+    assert optcond._min_support(np.ones(1), V)[0] == np.inf
+    assert optcond._sample_points(V, np.random.default_rng(0)).shape == (0, 1)
 
 
 def test_off_graph_base_rejected():
