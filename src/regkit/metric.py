@@ -22,8 +22,13 @@ class MetricError(RegkitError, ValueError):
     pass
 
 
-def _pairwise(coords: np.ndarray, metric: str) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
+class PointIndexError(RegkitError, IndexError):
+    pass
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from each row of a (rows) to each row of b (columns)."""
+    diff = a[:, None, :] - b[None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff ** 2).sum(-1))
     if metric == "manhattan":
@@ -53,7 +58,7 @@ class FiniteMetricSpace:
             self.coords = arr
             self._n = arr.shape[0]
             # cache the full matrix only for small spaces; large ones use rows
-            self._dmat = _pairwise(self.coords, self.metric) if self._n <= 2000 else None
+            self._dmat = _pairwise(arr, arr, self.metric) if self._n <= 2000 else None
         elif self.metric == "matrix":
             if self.dmatrix is None:
                 raise MetricError("explicit-matrix metric requires dmatrix")
@@ -75,11 +80,19 @@ class FiniteMetricSpace:
             raise MetricError("dmatrix has nonzero diagonal")
         if np.abs(m - m.T).max(initial=0.0) > tol:
             raise MetricError("dmatrix is not symmetric")
-        # O(n^3) triangle audit, vectorized over the middle point
-        viol = m[:, None, :] - (m[:, :, None] + m[None, :, :])
-        worst = viol.max()
+        # O(n^3) triangle audit in blocks of the first point, O(n^2) memory;
+        # the strict > keeps the row-major first worst (i, r, j), as argmax
+        rows = max(1, (1 << 20) // max(m.size, 1))  # blocks of 8 MiB
+        worst = -INF
+        for i0 in range(0, len(m), rows):
+            blk = m[i0:i0 + rows]
+            viol = blk[:, None, :] - (blk[:, :, None] + m[None, :, :])
+            k = np.argmax(viol)
+            if viol.flat[k] > worst:
+                worst = viol.flat[k]
+                i, r, j = np.unravel_index(k, viol.shape)
+                i += i0
         if worst > tol:
-            i, r, j = np.unravel_index(np.argmax(viol), viol.shape)
             raise MetricError(
                 f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})")
 
@@ -102,12 +115,13 @@ class FiniteMetricSpace:
         self._check(i)
         if self._dmat is not None:
             return self._dmat[i]
-        diff = self.coords - self.coords[i]
-        if self.metric == "euclidean":
-            return np.sqrt((diff ** 2).sum(-1))
-        if self.metric == "manhattan":
-            return np.abs(diff).sum(-1)
-        return np.abs(diff).max(-1)
+        return _pairwise(self.coords[i:i + 1], self.coords, self.metric)[0]
+
+    def dist_cols(self, idx: np.ndarray) -> np.ndarray:
+        """Distances from every point (rows) to each point of idx (columns)."""
+        if self._dmat is not None:
+            return self._dmat[:, idx]
+        return _pairwise(self.coords, self.coords[idx], self.metric)
 
     def diameter(self) -> float:
         if self._dmat is not None:
@@ -116,7 +130,7 @@ class FiniteMetricSpace:
 
     def _check(self, i: int):
         if not (0 <= int(i) < self._n):
-            raise IndexError(f"point index {i} out of range [0,{self._n})")
+            raise PointIndexError(f"point index {i} out of range [0,{self._n})")
 
     @classmethod
     def from_grid(cls, values: Sequence[float], metric: str = "euclidean",
@@ -145,7 +159,7 @@ def point_set_distance(space: FiniteMetricSpace, x: int, S: Iterable[int]) -> fl
         return INF
     space._check(x)
     if idx.size and (idx.min() < 0 or idx.max() >= space.n):
-        raise IndexError("set contains invalid point index")
+        raise PointIndexError("set contains invalid point index")
     return float(space.dist_row(x)[idx].min())
 
 

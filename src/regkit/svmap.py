@@ -102,13 +102,11 @@ class PlainSetValuedMap:
         return float(self.Y.dist_row(y)[img].min())
 
     def dist_to_image_matrix(self) -> np.ndarray:
-        """Matrix D[x, y] = d(y, F(x))."""
+        """Matrix D[x, y] = d(y, F(x)), one column-block min per x."""
         D = np.full((self.X.n, self.Y.n), INF)
-        for xi in range(self.X.n):
-            img = self._images[xi]
+        for xi, img in enumerate(self._images):
             if img.size:
-                for yi in range(self.Y.n):
-                    D[xi, yi] = self.Y.dist_row(yi)[img].min()
+                D[xi] = self.Y.dist_cols(img).min(axis=1)
         return D
 
     def dist_to_preimage(self, x: int, y: int) -> float:
@@ -196,9 +194,6 @@ class ParamSetValuedMap:
             return np.nonzero(mask)[0]
         return np.asarray(self._inv.get((t_idx, y), []), dtype=int)
 
-    def inverse_at_level(self, t: float, y: int) -> np.ndarray:
-        return self.inverse_at_level_idx(self.ladder.index_of(t), y)
-
     def delta(self, y: int, x: int) -> float:
         """Smallest positive ladder level t with y in F(x, t); +inf if none."""
         if self._embed is not None:
@@ -213,6 +208,24 @@ class ParamSetValuedMap:
             return float(lv[hit[0]]) if hit.size else INF
         lvls = [t for t in self._xy_levels.get((x, y), []) if t > 0]
         return float(self.ladder.levels[min(lvls)]) if lvls else INF
+
+    def onset_matrix(self) -> np.ndarray:
+        """Matrix on[x, y]: the first positive ladder index k with x in
+        F_k^{-1}(y), or len(ladder) if none.  For a monotone map (every
+        embedded one) x is in F_k^{-1}(y), k >= 1, exactly when k >= on[x, y];
+        embedded maps use the float comparisons of `inverse_at_level_idx`.
+        """
+        L = len(self.ladder)
+        if self._embed is not None:
+            D, closed, _ = self._embed
+            lv, tol = self.ladder.levels, self.policy.tol_strict
+            if closed:  # d <= t + tol
+                return np.maximum(np.searchsorted(lv + tol, D, side="left"), 1)
+            return np.maximum(np.searchsorted(lv - tol, D, side="right"), 1)  # d < t - tol
+        on = np.full((self.X.n, self.Y.n), L)
+        for (x, y), lvls in self._xy_levels.items():
+            on[x, y] = min((t for t in lvls if t > 0), default=L)
+        return on
 
     def delta_matrix(self) -> np.ndarray:
         """Matrix Dl[x, y] = delta(y, F, x), vectorized for embedded maps."""
@@ -229,12 +242,7 @@ class ParamSetValuedMap:
             ok = np.isfinite(D) & (idx < lv.size)
             out[ok] = lv[np.minimum(idx, lv.size - 1)][ok]
             return out
-        out = np.full((self.X.n, self.Y.n), INF)
-        for (x, y), lvls in self._xy_levels.items():
-            pos = [t for t in lvls if t > 0]
-            if pos:
-                out[x, y] = self.ladder.levels[min(pos)]
-        return out
+        return np.append(self.ladder.levels, INF)[self.onset_matrix()]
 
     def dist_to_inverse(self, x: int, t_idx: int, y: int) -> float:
         inv = self.inverse_at_level_idx(t_idx, y)
@@ -339,6 +347,16 @@ class AuditReport:
         return next(c for c in self.clauses if c.clause == name)
 
 
+def _first_split(lo: np.ndarray, hi: np.ndarray, levels: np.ndarray):
+    """(y, t) for the first level t = levels[k] at which some pair has
+    lo <= k < hi, y from the row-major first such pair; None if none."""
+    split = lo < hi
+    if not split.any():
+        return None
+    k = lo[split].min()
+    return int(np.argwhere(split & (lo == k))[0][1]), float(levels[k])
+
+
 def prop41_audit(F: PlainSetValuedMap, ladder: TLadder,
                  policy: NumericPolicy = DEFAULT_POLICY) -> AuditReport:
     """Exhaustive audit of the plain-map embedding identities.
@@ -348,10 +366,15 @@ def prop41_audit(F: PlainSetValuedMap, ladder: TLadder,
     (exactly at representable boundaries for the closed embedding); the
     inverse-image identities for open and closed enlargements; and the
     image-space inclusion used by the image-space certifier.
+
+    The positive-level identities compare onset matrices, not each level:
+    the oracle's ball preimages and the embedding's inverses both grow with
+    t (monotonicity), so each side is fixed by the level at which a pair
+    (x, y) enters it.  A failing clause reports the first level at which
+    the sets differ and the y of its row-major first pair.
     """
     Fo = embed_plain(F, ladder, closed=False, policy=policy)
     Fc = embed_plain(F, ladder, closed=True, policy=policy)
-    D = Fo._embed[0]
     gap = ladder.max_gap()
     tol = policy.tol_strict
     out: list[ClauseResult] = []
@@ -401,33 +424,26 @@ def prop41_audit(F: PlainSetValuedMap, ladder: TLadder,
                 break
     out.append(ClauseResult("ii", "fail" if bad else "pass", bad, detail))
 
-    # (iii), (iv), (vi): inverse-image identities, one boolean sweep per level
+    # (iii), (iv), (vi): inverse-image identities on onsets; the oracle's
+    # come from its own dplain, by the comparisons the engine documents
     bad3 = bad4 = bad6 = None
     # level 0: plain preimages must coincide with level-0 inverses
     for yi in range(F.Y.n):
         if set(Fo.inverse_at_level_idx(0, yi).tolist()) != set(np.nonzero(member[:, yi])[0].tolist()):
             bad3 = (yi, 0.0)
             break
-    for k in range(1, len(ladder)):
-        t = ladder.levels[k]
-        via_open = dplain < t - tol       # x in F^{-1}(B(y, t)), open ball
-        via_closed = dplain <= t + tol
-        inv_open = np.zeros_like(via_open)
-        inv_closed = np.zeros_like(via_open)
-        for yi in range(F.Y.n):
-            inv_open[Fo.inverse_at_level_idx(k, yi), yi] = True
-            inv_closed[Fc.inverse_at_level_idx(k, yi), yi] = True
-        if bad3 is None and (via_open != inv_open).any():
-            w = np.argwhere(via_open != inv_open)[0]
-            bad3 = (int(w[1]), float(t))
-        if bad4 is None and (via_closed & ~inv_closed).any():
-            w = np.argwhere(via_closed & ~inv_closed)[0]
-            bad4 = (int(w[1]), float(t))
-        if bad6 is None:
-            if (via_open & ~inv_open).any():
-                bad6 = ("open", float(t))
-            elif (via_open & ~inv_closed).any():
-                bad6 = ("closed", float(t))
+    lv = ladder.levels
+    o_open = np.maximum(np.searchsorted(lv - tol, dplain, side="right"), 1)
+    o_closed = np.maximum(np.searchsorted(lv + tol, dplain, side="left"), 1)
+    e_open, e_closed = Fo.onset_matrix(), Fc.onset_matrix()
+    if bad3 is None:
+        bad3 = _first_split(np.minimum(o_open, e_open), np.maximum(o_open, e_open), lv)
+    bad4 = _first_split(o_closed, e_closed, lv)
+    open6, closed6 = _first_split(o_open, e_open, lv), _first_split(o_open, e_closed, lv)
+    if open6 and (not closed6 or open6[1] <= closed6[1]):
+        bad6 = ("open", open6[1])
+    elif closed6:
+        bad6 = ("closed", closed6[1])
     out.append(ClauseResult("iii", "fail" if bad3 else "pass", bad3))
     out.append(ClauseResult("iv", "fail" if bad4 else "pass", bad4))
     out.append(ClauseResult("vi", "fail" if bad6 else "pass", bad6))

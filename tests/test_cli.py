@@ -54,7 +54,8 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_regkit_errors_exit_2(tmp_path, capsys):
-    # t off the ladder (LadderError) and eps below f(x0) - inf f (EVPError)
+    # t off the ladder (LadderError), eps below f(x0) - inf f (EVPError) and
+    # point indices outside the space (PointIndexError)
     pm, ev = str(tmp_path / "pm.json"), str(tmp_path / "e.json")
     assert main(["gen", "--kind", "param-monotone", "--size", "10",
                  "--seed", "3", "--out", pm]) == EXIT_PASS
@@ -63,7 +64,9 @@ def test_regkit_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     for argv in (["certify", pm, "--criterion", "decrease", "--x", "0",
                   "--y", "0", "--t", "0.33"],
-                 ["ekeland", ev, "--epsilon", "1e-9"]):
+                 ["ekeland", ev, "--epsilon", "1e-9"],
+                 ["ekeland", ev, "--x0", "999"],
+                 ["ekeland", ev, "--verify-only", "999"]):
         assert main(argv) == EXIT_INPUT, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -1,11 +1,15 @@
 """Finite metric spaces: axioms, balls, distances to sets, excess."""
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regkit.metric import (BallSpec, FiniteMetricSpace, MetricError,
-                           ball_members, excess, point_set_distance)
-from regkit.policy import INF
+                           PointIndexError, ball_members, excess,
+                           point_set_distance)
+from regkit.policy import INF, RegkitError
 
 coords_1d = st.lists(st.floats(-50, 50), min_size=2, max_size=12)
 
@@ -94,3 +98,54 @@ def test_index_bounds_checked():
         sp.d(0, 5)
     with pytest.raises(IndexError):
         sp.dist_row(-3)
+    # one class for both checks: an IndexError the CLI reports as input error
+    assert issubclass(PointIndexError, RegkitError)
+    with pytest.raises(PointIndexError):
+        point_set_distance(sp, 3, [0])
+    with pytest.raises(PointIndexError):
+        point_set_distance(sp, 0, [0, 2])
+
+
+def _bumped_plane_matrix(n: int, seed: int) -> np.ndarray:
+    """Euclidean distances of n random plane points, three pairs stretched."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3, 3, size=(n, 2))
+    m = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    for _ in range(3):
+        a, b = rng.choice(n, size=2, replace=False)
+        m[a, b] = m[b, a] = m[a, b] + rng.uniform(0.5, 2.0)
+    return m
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_triangle_witness_is_first_argmax_of_full_tensor(n):
+    m = _bumped_plane_matrix(n, n)
+    viol = m[:, None, :] - (m[:, :, None] + m[None, :, :])
+    i, r, j = np.unravel_index(np.argmax(viol), viol.shape)
+    want = f"triangle inequality violated by {viol.max():.3g} at ({i},{r},{j})"
+    with pytest.raises(MetricError, match=re.escape(want)):
+        FiniteMetricSpace(metric="matrix", dmatrix=m)
+
+
+def test_triangle_audit_memory_is_quadratic_at_300_points():
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-3, 3, size=(300, 2))
+    good = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(metric="matrix", dmatrix=good)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak          # the whole n^3 tensor is 216 MB
+    # witnesses as one argmax over the whole tensor reports them
+    with pytest.raises(MetricError, match=re.escape(
+            "violated by 1.99 at (199,62,211)")):
+        FiniteMetricSpace(metric="matrix", dmatrix=_bumped_plane_matrix(300, 300))
+    # equal worst violations in several blocks: the row-major first wins
+    line = np.abs(np.arange(300.0)[:, None] - np.arange(300.0)[None, :])
+    for a, b in ((250, 290), (40, 45), (120, 180)):
+        line[a, b] += 1.0
+        line[b, a] += 1.0
+    with pytest.raises(MetricError, match=re.escape("violated by 1 at (40,41,45)")):
+        FiniteMetricSpace(metric="matrix", dmatrix=line)

@@ -183,3 +183,163 @@ def test_prop41_audit_on_random_maps():
         assert audit.by_name("ii").status == "pass", seed
         assert audit.by_name("vii").status == "not_applicable"
         assert audit.ok
+
+
+def _grid_map():
+    """D = [[0, 1, 2, 3], [3, 2, 1, 0], [inf] * 4]; ladder 0, 0.5, ..., 4."""
+    X = FiniteMetricSpace.from_grid([0.0, 1.0, 2.0])
+    Y = FiniteMetricSpace.from_grid([0.0, 1.0, 2.0, 3.0])
+    return PlainSetValuedMap(X, Y, {(0, 0), (1, 3)}), TLadder(np.arange(0.0, 4.5, 0.5))
+
+
+_REAL_DIST_TO_IMAGE = PlainSetValuedMap.dist_to_image_matrix
+
+
+def _audit_with_moved_entries(monkeypatch, moved):
+    """Witnesses of (iii), (iv), (vi) when the engine's D has entries moved."""
+    def engine_D(self):
+        D = _REAL_DIST_TO_IMAGE(self)
+        for (x, y), v in moved.items():
+            D[x, y] = v
+        return D
+
+    monkeypatch.setattr(PlainSetValuedMap, "dist_to_image_matrix", engine_D)
+    F, lad = _grid_map()
+    audit = prop41_audit(F, lad)
+    return {c: audit.by_name(c).witness for c in ("iii", "iv", "vi")}
+
+
+# d(y=2, F(x=0)) = 2 enters the oracle's open preimage at 2.5 (first level
+# above 2) and its closed one at 2.0; the engine's open and closed sets take
+# x = 0 from the first level above / not below the moved entry v.  (iii)
+# reports the lower of the two open onsets, (iv) the oracle's closed onset
+# when the engine's closed onset is later, (vi) the oracle's open onset when
+# an engine onset is later ("open" first: the closed onset is never later).
+@pytest.mark.parametrize("v, iii, iv, vi", [
+    (3.0, (2, 2.5), (2, 2.0), ("open", 2.5)),    # up two levels
+    (2.25, None, (2, 2.0), None),                # up half a level
+    (INF, (2, 2.5), (2, 2.0), ("open", 2.5)),    # out of every level
+    (1.75, (2, 2.0), None, None),                # down half a level
+    (1.0, (2, 1.5), None, None),                 # down two levels
+    (0.0, (2, 0.5), None, None),                 # onto the image
+])
+def test_prop41_audit_witnesses_for_one_moved_entry(monkeypatch, v, iii, iv, vi):
+    got = _audit_with_moved_entries(monkeypatch, {(0, 2): v})
+    assert got == {"iii": iii, "iv": iv, "vi": vi}
+
+
+def test_prop41_audit_witness_is_row_major_first(monkeypatch):
+    # both pairs split first at 2.5 (iii, vi) and 2.0 (iv); x = 0 comes first
+    got = _audit_with_moved_entries(monkeypatch, {(0, 2): 3.0, (1, 1): 3.0})
+    assert got == {"iii": (2, 2.5), "iv": (2, 2.0), "vi": ("open", 2.5)}
+    # (iii) splits first at 1.5 for (2, 0), which enters the engine there
+    got = _audit_with_moved_entries(monkeypatch, {(1, 1): 3.0, (2, 0): 1.0})
+    assert got == {"iii": (0, 1.5), "iv": (1, 2.0), "vi": ("open", 2.5)}
+
+
+# -- batch queries against the per-column ones --------------------------------
+
+@st.composite
+def plain_maps(draw):
+    """A plain map with integer (grid) or float coordinates, and a ladder."""
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    metric = draw(st.sampled_from(["euclidean", "manhattan", "chebyshev"]))
+    dim = draw(st.integers(1, 2))
+    if draw(st.booleans()):       # grid: distances land exactly on levels
+        coord = st.integers(-3, 3).map(float)
+        step = draw(st.sampled_from([0.5, 1.0]))
+        levels = np.arange(0.0, draw(st.integers(1, 8)) + step / 2, step)
+    else:
+        coord = st.floats(-3, 3)
+        levels = np.concatenate([[0.0], np.sort(draw(st.lists(
+            st.floats(0.01, 8.0), min_size=0, max_size=12, unique=True)))])
+
+    def pts(n):
+        return np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                      min_size=n, max_size=n)))
+
+    X = FiniteMetricSpace(metric=metric, coords=pts(nx))
+    Y = FiniteMetricSpace(metric=metric, coords=pts(ny))
+    graph = draw(st.sets(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))))
+    return PlainSetValuedMap(X, Y, graph), TLadder(levels)
+
+
+def _assert_onsets_match_inverses(G):
+    on = G.onset_matrix()
+    for k in range(1, len(G.ladder)):
+        for y in range(G.Y.n):
+            assert G.inverse_at_level_idx(k, y).tolist() == np.nonzero(k >= on[:, y])[0].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_maps(), st.data())
+def test_onset_matrix_matches_inverse_queries(Fl, data):
+    F, lad = Fl
+    for closed in (False, True):
+        _assert_onsets_match_inverses(embed_plain(F, lad, closed=closed))
+    # a monotone graph-backed map: each pair enters at a drawn level or never
+    L = len(lad)
+    start = data.draw(st.lists(st.integers(1, L), min_size=F.X.n * F.Y.n,
+                               max_size=F.X.n * F.Y.n))
+    triples = [(x, k, y) for x in range(F.X.n) for y in range(F.Y.n)
+               for k in range(start[x * F.Y.n + y], L)] + [(a, 0, b) for a, b in F.graph]
+    G = ParamSetValuedMap(F.X, F.Y, lad, graph=triples, monotone=True)
+    _assert_onsets_match_inverses(G)
+    assert G.onset_matrix().ravel().tolist() == start
+    dl = G.delta_matrix()
+    assert all(dl[x, y] == G.delta(y, x) for x in range(F.X.n) for y in range(F.Y.n))
+
+
+def _brute_dist_to_image(F):
+    return np.array([[min((F.Y.d(y, j) for j in F.image(x)), default=INF)
+                      for y in range(F.Y.n)] for x in range(F.X.n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain_maps())
+def test_dist_to_image_matrix_is_brute_force_min(Fl):
+    F, _ = Fl
+    assert np.array_equal(F.dist_to_image_matrix(), _brute_dist_to_image(F))
+
+
+def test_dist_to_image_matrix_reads_d_of_y_to_image_on_asymmetric_matrix():
+    # symmetric only within the audit's tolerance: d(y, y') != d(y', y)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-3, 3, size=(9, 2))
+    m = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    m = m + rng.uniform(0.0, 1e-10, size=m.shape) * (m > 0)
+    Y = FiniteMetricSpace(metric="matrix", dmatrix=m)
+    assert not np.array_equal(m, m.T)
+    X = FiniteMetricSpace.from_grid(np.arange(6.0))
+    F = PlainSetValuedMap(X, Y, {(0, 1), (0, 4), (2, 8), (3, 0), (3, 5), (3, 7), (5, 2)})
+    assert np.array_equal(F.dist_to_image_matrix(), _brute_dist_to_image(F))
+
+
+# -- call-count guards -------------------------------------------------------
+
+def _counting(monkeypatch, cls, name):
+    calls = [0]
+    real = getattr(cls, name)
+
+    def wrapper(*args, **kw):
+        calls[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [4, 1000])
+def test_prop41_audit_query_count_does_not_grow_with_the_ladder(monkeypatch, steps):
+    F = helpers.random_plain_map(np.random.default_rng(7), nx_max=15, ny_max=15)
+    lad = TLadder(np.linspace(0.0, 1.05 * F.Y.diameter(), steps + 1))
+    calls = _counting(monkeypatch, ParamSetValuedMap, "inverse_at_level_idx")
+    assert prop41_audit(F, lad).ok
+    assert calls[0] <= F.Y.n
+
+
+def test_dist_to_image_matrix_row_count(monkeypatch):
+    F = helpers.random_plain_map(np.random.default_rng(7), nx_max=15, ny_max=15)
+    calls = _counting(monkeypatch, FiniteMetricSpace, "dist_row")
+    F.dist_to_image_matrix()
+    assert calls[0] <= F.Y.n
