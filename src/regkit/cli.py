@@ -3,13 +3,16 @@
 Subcommands: load, gen, induct, certify, regcheck, ekeland, optcond, run.
 Global flags: --tol, --horizon, --seed, --out, --validate.  Exit codes:
 0 all checks pass, 1 at least one check failed, 2 input/usage error
-(every regkit error, reported as "error: ..." on stderr).
+(every regkit error, reported as "error: ..." on stderr), 3 a bug: any
+other exception, reported as "internal error: ..." and its traceback on
+stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .polyhedra import (sample_directions, sampled_tangent_membership,
 from .reports import Report
 from .svmap import prop41_audit
 
-EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_BUG = 0, 1, 2, 3
 
 
 def _policy_overrides(args) -> dict:
@@ -452,6 +455,10 @@ def main(argv=None) -> int:
     except (RegkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -53,6 +53,8 @@ class FiniteMetricSpace:
             if self.coords is None:
                 raise MetricError("norm metric requires coordinates")
             arr = np.asarray(self.coords, dtype=float)
+            if np.isnan(arr).any():
+                raise MetricError("coordinates contain NaN")
             if arr.ndim == 1:
                 arr = arr.reshape(-1, 1)  # scalars are points on the line
             self.coords = arr
@@ -74,6 +76,9 @@ class FiniteMetricSpace:
         tol = self.policy.triangle_tol
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MetricError("dmatrix must be square")
+        # every check below compares with < or >, which NaN passes
+        if np.isnan(m).any():
+            raise MetricError("dmatrix contains NaN")
         if (m < -tol).any():
             raise MetricError("dmatrix has negative entries")
         if np.abs(np.diag(m)).max(initial=0.0) > tol:

@@ -463,6 +463,15 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     is the sampled oracle for the joint LP of `exact_rule_margin` and
     never solves it.
     """
+    return _check_rule(inst, trip, _triple_sets(inst, trip, tol), mult,
+                       n_samples, rng, tol)
+
+
+def _check_rule(inst: OptInstance, trip: CriticalTriple, sets: _TripleSets,
+                mult: Multipliers, n_samples: int,
+                rng: Optional[np.random.Generator],
+                tol: float) -> RuleVerdict:
+    """`check_multiplier_rule` on the triple's prebuilt sets."""
     rng = rng if rng is not None else np.random.default_rng(0)
     notes: list[str] = []
     if not mult.nonzero():
@@ -475,7 +484,6 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     if abs(mult.v_star @ trip.v) > 1e-7 or abs(mult.k_star @ trip.k) > 1e-7:
         raise OptError("multiplier invariant: orthogonality fails")
 
-    sets = _triple_sets(inst, trip, tol)
     A2 = sets.A2
     if A2 is None:
         rhs = -np.inf
@@ -696,11 +704,9 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     # sampled verification before reporting success
     candidates.sort(key=lambda c: (-c[0], c[1]))
     for _, _, mult in candidates:
-        verdict = check_multiplier_rule(inst, trip, mult,
-                                        n_samples=2 * n_samples,
-                                        rng=np.random.default_rng(
-                                            rng.integers(2 ** 31)),
-                                        tol=tol)
+        verdict = _check_rule(inst, trip, sets, mult, 2 * n_samples,
+                              np.random.default_rng(rng.integers(2 ** 31)),
+                              tol)
         if verdict.holds and verdict.margin >= -1e-9:
             return mult
     return None

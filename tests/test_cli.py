@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from regkit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+from regkit import cli
+from regkit.cli import EXIT_BUG, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from regkit.instances import (demo_polyopt_raw, generate_instance,
                               save_instance)
 
@@ -54,22 +55,51 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_regkit_errors_exit_2(tmp_path, capsys):
-    # t off the ladder (LadderError), eps below f(x0) - inf f (EVPError) and
-    # point indices outside the space (PointIndexError)
+    # t off the ladder (LadderError), eps below f(x0) - inf f (EVPError),
+    # point indices outside the space (PointIndexError) and a NaN point
+    # coordinate in the instance JSON (MetricError)
     pm, ev = str(tmp_path / "pm.json"), str(tmp_path / "e.json")
     assert main(["gen", "--kind", "param-monotone", "--size", "10",
                  "--seed", "3", "--out", pm]) == EXIT_PASS
     assert main(["gen", "--kind", "evp", "--size", "10", "--seed", "1",
                  "--out", ev]) == EXIT_PASS
+    nan_file = str(tmp_path / "nan.json")
+    raw = generate_instance("plain-lipschitz", 12, 0)
+    raw["X"]["points"][1] = float("nan")
+    save_instance(raw, nan_file)
     capsys.readouterr()
     for argv in (["certify", pm, "--criterion", "decrease", "--x", "0",
                   "--y", "0", "--t", "0.33"],
                  ["ekeland", ev, "--epsilon", "1e-9"],
                  ["ekeland", ev, "--x0", "999"],
-                 ["ekeland", ev, "--verify-only", "999"]):
+                 ["ekeland", ev, "--verify-only", "999"],
+                 ["load", nan_file]):
         assert main(argv) == EXIT_INPUT, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_other_exceptions_exit_3(plain_file, induct_file, tmp_path,
+                                 monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_load", broken)
+    assert main(["load", plain_file]) == EXIT_BUG
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError('boom')")
+    assert "Traceback" in err
+    # other subcommands keep their exit codes
+    assert main(["regcheck", plain_file, "--setting",
+                 "conventional"]) == EXIT_PASS
+    assert main(["regcheck", plain_file + ".missing", "--setting",
+                 "conventional"]) == EXIT_INPUT
+    assert main(["no-such-command"]) == EXIT_INPUT
+    raw = json.loads(open(induct_file).read())
+    raw["sequences"]["b"] = {"kind": "explicit", "table": [0.3, 0.3]}
+    save_instance(raw, str(tmp_path / "bad.json"))
+    assert main(["induct", str(tmp_path / "bad.json"), "--x", "0", "--y",
+                 "0", "--t", "2.0"]) == EXIT_FAIL
 
 
 def test_load_reports_to_stdout(plain_file, capsys):

@@ -51,6 +51,20 @@ def test_matrix_backend_audits_axioms():
         FiniteMetricSpace(metric="matrix", dmatrix=tri)
 
 
+def test_matrix_metric_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(MetricError, match="NaN"):
+        FiniteMetricSpace(metric="matrix",
+                          dmatrix=[[0, nan, 1], [nan, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+def test_norm_metric_rejects_nan_coordinates(metric):
+    with pytest.raises(MetricError, match="NaN"):
+        FiniteMetricSpace(metric=metric,
+                          coords=np.array([[0.0, 1.0], [float("nan"), 2.0]]))
+
+
 def test_unknown_metric_rejected():
     with pytest.raises(MetricError):
         FiniteMetricSpace(metric="cosine", coords=np.array([0.0, 1.0]))
