@@ -56,6 +56,8 @@ class InstanceFile:
 
 
 def _space(sec: dict, ptr: str, policy: NumericPolicy) -> FiniteMetricSpace:
+    if not isinstance(sec, dict):
+        raise InstanceError(ptr, "must be an object")
     metric = sec.get("metric")
     try:
         if metric == "matrix":
@@ -183,8 +185,10 @@ def parse_instance(raw: dict,
         inst.mu = _modulus(raw["mu"], "/mu")
     if "scheme" in raw:
         inst.scheme = _scheme(raw["scheme"], "/scheme")
-    if "W" in raw:
-        inst.W = [(int(a), int(b)) for a, b in raw["W"]]
+    try:
+        inst.W = [(int(a), int(b)) for a, b in raw.get("W", [])]
+    except (TypeError, ValueError) as e:
+        raise InstanceError("/W", f"must be a list of index pairs: {e}") from e
     if "nu" in raw:
         inst.nu = {(int(a), int(b)): float(v) for a, b, v in raw["nu"]}
 
@@ -192,13 +196,15 @@ def parse_instance(raw: dict,
         sec = raw["evp"]
         if inst.X is None:
             raise InstanceError("/evp", "evp requires the X space")
-        f = np.array([np.inf if v is None else float(v) for v in sec["f"]])
         try:
+            f = np.array([np.inf if v is None else float(v) for v in sec["f"]])
             inst.evp = EVPInstance(space=inst.X, f=f,
                                    eps=float(sec["epsilon"]),
                                    lam=float(sec["lambda"]),
                                    x0=int(sec["x0"]))
-        except EVPError as e:
+        except KeyError as e:
+            raise InstanceError(f"/evp/{e.args[0]}", "missing") from e
+        except (EVPError, TypeError, ValueError) as e:
             raise InstanceError("/evp", str(e)) from e
 
     if "poly" in raw:

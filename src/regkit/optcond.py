@@ -73,18 +73,15 @@ def _slice_polyhedron(A: np.ndarray, b: np.ndarray, x: np.ndarray,
                       n_out: int) -> Optional[Polyhedron]:
     """{y : A (x, y) <= b} as a polyhedron in y; None only when a row
     without y-part reads 0 <= rhs < 0.  No LP: the caller's own LP finds
-    any other empty slice."""
-    if A.shape[0] == 0:
-        return Polyhedron.whole_space(n_out)
+    any other empty slice.  The rows kept, and so the polyhedron's
+    matrix, do not depend on x (see `_slice_family`)."""
     n_in = A.shape[1] - n_out
     Ay = A[:, n_in:]
     rhs = b - A[:, :n_in] @ x
-    row_norm = np.abs(Ay).max(axis=1, initial=0.0)
-    degenerate = row_norm <= 1e-12
-    if (rhs[degenerate] < -1e-9).any():
+    keep = np.abs(Ay).max(axis=1, initial=0.0) > 1e-12
+    if (rhs[~keep] < -1e-9).any():
         return None
-    return Polyhedron(Ay[~degenerate], rhs[~degenerate]) \
-        if (~degenerate).any() else Polyhedron.whole_space(n_out)
+    return Polyhedron(Ay[keep], rhs[keep])
 
 
 def graph_plus_cone(E: PolyMapSpec, K: Polyhedron) -> PolyMapSpec:
@@ -124,6 +121,15 @@ def _slice_cone(T: Optional[Polyhedron], x) -> Optional[Polyhedron]:
         return None
     x = np.asarray(x, dtype=float)
     return _slice_polyhedron(T.A, T.b, x, T.dim - x.size)
+
+
+def _slice_family(T: Optional[Polyhedron], n_in: int, c):
+    """min <c, e> over the slices {e : (x, e) in T} at varying x, as one
+    LP family; None when T is None.  Every slice that is not None has the
+    matrix of the slice at x = 0, which T, a cone, always has; a member
+    is solved by passing its slice's b."""
+    return None if T is None else linsolve.LPFamily(
+        c, A_ub=_slice_cone(T, np.zeros(n_in)).A)
 
 
 def graph_derivative(E: PolyMapSpec, xbar, ebar, u,
@@ -359,10 +365,6 @@ class Multipliers:
                    np.abs(self.k_star).max(initial=0.0),
                    np.abs(self.w_star).max(initial=0.0)) > tol
 
-    def norm1(self) -> float:
-        return float(np.abs(self.v_star).sum() + np.abs(self.k_star).sum()
-                     + np.abs(self.w_star).sum())
-
 
 def dual_cone_generators(K: Polyhedron) -> np.ndarray:
     """Generators of K* = {v : <v, x> >= 0 on K} for K = {x : A x <= 0}.
@@ -383,16 +385,12 @@ class RuleVerdict:
     notes: list[str] = field(default_factory=list)
 
 
-def _min_support(c, P: Optional[Polyhedron]):
-    """inf <c, y> over P; +inf over the empty set, -inf when unbounded."""
+def _min_support(family: linsolve.LPFamily, P: Optional[Polyhedron]):
+    """inf <c, y> over the slice P, a member of `family` (see
+    `_slice_family`); +inf over the empty set, -inf when unbounded."""
     if P is None:
         return np.inf, None
-    val, arg = linsolve.max_support(-np.asarray(c, float), P.dim, P.A, P.b)
-    if val == np.inf:
-        return -np.inf, None
-    if val == -np.inf:
-        return np.inf, None
-    return -val, arg
+    return family.solve(P.b).minimum()
 
 
 def a2_of_minus_D(inst: OptInstance, k, tol: float = 1e-9) -> Optional[Polyhedron]:
@@ -425,6 +423,12 @@ class _TripleSets:
         """The F+, G+ and H second-order derivative sets at x."""
         return tuple(_slice_cone(T, x) for T in (self.TF2, self.TG2, self.TH2))
 
+    def families(self, n: int, cs):
+        """One LP family per derivative set, minimizing <c, .> for the
+        matching c of `cs` over that set's slices."""
+        return tuple(_slice_family(T, n, c)
+                     for T, c in zip((self.TF2, self.TG2, self.TH2), cs))
+
 
 def _triple_sets(inst: OptInstance, trip: CriticalTriple,
                  tol: float) -> _TripleSets:
@@ -440,12 +444,14 @@ def _triple_sets(inst: OptInstance, trip: CriticalTriple,
                                       tol))
 
 
-def _sample_points(P: Polyhedron, rng: np.random.Generator) -> np.ndarray:
+def _sample_points(P: Polyhedron, family: linsolve.LPFamily,
+                   rng: np.random.Generator) -> np.ndarray:
     """A few points of P: sampled when P is a cone (then it holds 0), else
-    one LP point, or none when P is empty."""
+    one LP point, or none when P is empty.  P is a member of `family`, an
+    LP family with c = 0."""
     if P.is_cone():
         return sample_cone_points(P, 4, rng)
-    pt = linsolve.feasible_point(P.dim, P.A, P.b).point
+    pt = family.solve(P.b).minimum()[1]
     return pt[None, :] if pt is not None else np.zeros((0, P.dim))
 
 
@@ -497,15 +503,14 @@ def _check_rule(inst: OptInstance, trip: CriticalTriple, sets: _TripleSets,
     IT2 = sets.S2.IT2
     xs = sample_cone_points(IT2, n_samples, rng)
 
+    families = sets.families(inst.n, (mult.v_star, mult.k_star, mult.w_star))
     worst, arg = np.inf, None
     checked = 0
     for x in xs:
         if IT2.m and not (IT2.A @ x < -tol).all():
             continue
-        FY, GZ, HW = sets.slices(x)
-        fy, ay = _min_support(mult.v_star, FY)
-        gz, az = _min_support(mult.k_star, GZ)
-        hw, aw = _min_support(mult.w_star, HW)
+        (fy, ay), (gz, az), (hw, aw) = (
+            _min_support(fam, P) for fam, P in zip(families, sets.slices(x)))
         lhs = fy + gz + hw
         if np.isnan(lhs):       # inf + (-inf): an empty set wins, vacuous
             continue
@@ -644,12 +649,15 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                                            rng)])
     else:
         ds = np.zeros((1, inst.q))
+    families = sets.families(inst.n, (np.zeros(inst.p), np.zeros(inst.q),
+                                      np.zeros(inst.r)))
     tuples: list[tuple] = []
     for x in xs:
-        FY, GZ, HW = sets.slices(x)
-        if FY is None or GZ is None or HW is None:
+        slices = sets.slices(x)
+        if any(P is None for P in slices):
             continue
-        ys, zs, ws = (_sample_points(P, rng) for P in (FY, GZ, HW))
+        ys, zs, ws = (_sample_points(P, fam, rng)
+                      for P, fam in zip(slices, families))
         for y in ys:
             for z in zs:
                 for w in ws:
@@ -742,12 +750,14 @@ def check_cq(inst: OptInstance, trip: CriticalTriple, n_samples: int = 32,
         if sets.A2 is not None else np.zeros((1, inst.q))
     if ds.shape[0] == 0:
         ds = np.zeros((1, inst.q))
+    fam_z = _slice_family(sets.TG2, inst.n, np.zeros(inst.q))
+    fam_w = _slice_family(sets.TH2, inst.n, np.zeros(inst.r))
     gens: list[np.ndarray] = []
     for x in xs:
         GZ, HW = _slice_cone(sets.TG2, x), _slice_cone(sets.TH2, x)
         if GZ is None or HW is None:
             continue
-        zs, ws = _sample_points(GZ, rng), _sample_points(HW, rng)
+        zs, ws = _sample_points(GZ, fam_z, rng), _sample_points(HW, fam_w, rng)
         for z in zs:
             for w in ws:
                 for d in ds:

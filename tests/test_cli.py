@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, flag placement, deterministic output."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +80,44 @@ def test_regkit_errors_exit_2(tmp_path, capsys):
         assert main(argv) == EXIT_INPUT, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _drop_f(raw):
+    del raw["evp"]["f"]
+
+
+def _set(section, key, value):
+    def mutate(raw):
+        (raw[section] if section else raw)[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,pointer", [
+    (_drop_f, "/evp/f"), (_set("evp", "f", "abc"), "/evp"),
+    (_set(None, "X", []), "/X"), (_set(None, "evp", 5), "/evp"),
+    (_set(None, "W", 5), "/W")],
+    ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int"])
+def test_malformed_instance_sections_exit_2(mutate, pointer, tmp_path,
+                                            capsys):
+    raw = generate_instance("evp", 20, 0)
+    mutate(raw)
+    path = str(tmp_path / "bad.json")
+    save_instance(raw, path)
+    capsys.readouterr()
+    assert main(["load", path]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {pointer}: "), err
+
+
+def test_commands_without_lps_never_import_scipy_optimize(plain_file):
+    code = ("import sys\n"
+            "import regkit.cli\n"
+            f"assert regkit.cli.main(['load', {plain_file!r}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_other_exceptions_exit_3(plain_file, induct_file, tmp_path,

@@ -10,7 +10,8 @@ from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
                             check_multiplier_rule, critical_directions,
                             exact_rule_margin, find_multipliers,
                             graph_derivative, second_order_graph_derivative)
-from regkit.polyhedra import Polyhedron, tangent_cone
+from regkit.linsolve import solve_lp
+from regkit.polyhedra import Polyhedron, sample_cone_points, tangent_cone
 
 
 def _demo():
@@ -54,8 +55,38 @@ def test_empty_value_set_is_left_to_its_lp():
     V = E.value_polyhedron(x)
     assert isinstance(V, Polyhedron) and V.is_empty()
     assert E.dist_to_value(np.zeros(1), x) == np.inf
-    assert optcond._min_support(np.ones(1), V)[0] == np.inf
-    assert optcond._sample_points(V, np.random.default_rng(0)).shape == (0, 1)
+    fam = optcond._slice_family(E.graph, 1, np.ones(1))
+    assert optcond._min_support(fam, V)[0] == np.inf
+    fam0 = optcond._slice_family(E.graph, 1, np.zeros(1))
+    assert optcond._sample_points(V, fam0, np.random.default_rng(0)).shape \
+        == (0, 1)
+
+
+@pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 1)])
+def test_slice_families_match_one_member_solves(size, seed):
+    # size 0 is the demo; every slice of a triple's derivative cones is a
+    # member of one family, solved warm, and must equal a fresh solve
+    inst = parse_instance(demo_polyopt_raw() if size == 0 else
+                          generate_instance("polyhedral-opt", size, seed)).opt
+    rng = np.random.default_rng(seed)
+    members = 0
+    for trip in critical_directions(inst, n_dirs=16, rng=rng):
+        sets = optcond._triple_sets(inst, trip, 1e-9)
+        cs = [rng.normal(size=d) for d in (inst.p, inst.q, inst.r)]
+        for obj in (cs, [np.zeros_like(c) for c in cs]):
+            families = sets.families(inst.n, obj)
+            for x in sample_cone_points(sets.S2.IT2, 16, rng):
+                for fam, c, P in zip(families, obj, sets.slices(x)):
+                    if P is None:
+                        continue
+                    res, ref = fam.solve(P.b), solve_lp(c, P.A, P.b)
+                    assert res.status == ref.status
+                    if ref.status == 0:
+                        assert res.fun == pytest.approx(ref.fun, rel=1e-9,
+                                                        abs=1e-9)
+                        assert P.contains(res.x, 1e-6)
+                    members += 1
+    assert members > 0
 
 
 def test_off_graph_base_rejected():
