@@ -114,7 +114,7 @@ def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
     # level chain: a_0 = t, a_n = m(c_n); snap up, <= tol means level 0
     levels = [F.ladder.index_of(t, tol)]
     for v in m_of_c:
-        levels.append(0 if v <= tol else F.ladder.snap_up(v, tol))
+        levels.append(F.ladder.snap_up(v, tol))
         if levels[-1] == 0:
             break
     reach_zero = levels[-1] == 0
@@ -198,7 +198,7 @@ def _orbit_checks(cert: Certificate, F, x, t, y, scheme, mu_fn, policy,
             if tau <= tol:
                 break
             lev = F.ladder.snap_up(tau, tol)
-            lev_next = 0 if nxt <= tol else F.ladder.snap_up(nxt, tol)
+            lev_next = F.ladder.snap_up(nxt, tol)
             ok, wit, det = net_check(n, tau, nxt, lev, lev_next)
             if not ok:
                 net_ok, net_wit, net_det = False, wit, det
@@ -441,23 +441,26 @@ def check_regular_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
     return Verdict(True)
 
 
-def _openness_radii(F: ParamSetValuedMap, x: int, mu_delta: float) -> list[float]:
-    cands = set(float(v) for v in F.X.dist_row(x))
-    cands.update(float(v) for v in F.ladder.levels)
-    cands.add(mu_delta + F.X.diameter() + 1.0 if mu_delta != INF else INF)
-    return sorted(c for c in cands if c != INF and c > mu_delta)
-
-
 def check_open_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
-    """y in F(B(x,t), 0) for every pair in W and radius t > mu(delta)."""
+    """y in F(B(x,t), 0) for every pair in W and radius t > mu(delta).
+
+    Candidate radii t are the distances d(x, x'), the ladder levels and
+    one value beyond the diameter.  y is in F(B(x, t), 0) iff
+    d(x, F_0^{-1}(y)) < t, so only the smallest candidate above
+    mu(delta) can fail; it is the one compared, and the one reported.
+    """
+    diam = F.X.diameter()
+    levels = [float(v) for v in F.ladder.levels]
     for (x, y) in W:
         md = mu(F.delta(y, x))
-        pre0 = F.inverse_at_level_idx(0, y)
-        lhs = float(F.X.dist_row(x)[pre0].min()) if pre0.size else INF
-        for tcand in _openness_radii(F, x, md):
-            if not lhs < tcand:
-                return Verdict(False, (x, y), lhs, tcand,
-                               detail=f"y not in F(B(x,{tcand}),0)")
+        cands = [float(v) for v in F.X.dist_row(x)] + levels + [md + diam + 1.0]
+        t = min((c for c in cands if c != INF and c > md), default=None)
+        if t is None:
+            continue
+        lhs = _dist_level0(F, x, y)
+        if not lhs < t:
+            return Verdict(False, (x, y), lhs, t,
+                           detail=f"y not in F(B(x,{t}),0)")
     return Verdict(True)
 
 

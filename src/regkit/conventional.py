@@ -73,23 +73,24 @@ def check_openness(q: RegularityQuery,
 
     Candidate radii t are the realizable ones: the distances d(x, x') plus
     one value beyond the diameter, which suffices on a finite space.
+    y is in F(B(x, t)) iff d(x, F^{-1}(y)) < t, so only the smallest
+    candidate above mu(d(y, F(x))) can fail; it is the one compared, and
+    the one reported as rhs.
     """
+    diam = q.F.X.diameter()
     for (x, y) in q.W:
         md = _mu_inf(q.mu, q.F.dist_to_image(y, x))
         if md == INF:
             continue
-        pre = q.F.preimage(y)
-        lhs = float(q.F.X.dist_row(x)[pre].min()) if pre.size else INF
-        cands = set(float(v) for v in q.F.X.dist_row(x))
-        cands.add(md + q.F.X.diameter() + 1.0)
+        lhs = q.F.dist_to_preimage(x, y)
         # strictness of "t > mu(...)" goes through the policy; ball
         # membership stays exactly strict because lhs and the candidate
         # radii are drawn from the same distance row, so a tie means the
         # witness sits on the boundary of the open ball and is excluded
-        for t in sorted(c for c in cands if policy.lt(md, c)):
-            # y in F(B(x,t)) iff some x' in the open ball has y in F(x')
-            if not lhs < t:
-                return PropertyVerdict("openness", False, (x, y), lhs, t)
+        cands = [float(v) for v in q.F.X.dist_row(x)] + [md + diam + 1.0]
+        t = min((c for c in cands if policy.lt(md, c)), default=None)
+        if t is not None and not lhs < t:
+            return PropertyVerdict("openness", False, (x, y), lhs, t)
     return PropertyVerdict("openness", True)
 
 

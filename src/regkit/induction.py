@@ -119,13 +119,6 @@ class IterationTrace:
         return self.status == "certified"
 
 
-def _snap(ladder: TLadder, a: float, tol: float) -> int:
-    """Ladder index for a_n: smallest level >= a_n, level 0 when a_n <= tol."""
-    if a <= tol:
-        return 0
-    return ladder.snap_up(a, tol)
-
-
 @dataclass
 class PreReport:
     ok: bool
@@ -180,8 +173,8 @@ def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
         a_n = seqs.a.value(n)
         a_next = seqs.a.value(n + 1)
         try:
-            lev_n = _snap(ladder, a_n, tol)
-            lev_next = _snap(ladder, a_next, tol)
+            lev_n = ladder.snap_up(a_n, tol)
+            lev_next = ladder.snap_up(a_next, tol)
         except LadderError as e:
             raise PreconditionError(f"resolution error at n={n}: {e}") from e
         b_n = seqs.b.value(n)
@@ -231,7 +224,7 @@ def run_induction(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
     levels = []
     for n in range(seqs.horizon + 1):
         try:
-            lev = _snap(ladder, seqs.a.value(n), tol)
+            lev = ladder.snap_up(seqs.a.value(n), tol)
         except LadderError as e:
             raise PreconditionError(f"resolution error at n={n}: {e}") from e
         levels.append(lev)

@@ -190,7 +190,11 @@ def parse_instance(raw: dict,
     except (TypeError, ValueError) as e:
         raise InstanceError("/W", f"must be a list of index pairs: {e}") from e
     if "nu" in raw:
-        inst.nu = {(int(a), int(b)): float(v) for a, b, v in raw["nu"]}
+        try:
+            inst.nu = {(int(a), int(b)): float(v) for a, b, v in raw["nu"]}
+        except (TypeError, ValueError) as e:
+            raise InstanceError("/nu", f"must be a list of (x, y, nu) "
+                                f"triples: {e}") from e
 
     if "evp" in raw:
         sec = raw["evp"]

@@ -216,8 +216,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     return LPFamily(c, A_ub, A_eq, bounds).solve(b_ub, b_eq)
 
 
-def feasible_point(n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                   tol: float = 1e-9) -> FeasibilityResult:
+def feasible_point(n: int, A_ub=None, b_ub=None, A_eq=None,
+                   b_eq=None) -> FeasibilityResult:
     """Feasibility of {x in R^n : A_ub x <= b_ub, A_eq x = b_eq}."""
     point = solve_lp(np.zeros(n), A_ub, b_ub, A_eq, b_eq).minimum()[1]
     return FeasibilityResult(point is not None, point)

@@ -157,17 +157,6 @@ class BallSpec:
             raise MetricError(f"bad ball kind {self.kind!r}")
 
 
-def point_set_distance(space: FiniteMetricSpace, x: int, S: Iterable[int]) -> float:
-    """min over s in S of d(x, s); +inf for empty S."""
-    idx = np.fromiter((int(s) for s in S), dtype=int)
-    if idx.size == 0:
-        return INF
-    space._check(x)
-    if idx.size and (idx.min() < 0 or idx.max() >= space.n):
-        raise PointIndexError("set contains invalid point index")
-    return float(space.dist_row(x)[idx].min())
-
-
 def ball_members(space: FiniteMetricSpace, ball: BallSpec) -> set[int]:
     """Point indices inside the ball; open radius-0 is the singleton {center}."""
     pol = space.policy

@@ -259,8 +259,7 @@ class CriticalTriple:
     k: np.ndarray
 
 
-def _point_on_minus_boundary(K: Polyhedron, inside: Polyhedron,
-                             tol: float = 1e-9):
+def _point_on_minus_boundary(K: Polyhedron, inside: Polyhedron):
     """A point v with v in `inside`, -v in K, and -v on some facet of K."""
     # -v in K and v in the derivative polyhedron, facet i tight
     A_ub = np.vstack([-K.A, inside.A])
@@ -268,7 +267,7 @@ def _point_on_minus_boundary(K: Polyhedron, inside: Polyhedron,
     for i in range(K.m):
         A_eq = -K.A[i][None, :]
         b_eq = np.array([K.b[i]])
-        res = linsolve.feasible_point(K.dim, A_ub, b_ub, A_eq, b_eq, tol)
+        res = linsolve.feasible_point(K.dim, A_ub, b_ub, A_eq, b_eq)
         if res.feasible:
             return res.point
     return None
@@ -309,7 +308,7 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
         DV = _slice_cone(TF, u)
         if DV is None:
             continue
-        v = _point_on_minus_boundary(inst.Q, DV, tol)
+        v = _point_on_minus_boundary(inst.Q, DV)
         if v is None:
             continue
         DK = _slice_cone(TG, u)
@@ -323,7 +322,7 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
             kcands.append(zero_k)
         A_ub = np.vstack([DK.A, -big_cone.A])
         b_ub = np.concatenate([DK.b, big_cone.b])
-        resk = linsolve.feasible_point(inst.q, A_ub, b_ub, tol=tol)
+        resk = linsolve.feasible_point(inst.q, A_ub, b_ub)
         if resk.feasible and (not kcands
                               or np.abs(resk.point - zero_k).max() > tol):
             kcands.append(resk.point)
@@ -469,16 +468,8 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     is the sampled oracle for the joint LP of `exact_rule_margin` and
     never solves it.
     """
-    return _check_rule(inst, trip, _triple_sets(inst, trip, tol), mult,
-                       n_samples, rng, tol)
-
-
-def _check_rule(inst: OptInstance, trip: CriticalTriple, sets: _TripleSets,
-                mult: Multipliers, n_samples: int,
-                rng: Optional[np.random.Generator],
-                tol: float) -> RuleVerdict:
-    """`check_multiplier_rule` on the triple's prebuilt sets."""
     rng = rng if rng is not None else np.random.default_rng(0)
+    sets = _triple_sets(inst, trip, tol)
     notes: list[str] = []
     if not mult.nonzero():
         raise OptError("multiplier invariant: (v*, k*, w*) = 0")
@@ -616,10 +607,12 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     w* = sign-pattern times s >= 0 (one feasibility solve per pattern,
     which makes the 1-norm normalization exact); the orthogonality
     equalities and the rule inequalities at sampled (x, y, z, w, d)
-    tuples are all linear.  Solutions with larger alpha-mass are
-    preferred so that normality (v* != 0) is found when available.
-    Failure at sampling resolution does not refute existence and is
-    reported as None.
+    tuples are all linear.  A candidate is kept once its exact rule
+    margin (the joint LP of `exact_rule_margin`) is >= -1e-9; the one
+    with the largest alpha-mass is returned, the first on a tie, so that
+    normality (v* != 0) is found when available.  The sampled oracle
+    `check_multiplier_rule` is left to the caller.  Failure at sampling
+    resolution does not refute existence and is reported as None.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     GQ = dual_cone_generators(inst.Q)                    # rows
@@ -702,22 +695,17 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                 break
             margin, cut = _rule_lp(inst, sets.A2, system, mult)
             if margin >= -1e-9:
-                candidates.append((float(sol[:nq].sum()), len(candidates),
-                                   mult))
+                candidates.append((float(sol[:nq].sum()), mult))
                 break
             if cut is None:
                 break
             cuts.append(cut)
-    # candidates passed the exact joint check; insist on an independent
-    # sampled verification before reporting success
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    for _, _, mult in candidates:
-        verdict = _check_rule(inst, trip, sets, mult, 2 * n_samples,
-                              np.random.default_rng(rng.integers(2 ** 31)),
-                              tol)
-        if verdict.holds and verdict.margin >= -1e-9:
-            return mult
-    return None
+    if not candidates:
+        return None
+    # one draw per success: callers go on drawing from rng, and this keeps
+    # their random streams, and so their report bytes, as in earlier releases
+    rng.integers(2 ** 31)
+    return max(candidates, key=lambda c: c[0])[1]
 
 
 # -- constraint qualification ----------------------------------------------
@@ -890,7 +878,7 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
             continue
         meet = linsolve.feasible_point(
             inst.q, np.vstack([GZ.A, A2mD.A]),
-            np.concatenate([GZ.b, A2mD.b - 1e-9]), tol=tol)
+            np.concatenate([GZ.b, A2mD.b - 1e-9]))
         if not meet.feasible:
             rep.skipped.append("derivative misses the strict -D set")
             continue

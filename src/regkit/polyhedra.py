@@ -75,8 +75,7 @@ class Polyhedron:
         if self.strict:
             return linsolve.strict_interior_point(
                 self.dim, self.A, self.b, tol=tol) is None
-        return not linsolve.feasible_point(self.dim, self.A, self.b,
-                                           tol=tol).feasible
+        return not linsolve.feasible_point(self.dim, self.A, self.b).feasible
 
     def interior_point(self, tol: float = 1e-9):
         return linsolve.strict_interior_point(self.dim, self.A, self.b, tol=tol)
@@ -135,10 +134,6 @@ def normal_cone_generators(P: Polyhedron, xbar, tol: float = 1e-9) -> np.ndarray
         raise PolyhedronError("base point outside the polyhedron")
     I = P.active_rows(xbar, tol)
     return P.A[I].copy()
-
-
-def in_normal_cone(P: Polyhedron, xbar, v, tol: float = 1e-9) -> bool:
-    return linsolve.in_cone_of(normal_cone_generators(P, xbar, tol), v, tol)
 
 
 # -- second-order sets ------------------------------------------------------

@@ -12,7 +12,7 @@ infimum by at most one ladder gap for monotone mappings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -293,36 +293,28 @@ def embed_plain(F: PlainSetValuedMap, ladder: TLadder, closed: bool = False,
 class OscReport:
     holds: bool
     witness: Optional[int] = None
-    level_profile: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.holds
 
 
-def outer_semicontinuity_at_zero(F: ParamSetValuedMap, y: int,
-                                 resolution: int = 1) -> OscReport:
+def outer_semicontinuity_at_zero(F: ParamSetValuedMap, y: int) -> OscReport:
     """Check Limsup_{t->0} F_t^{-1}(y) inside F_0^{-1}(y), at ladder resolution.
 
-    The limsup is operationalized at the smallest positive ladder level;
-    `resolution` extra levels are reported for sensitivity, not for the
-    verdict.
+    The limsup is operationalized at the smallest positive ladder level.
     """
-    pos = F.ladder.positive
-    if pos.size == 0:
+    if F.ladder.positive.size == 0:
         raise LadderError("no positive ladder levels")
-    K = max(1, min(resolution, pos.size))
     tol = F.policy.tol_strict
     zero_set = set(F.inverse_at_level_idx(0, y).tolist())
     first = F.inverse_at_level_idx(1, y)
-    profile = {float(F.ladder.levels[k]): len(F.inverse_at_level_idx(k, y))
-               for k in range(1, K + 1)}
     for z in first.tolist():
         # d(z, F_{t_min}^{-1}(y)) = 0 <= tol for members of the fibre itself
         if z not in zero_set:
             near = any(F.X.d(z, w) <= tol for w in zero_set)
             if not near:
-                return OscReport(False, witness=int(z), level_profile=profile)
-    return OscReport(True, level_profile=profile)
+                return OscReport(False, witness=int(z))
+    return OscReport(True)
 
 
 # -- embedding audit --------------------------------------------------------

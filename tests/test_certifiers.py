@@ -1,6 +1,7 @@
 """Sufficient criteria as certificates: soundness and negative controls."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from regkit import certifiers
@@ -169,6 +170,37 @@ def test_regular_open_agreement_on_random_param_maps():
         # the strong pointwise form implies both properties
         if audit.strong_form_holds:
             assert audit.regular.holds and audit.open_.holds
+
+
+def _open_on_W_brute_force(F, W, mu):
+    """(holds, counterexample, lhs, rhs, detail): every candidate radius,
+    ascending, with y in F(B(x, t), 0) decided by membership queries."""
+    diam = F.X.diameter()
+    for (x, y) in W:
+        md = mu(F.delta(y, x))
+        row = F.X.dist_row(x)
+        cands = set(float(v) for v in row) | set(F.ladder.levels.tolist())
+        cands.add(md + diam + 1.0)
+        for t in sorted(c for c in cands if c != INF and c > md):
+            if not any(row[xp] < t and F.contains(xp, 0, y)
+                       for xp in range(F.X.n)):
+                return (False, (x, y), F.dist_to_inverse(x, 0, y), t,
+                        f"y not in F(B(x,{t}),0)")
+    return True, None, 0.0, 0.0, ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_open_on_W_matches_every_radius(seed):
+    # a tight, a loose and a random modulus: failing and passing verdicts
+    rng = np.random.default_rng(seed)
+    F, W = helpers.random_param_map(rng)
+    W = W[:6]       # short, so that about a quarter of the verdicts pass
+    for mu in (FunctionalModulus.linear(0.2), FunctionalModulus.linear(10.0),
+               helpers.random_mu(rng)):
+        v = certifiers.check_open_on_W(F, W, mu)
+        assert (v.holds, v.counterexample, v.lhs, v.rhs, v.detail) == \
+            _open_on_W_brute_force(F, W, mu)
 
 
 def test_regular_counterexample_is_genuine():

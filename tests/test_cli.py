@@ -95,8 +95,10 @@ def _set(section, key, value):
 @pytest.mark.parametrize("mutate,pointer", [
     (_drop_f, "/evp/f"), (_set("evp", "f", "abc"), "/evp"),
     (_set(None, "X", []), "/X"), (_set(None, "evp", 5), "/evp"),
-    (_set(None, "W", 5), "/W")],
-    ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int"])
+    (_set(None, "W", 5), "/W"), (_set(None, "nu", [[0, 1]]), "/nu"),
+    (_set(None, "nu", 5), "/nu"), (_set(None, "nu", [[0, 1, "a"]]), "/nu")],
+    ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int",
+         "nu-pair", "nu-int", "nu-string"])
 def test_malformed_instance_sections_exit_2(mutate, pointer, tmp_path,
                                             capsys):
     raw = generate_instance("evp", 20, 0)

@@ -1,6 +1,7 @@
 """Plain-mapping regularity: three-way equivalence, decrease, best modulus."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from regkit import conventional
@@ -35,6 +36,39 @@ def test_counterexamples_are_concrete():
             x, y = v.counterexample
             assert F.dist_to_preimage(x, y) > mu(F.dist_to_image(y, x))
     assert seen_fail
+
+
+def _openness_brute_force(F, W, mu):
+    """(holds, counterexample, lhs, rhs): every candidate radius, ascending,
+    with y in F(B(x, t)) decided from the graph."""
+    diam = F.X.diameter()
+    for (x, y) in W:
+        dist = F.dist_to_image(y, x)
+        if dist == INF:
+            continue
+        md = mu(dist)
+        row = F.X.dist_row(x)
+        cands = set(float(v) for v in row) | {md + diam + 1.0}
+        for t in sorted(c for c in cands if DEFAULT_POLICY.lt(md, c)):
+            if not any(row[xp] < t for xp in range(F.X.n)
+                       if (xp, y) in F.graph):
+                return False, (x, y), F.dist_to_preimage(x, y), t
+    return True, None, 0.0, 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_openness_matches_every_radius(seed):
+    # a tight, a loose and a random modulus: failing and passing verdicts
+    rng = np.random.default_rng(seed)
+    F = helpers.random_plain_map(rng, nx_max=12, ny_max=12)
+    # a short W, so that about a quarter of the verdicts pass
+    W = helpers.random_W(rng, F, count=6)
+    for mu in (FunctionalModulus.linear(0.2), FunctionalModulus.linear(10.0),
+               helpers.random_mu(rng)):
+        v = conventional.check_openness(conventional.RegularityQuery(F, W, mu))
+        assert (v.holds, v.counterexample, v.lhs, v.rhs) == \
+            _openness_brute_force(F, W, mu)
 
 
 def test_decrease_certifies_plain_chains():

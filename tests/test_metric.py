@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regkit.metric import (BallSpec, FiniteMetricSpace, MetricError,
-                           PointIndexError, ball_members, excess,
-                           point_set_distance)
+                           PointIndexError, ball_members, excess)
 from regkit.policy import INF, RegkitError
 
 coords_1d = st.lists(st.floats(-50, 50), min_size=2, max_size=12)
@@ -84,12 +83,8 @@ def test_ball_semantics():
         BallSpec(0, 1.0, "half-open")
 
 
-def test_point_set_distance_and_excess():
+def test_excess():
     sp = FiniteMetricSpace.from_grid([0.0, 1.0, 4.0])
-    assert point_set_distance(sp, 0, [1, 2]) == 1.0
-    assert point_set_distance(sp, 0, []) == INF
-    with pytest.raises(IndexError):
-        point_set_distance(sp, 0, [7])
     assert excess(sp, [0, 2], [1]) == 3.0
     assert excess(sp, [], [1]) == 0.0
     assert excess(sp, [0], []) == INF
@@ -115,9 +110,9 @@ def test_index_bounds_checked():
     # one class for both checks: an IndexError the CLI reports as input error
     assert issubclass(PointIndexError, RegkitError)
     with pytest.raises(PointIndexError):
-        point_set_distance(sp, 3, [0])
+        sp.d(0, 2)
     with pytest.raises(PointIndexError):
-        point_set_distance(sp, 0, [0, 2])
+        sp.dist_row(3)
 
 
 def _bumped_plane_matrix(n: int, seed: int) -> np.ndarray:

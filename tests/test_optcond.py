@@ -117,24 +117,30 @@ def test_critical_directions_verified_on_demo():
 
 
 def test_multipliers_on_demo():
-    inst = _demo()
-    trips = critical_directions(inst, n_dirs=32,
-                                rng=np.random.default_rng(0))
-    found = 0
-    for trip in trips:
-        mult = find_multipliers(inst, trip, rng=np.random.default_rng(1))
-        if mult is None:
-            continue
-        found += 1
-        assert mult.nonzero()
-        assert exact_rule_margin(inst, trip, mult) >= -1e-9
-        verdict = check_multiplier_rule(inst, trip, mult,
-                                        rng=np.random.default_rng(2))
-        assert verdict.holds, verdict
-        assert verdict.margin >= -1e-9
-        # rhs is polyhedrally constrained to {0, +inf, -inf}
-        assert verdict.rhs in (0.0, np.inf, -np.inf) or verdict.rhs == 0.0
-    assert found > 0
+    # find_multipliers returns a candidate on its exact joint-LP check
+    # alone, so the exact margin and the sampled rule are both asserted
+    # here, on the demo and on two generated problems
+    generated = [parse_instance(generate_instance("polyhedral-opt", size,
+                                                  seed)).opt
+                 for size, seed in ((3, 0), (5, 1))]
+    for inst in [_demo()] + generated:
+        trips = critical_directions(inst, n_dirs=32,
+                                    rng=np.random.default_rng(0))
+        found = 0
+        for trip in trips:
+            mult = find_multipliers(inst, trip, rng=np.random.default_rng(1))
+            if mult is None:
+                continue
+            found += 1
+            assert mult.nonzero()
+            assert exact_rule_margin(inst, trip, mult) >= -1e-9
+            verdict = check_multiplier_rule(inst, trip, mult,
+                                            rng=np.random.default_rng(2))
+            assert verdict.holds, verdict
+            assert verdict.margin >= -1e-9
+            # rhs is polyhedrally constrained to {0, +inf, -inf}
+            assert verdict.rhs in (0.0, np.inf, -np.inf) or verdict.rhs == 0.0
+        assert found > 0
 
 
 def test_multiplier_invariants_enforced():
