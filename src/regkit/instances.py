@@ -10,8 +10,8 @@ reports violations with JSON-pointer-style locations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -115,6 +115,27 @@ def _polymap(sec: dict, ptr: str) -> PolyMapSpec:
         raise InstanceError(ptr, str(e)) from e
 
 
+_POLICY_DEFAULTS = {f.name: f.default for f in fields(NumericPolicy)}
+_POLICY_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+                 bool: ((bool,), "a boolean")}
+
+
+def _policy(sec, override: Optional[dict]) -> NumericPolicy:
+    """The policy section with the overrides applied; each field must have
+    its default's type (a JSON integer counts as a number)."""
+    if not isinstance(sec, dict):
+        raise InstanceError("/policy", "must be an object")
+    sec = dict(sec, **{k: v for k, v in (override or {}).items() if v is not None})
+    for name, value in sec.items():
+        if name not in _POLICY_DEFAULTS:
+            raise InstanceError(f"/policy/{name}", "unknown policy field")
+        accepted, what = _POLICY_KINDS[type(_POLICY_DEFAULTS[name])]
+        # bool subclasses int, so a boolean passes only where one is expected
+        if isinstance(value, bool) != (bool in accepted) or not isinstance(value, accepted):
+            raise InstanceError(f"/policy/{name}", f"must be {what}")
+    return DEFAULT_POLICY.with_overrides(**sec)
+
+
 def load_instance(path: str,
                   policy_override: Optional[dict] = None) -> InstanceFile:
     try:
@@ -131,14 +152,7 @@ def parse_instance(raw: dict,
         raise InstanceError("/version", f"expected {FORMAT_VERSION}")
     kind = raw.get("kind", "generic")
 
-    pol_sec = dict(raw.get("policy", {}))
-    if policy_override:
-        pol_sec.update({k: v for k, v in policy_override.items()
-                        if v is not None})
-    try:
-        policy = DEFAULT_POLICY.with_overrides(**pol_sec)
-    except TypeError as e:
-        raise InstanceError("/policy", str(e)) from e
+    policy = _policy(raw.get("policy", {}), policy_override)
 
     inst = InstanceFile(kind=kind, policy=policy, raw=raw,
                         meta=raw.get("meta", {}),

@@ -1,4 +1,4 @@
-"""Finite metric spaces: distances, balls and excess.
+"""Finite metric spaces: distances and balls.
 
 Points are referenced by integer index.  A space is backed either by
 coordinate vectors with a norm metric (euclidean / manhattan / chebyshev)
@@ -9,7 +9,7 @@ hypothesis ever needs checking downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -169,15 +169,3 @@ def ball_members(space: FiniteMetricSpace, ball: BallSpec) -> set[int]:
     else:
         mask = row <= ball.radius + pol.tol_strict
     return set(np.nonzero(mask)[0].tolist())
-
-
-def excess(space: FiniteMetricSpace, A: Iterable[int], B: Iterable[int]) -> float:
-    """sup over a in A of d(a, B); 0 for empty A, +inf for nonempty A, empty B."""
-    A = list(A)
-    B = list(B)
-    if not A:
-        return 0.0
-    if not B:
-        return INF
-    bidx = np.asarray(B, dtype=int)
-    return max(float(space.dist_row(a)[bidx].min()) for a in A)

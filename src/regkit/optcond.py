@@ -132,17 +132,6 @@ def _slice_family(T: Optional[Polyhedron], n_in: int, c):
         c, A_ub=_slice_cone(T, np.zeros(n_in)).A)
 
 
-def graph_derivative(E: PolyMapSpec, xbar, ebar, u,
-                     tol: float = 1e-9) -> Optional[Polyhedron]:
-    """DE(xbar, ebar)(u) = {v : (u, v) in T(gph E, (xbar, ebar))}.
-
-    None only when the slice is known empty without an LP.  For
-    polyhedral graphs the contingent and lower derivatives coincide; the
-    sampled-limit oracle in the test suite audits this.
-    """
-    return _slice_cone(_graph_tangent_cone(E, xbar, ebar, tol), u)
-
-
 def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u, v,
                               tol) -> Optional[Polyhedron]:
     """Unsliced second-order derivative set in (x, e); None when the
@@ -924,23 +913,4 @@ class BallExtension:
             np.zeros(H.n_out), x) + tol for x in self.samples)
         ok_zero = all(abs(self.delta(x) - H.dist_to_value(
             np.zeros(H.n_out), x)) <= tol for x in self.samples)
-        return ok_ext, ok_zero
-
-
-class TableExtension:
-    """A custom extension given by a table x-index -> delta value.
-
-    `samples` are the neighborhood points; `deltas` the declared
-    delta(0, Hext, x) values in matching order.
-    """
-
-    def __init__(self, samples: np.ndarray, deltas: np.ndarray):
-        self.samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        self.deltas = np.asarray(deltas, dtype=float)
-
-    def audit(self, H: PolyMapSpec, theta: float, tol: float = 1e-9):
-        dh = np.array([H.dist_to_value(np.zeros(H.n_out), x)
-                       for x in self.samples])
-        ok_ext = bool((self.deltas <= theta * dh + tol).all())
-        ok_zero = bool((np.abs(self.deltas[dh <= tol]) <= tol).all())
         return ok_ext, ok_zero

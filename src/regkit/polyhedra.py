@@ -5,13 +5,12 @@ norm at construction.  All cone calculus is exact linear algebra on the
 active rows; the sampled-limit oracles re-derive memberships from the
 defining limits at gamma_n = 2^-n and exist purely for cross-checking.
 
-Strict variants (interior tangent cones) reuse the same matrix with a
+Strict variants (the interior second-order set IT2) reuse the same matrix with a
 strictness flag; membership then requires A x < 0 componentwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,10 +103,6 @@ class Polyhedron:
         return max(float(res.fun), 0.0)
 
     @classmethod
-    def whole_space(cls, n: int) -> "Polyhedron":
-        return cls(np.zeros((0, n)), np.zeros(0))
-
-    @classmethod
     def orthant(cls, n: int) -> "Polyhedron":
         return cls(-np.eye(n), np.zeros(n))
 
@@ -120,12 +115,6 @@ def tangent_cone(P: Polyhedron, xbar, tol: float = 1e-9) -> Polyhedron:
         raise PolyhedronError("base point outside the polyhedron")
     I = P.active_rows(xbar, tol)
     return Polyhedron(P.A[I], np.zeros(I.size))
-
-
-def interior_tangent_cone(P: Polyhedron, xbar, tol: float = 1e-9) -> Polyhedron:
-    """Strict variant {d : A_I d < 0} of the tangent cone."""
-    T = tangent_cone(P, xbar, tol)
-    return Polyhedron(T.A, T.b, strict=True)
 
 
 def normal_cone_generators(P: Polyhedron, xbar, tol: float = 1e-9) -> np.ndarray:
@@ -252,15 +241,6 @@ def fourier_motzkin(A: np.ndarray, b: np.ndarray, eliminate: list[int],
     return A, b
 
 
-def project(P: Polyhedron, keep: list[int]) -> Polyhedron:
-    """Orthogonal projection of P onto the kept coordinates, in order."""
-    elim = [j for j in range(P.dim) if j not in set(keep)]
-    perm = list(keep) + elim
-    A = P.A[:, perm]
-    A2, b2 = fourier_motzkin(A, P.b, list(range(len(keep), P.dim)))
-    return Polyhedron(A2, b2, strict=P.strict)
-
-
 def minkowski_sum(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
     """{p + q : p in P, q in Q} via lifting to (x, q) and eliminating q."""
     if P.dim != Q.dim:
@@ -305,15 +285,6 @@ def _orth_complement(v: np.ndarray) -> np.ndarray:
     M = np.eye(v.size) - np.outer(v, v)
     u, s, _ = np.linalg.svd(M)
     return u.T[s > 1e-10]
-
-
-def polar_cone_holds(N_rows: np.ndarray, T: Polyhedron, samples: np.ndarray,
-                     tol: float = 1e-9) -> bool:
-    """<n, d> <= tol for every generator n and every sampled d in T."""
-    if N_rows.size == 0 or samples.size == 0:
-        return True
-    inner = samples @ np.atleast_2d(N_rows).T
-    return bool(inner.max(initial=-np.inf) <= tol)
 
 
 def sample_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

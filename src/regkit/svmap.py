@@ -1,9 +1,11 @@
 """Set-valued mappings F: X x R+ => Y on a finite parameter ladder.
 
 Two backings share one query API: an explicit graph of (x, level, y)
-triples, and the lazy embedding of a plain mapping F: X => Y where the
-t-fibre is the (open or closed) t-enlargement of F(x).  The embedding is
-never materialized as triples, so fine ladders stay cheap.
+triples, and the embedding of a plain mapping F: X => Y where the t-fibre
+is the (open or closed) t-enlargement of F(x).  An embedded map is stored
+as its onset matrix on[x, y], the first positive ladder index at which
+d(y, F(x)) falls inside the enlargement; every positive-level query reads
+that one matrix, so fine ladders stay cheap.
 
 The distance-like quantity delta(y, F, x) = inf{t > 0 | y in F(x, t)} is
 resolved on the ladder: the returned value is the smallest positive
@@ -65,10 +67,6 @@ class TLadder:
     def max_gap(self) -> float:
         return float(np.diff(self.levels).max())
 
-    @classmethod
-    def uniform(cls, top: float, steps: int) -> "TLadder":
-        return cls(np.linspace(0.0, top, steps + 1))
-
 
 @dataclass
 class PlainSetValuedMap:
@@ -80,13 +78,15 @@ class PlainSetValuedMap:
 
     def __post_init__(self):
         self.graph = {(int(a), int(b)) for a, b in self.graph}
-        for (a, b) in self.graph:
+        images = [[] for _ in range(self.X.n)]
+        preimages = [[] for _ in range(self.Y.n)]
+        for (a, b) in sorted(self.graph):  # (a, b) order sorts both lists
             self.X._check(a)
             self.Y._check(b)
-        self._images = [np.array(sorted(b for a, b in self.graph if a == xi), dtype=int)
-                        for xi in range(self.X.n)]
-        self._preimages = [np.array(sorted(a for a, b in self.graph if b == yi), dtype=int)
-                           for yi in range(self.Y.n)]
+            images[a].append(b)
+            preimages[b].append(a)
+        self._images = [np.array(v, dtype=int) for v in images]
+        self._preimages = [np.array(v, dtype=int) for v in preimages]
 
     def image(self, x: int) -> np.ndarray:
         return self._images[x]
@@ -121,15 +121,13 @@ class ParamSetValuedMap:
 
     def __init__(self, X: FiniteMetricSpace, Y: FiniteMetricSpace, ladder: TLadder,
                  graph: Optional[Iterable[tuple[int, int, int]]] = None,
-                 embedded: Optional[tuple[np.ndarray, bool, PlainSetValuedMap]] = None,
+                 embedded: Optional[tuple[np.ndarray, PlainSetValuedMap]] = None,
                  monotone: bool = False,
                  policy: NumericPolicy = DEFAULT_POLICY):
         self.X, self.Y, self.ladder, self.policy = X, Y, ladder, policy
-        self.monotone = monotone
-        self._embed = embedded  # (dist matrix D[x,y], closed flag, plain map)
+        self._on, self._plain = embedded or (None, None)  # onset matrix, plain map
         if embedded is not None:
             self.graph = None
-            self.monotone = True
             return
         triples = {(int(a), int(t), int(b)) for a, t, b in (graph or ())}
         for (a, t, b) in triples:
@@ -159,89 +157,52 @@ class ParamSetValuedMap:
     # -- membership and fibres ------------------------------------------
 
     def contains(self, x: int, t_idx: int, y: int) -> bool:
-        if self._embed is not None:
-            D, closed, plain = self._embed
-            t = self.ladder.levels[t_idx]
+        if self._plain is not None:
             if t_idx == 0:
-                return (x, y) in plain.graph
-            d = D[x, y]
-            return self.policy.le(d, t) if closed else self.policy.lt(d, t)
+                return (x, y) in self._plain.graph
+            return bool(t_idx >= self._on[x, y])
         return (x, t_idx, y) in self.graph
 
     def fibre(self, x: int, t_idx: int) -> np.ndarray:
         """F(x, t) as sorted y indices."""
-        if self._embed is not None:
-            D, closed, plain = self._embed
+        if self._plain is not None:
             if t_idx == 0:
-                return plain.image(x)
-            t = self.ladder.levels[t_idx]
-            row = D[x]
-            tol = self.policy.tol_strict
-            mask = (row <= t + tol) if closed else (row < t - tol)
-            return np.nonzero(mask)[0]
+                return self._plain.image(x)
+            return np.nonzero(self._on[x] <= t_idx)[0]
         return np.asarray(self._fib.get((x, t_idx), []), dtype=int)
 
     def inverse_at_level_idx(self, t_idx: int, y: int) -> np.ndarray:
         """F_t^{-1}(y) as sorted x indices, t given by ladder index."""
-        if self._embed is not None:
-            D, closed, plain = self._embed
+        if self._plain is not None:
             if t_idx == 0:
-                return plain.preimage(y)
-            t = self.ladder.levels[t_idx]
-            col = D[:, y]
-            tol = self.policy.tol_strict
-            mask = (col <= t + tol) if closed else (col < t - tol)
-            return np.nonzero(mask)[0]
+                return self._plain.preimage(y)
+            return np.nonzero(self._on[:, y] <= t_idx)[0]
         return np.asarray(self._inv.get((t_idx, y), []), dtype=int)
 
     def delta(self, y: int, x: int) -> float:
         """Smallest positive ladder level t with y in F(x, t); +inf if none."""
-        if self._embed is not None:
-            D, closed, plain = self._embed
-            d = D[x, y]
-            if d == INF:
-                return INF
-            tol = self.policy.tol_strict
-            lv = self.ladder.positive
-            mask = (lv >= d - tol) if closed else (lv > d + tol)
-            hit = np.nonzero(mask)[0]
-            return float(lv[hit[0]]) if hit.size else INF
+        if self._plain is not None:
+            k = self._on[x, y]
+            return float(self.ladder.levels[k]) if k < len(self.ladder) else INF
         lvls = [t for t in self._xy_levels.get((x, y), []) if t > 0]
         return float(self.ladder.levels[min(lvls)]) if lvls else INF
 
     def onset_matrix(self) -> np.ndarray:
         """Matrix on[x, y]: the first positive ladder index k with x in
-        F_k^{-1}(y), or len(ladder) if none.  For a monotone map (every
-        embedded one) x is in F_k^{-1}(y), k >= 1, exactly when k >= on[x, y];
-        embedded maps use the float comparisons of `inverse_at_level_idx`.
+        F_k^{-1}(y), or len(ladder) if none; an embedded map is stored as it.
+        For a monotone map (every embedded one) x is in F_k^{-1}(y), k >= 1,
+        exactly when k >= on[x, y].
         """
+        if self._plain is not None:
+            return self._on
         L = len(self.ladder)
-        if self._embed is not None:
-            D, closed, _ = self._embed
-            lv, tol = self.ladder.levels, self.policy.tol_strict
-            if closed:  # d <= t + tol
-                return np.maximum(np.searchsorted(lv + tol, D, side="left"), 1)
-            return np.maximum(np.searchsorted(lv - tol, D, side="right"), 1)  # d < t - tol
         on = np.full((self.X.n, self.Y.n), L)
         for (x, y), lvls in self._xy_levels.items():
             on[x, y] = min((t for t in lvls if t > 0), default=L)
         return on
 
     def delta_matrix(self) -> np.ndarray:
-        """Matrix Dl[x, y] = delta(y, F, x), vectorized for embedded maps."""
-        if self._embed is not None:
-            D, closed, _ = self._embed
-            lv = self.ladder.positive
-            tol = self.policy.tol_strict
-            finite = np.where(np.isfinite(D), D, 0.0)
-            if closed:
-                idx = np.searchsorted(lv, finite - tol, side="left")
-            else:
-                idx = np.searchsorted(lv, finite + tol, side="right")
-            out = np.full(D.shape, INF)
-            ok = np.isfinite(D) & (idx < lv.size)
-            out[ok] = lv[np.minimum(idx, lv.size - 1)][ok]
-            return out
+        """Matrix Dl[x, y] = delta(y, F, x), read off the onset matrix."""
         return np.append(self.ladder.levels, INF)[self.onset_matrix()]
 
     def dist_to_inverse(self, x: int, t_idx: int, y: int) -> float:
@@ -281,10 +242,19 @@ class ParamSetValuedMap:
 
 def embed_plain(F: PlainSetValuedMap, ladder: TLadder, closed: bool = False,
                 policy: NumericPolicy = DEFAULT_POLICY) -> ParamSetValuedMap:
-    """Embed a plain mapping as (x, t) -> t-enlargement of F(x)."""
+    """Embed a plain mapping as (x, t) -> t-enlargement of F(x), stored as
+    its onset matrix: on[x, y] is the first positive ladder index k with
+    d(y, F(x)) < t_k - tol (open) or d(y, F(x)) <= t_k + tol (closed), or
+    len(ladder) if none."""
     D = F.dist_to_image_matrix()
-    return ParamSetValuedMap(F.X, F.Y, ladder, embedded=(D, closed, F),
-                             policy=policy)
+    lv, tol = ladder.levels, policy.tol_strict
+    if closed:  # d <= t + tol
+        on = np.searchsorted(lv + tol, D, side="left")
+    else:  # d < t - tol
+        on = np.searchsorted(lv - tol, D, side="right")
+    on = np.maximum(on, 1)
+    on.flags.writeable = False
+    return ParamSetValuedMap(F.X, F.Y, ladder, embedded=(on, F), policy=policy)
 
 
 # -- outer semicontinuity at 0 ---------------------------------------------

@@ -96,9 +96,13 @@ def _set(section, key, value):
     (_drop_f, "/evp/f"), (_set("evp", "f", "abc"), "/evp"),
     (_set(None, "X", []), "/X"), (_set(None, "evp", 5), "/evp"),
     (_set(None, "W", 5), "/W"), (_set(None, "nu", [[0, 1]]), "/nu"),
-    (_set(None, "nu", 5), "/nu"), (_set(None, "nu", [[0, 1, "a"]]), "/nu")],
+    (_set(None, "nu", 5), "/nu"), (_set(None, "nu", [[0, 1, "a"]]), "/nu"),
+    (_set(None, "policy", [1, 2]), "/policy"),
+    (_set("policy", "tol_strict", "abc"), "/policy/tol_strict"),
+    (_set("policy", "horizon", "x"), "/policy/horizon")],
     ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int",
-         "nu-pair", "nu-int", "nu-string"])
+         "nu-pair", "nu-int", "nu-string", "policy-list", "policy-tol-string",
+         "policy-horizon-string"])
 def test_malformed_instance_sections_exit_2(mutate, pointer, tmp_path,
                                             capsys):
     raw = generate_instance("evp", 20, 0)

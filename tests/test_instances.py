@@ -73,6 +73,20 @@ def test_policy_override_is_validated():
         parse_instance({"version": 1, "policy": {"no_such_field": 1}})
 
 
+@pytest.mark.parametrize("name,value,ok", [
+    ("tol_strict", 0, True), ("tol_strict", 1e-9, True), ("tol_strict", True, False),
+    ("horizon", 8, True), ("horizon", True, False), ("horizon", 8.0, False),
+    ("seed", 1.5, False), ("validate", True, True), ("validate", 1, False),
+    ("triangle_tol", None, False)])
+def test_policy_fields_keep_their_default_types(name, value, ok):
+    raw = {"version": 1, "policy": {name: value}}
+    if ok:
+        assert getattr(parse_instance(raw).policy, name) == value
+    else:
+        with pytest.raises(InstanceError, match=f"^/policy/{name}: "):
+            parse_instance(raw)
+
+
 def test_none_in_evp_f_means_infinite():
     raw = {"version": 1,
            "X": {"metric": "euclidean", "points": [0.0, 1.0]},

@@ -1,4 +1,4 @@
-"""Finite metric spaces: axioms, balls, distances to sets, excess."""
+"""Finite metric spaces: axioms, balls, distances to sets."""
 import re
 import tracemalloc
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regkit.metric import (BallSpec, FiniteMetricSpace, MetricError,
-                           PointIndexError, ball_members, excess)
-from regkit.policy import INF, RegkitError
+                           PointIndexError, ball_members)
+from regkit.policy import RegkitError
 
 coords_1d = st.lists(st.floats(-50, 50), min_size=2, max_size=12)
 
@@ -81,24 +81,6 @@ def test_ball_semantics():
         BallSpec(0, -1.0)
     with pytest.raises(MetricError):
         BallSpec(0, 1.0, "half-open")
-
-
-def test_excess():
-    sp = FiniteMetricSpace.from_grid([0.0, 1.0, 4.0])
-    assert excess(sp, [0, 2], [1]) == 3.0
-    assert excess(sp, [], [1]) == 0.0
-    assert excess(sp, [0], []) == INF
-
-
-@settings(max_examples=25, deadline=None)
-@given(coords_1d)
-def test_excess_triangle_property(vals):
-    sp = FiniteMetricSpace(metric="euclidean", coords=np.array(vals))
-    A = list(range(0, sp.n, 2))
-    B = list(range(1, sp.n, 2)) or [0]
-    C = list(range(sp.n))
-    # excess(A, C) <= excess(A, B) + excess(B, C)
-    assert excess(sp, A, C) <= excess(sp, A, B) + excess(sp, B, C) + 1e-9
 
 
 def test_index_bounds_checked():

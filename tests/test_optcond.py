@@ -5,11 +5,10 @@ import pytest
 from regkit import optcond
 from regkit.instances import demo_polyopt_raw, generate_instance, parse_instance
 from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
-                            OptError, PolyMapSpec, TableExtension,
-                            a2_of_minus_D, check_claim2, check_cq,
-                            check_multiplier_rule, critical_directions,
-                            exact_rule_margin, find_multipliers,
-                            graph_derivative, second_order_graph_derivative)
+                            OptError, PolyMapSpec, a2_of_minus_D,
+                            check_claim2, check_cq, check_multiplier_rule,
+                            critical_directions, exact_rule_margin,
+                            find_multipliers, second_order_graph_derivative)
 from regkit.linsolve import solve_lp
 from regkit.polyhedra import Polyhedron, sample_cone_points, tangent_cone
 
@@ -25,12 +24,11 @@ def test_demo_instance_validates():
 
 def test_linear_map_graph_derivative_is_the_map():
     inst = _demo()
+    T = tangent_cone(inst.F.graph, np.concatenate([inst.xbar, inst.ybar]))
     for u in (np.array([1.0, 0.0]), np.array([0.3, -2.0])):
-        DF = graph_derivative(inst.F, inst.xbar, inst.ybar, u)
-        assert DF is not None
-        # F(x) = -x2: the derivative at u is the singleton {-u2}
-        assert DF.linf_distance(np.array([-u[1]])) <= 1e-9
-        assert not DF.contains(np.array([-u[1] + 1.0]))
+        # F(x) = -x2: (u, v) is in T(gph F) exactly when v = -u2
+        assert T.contains(np.append(u, -u[1]))
+        assert not T.contains(np.append(u, -u[1] + 1.0))
 
 
 def test_second_order_derivative_of_linear_map():
@@ -92,8 +90,9 @@ def test_slice_families_match_one_member_solves(size, seed):
 def test_off_graph_base_rejected():
     inst = _demo()
     with pytest.raises(OptError, match="off the graph"):
-        graph_derivative(inst.F, inst.xbar, inst.ybar + 3.0,
-                         np.array([1.0, 0.0]))
+        second_order_graph_derivative(inst.F, inst.xbar, inst.ybar + 3.0,
+                                      np.array([1.0, 0.0]), np.array([0.0]),
+                                      np.zeros(2))
 
 
 def test_critical_directions_verified_on_demo():
@@ -104,15 +103,15 @@ def test_critical_directions_verified_on_demo():
     Fp, Gp = inst.F_plus(), inst.G_plus()
     TH = tangent_cone(inst.H.graph,
                       np.concatenate([inst.xbar, np.zeros(inst.r)]))
+    TV = tangent_cone(Fp.graph, np.concatenate([inst.xbar, inst.ybar]))
+    TK = tangent_cone(Gp.graph, np.concatenate([inst.xbar, inst.zbar]))
     big = optcond.cone_hull_shifted(inst.D, inst.zbar)
     for trip in trips:
-        # re-verify every membership from scratch
+        # re-verify every membership from scratch, on the graphs' tangent cones
         assert TH.contains(np.concatenate([trip.u, np.zeros(inst.r)]))
-        DV = graph_derivative(Fp, inst.xbar, inst.ybar, trip.u)
-        assert DV is not None and DV.contains(trip.v)
+        assert TV.contains(np.concatenate([trip.u, trip.v]))
         assert inst.Q.contains(-trip.v)
-        DK = graph_derivative(Gp, inst.xbar, inst.zbar, trip.u)
-        assert DK is not None and DK.contains(trip.k)
+        assert TK.contains(np.concatenate([trip.u, trip.k]))
         assert big.contains(-trip.k)
 
 
@@ -223,10 +222,11 @@ def test_claim2_gate_failure_raises():
     trip = CriticalTriple(u=np.array([0.0, -1.0]), v=np.array([1.0]),
                           k=np.array([-1.0]))
     samples = np.array([[0.5, 0.5], [1.0, -1.0]])
-    # declared deltas exceed theta * d(0, H(x)): the gate must fail
-    bad = TableExtension(samples, deltas=np.array([100.0, 100.0]))
+    # d(0, H(x)) = x1 > 0 at both samples, so the ball extension's delta
+    # exceeds theta * d(0, H(x)) for theta < 1: the gate must fail
     with pytest.raises(OptError, match="gate failed"):
-        check_claim2(inst, trip, bad, mu=lambda t: t, theta=1.0)
+        check_claim2(inst, trip, BallExtension(inst.H, samples),
+                     mu=lambda t: t, theta=0.5)
 
 
 def test_generated_instances_validate_and_certify():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from regkit.metric import FiniteMetricSpace
-from regkit.policy import DEFAULT_POLICY, INF
+from regkit.policy import INF
 from regkit.svmap import (LadderError, ParamSetValuedMap, PlainSetValuedMap,
                           TLadder, embed_plain, outer_semicontinuity_at_zero,
                           prop41_audit)
@@ -43,7 +43,7 @@ def test_ladder_index_and_snap():
     assert lad.snap_up(1e-13) == 0        # at tolerance -> level 0
     with pytest.raises(LadderError):
         lad.snap_up(3.0)
-    assert TLadder.uniform(2.0, 4).levels.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert TLadder(np.linspace(0.0, 2.0, 5)).levels.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,27 +73,6 @@ def test_plain_map_queries():
 
 
 # -- embedding vs explicit triples ------------------------------------------
-
-def test_embedding_matches_manual_enlargement():
-    F = small_plain()
-    lad = TLadder(np.array([0.0, 0.5, 1.0, 2.0, 3.0]))
-    Fo = embed_plain(F, lad, closed=False)
-    Fc = embed_plain(F, lad, closed=True)
-    D = F.dist_to_image_matrix()
-    for k in range(len(lad)):
-        t = lad.levels[k]
-        for x in range(F.X.n):
-            for y in range(F.Y.n):
-                if k == 0:
-                    expect_o = expect_c = (x, y) in F.graph
-                else:
-                    expect_o = D[x, y] < t - 1e-12
-                    expect_c = D[x, y] <= t + 1e-12
-                assert Fo.contains(x, k, y) == expect_o
-                assert Fc.contains(x, k, y) == expect_c
-                assert (y in Fo.fibre(x, k).tolist()) == expect_o
-                assert (x in Fc.inverse_at_level_idx(k, y).tolist()) == expect_c
-
 
 def test_delta_semantics_and_matrix():
     F = small_plain()
@@ -264,6 +243,32 @@ def plain_maps(draw):
     return PlainSetValuedMap(X, Y, graph), TLadder(levels)
 
 
+@settings(max_examples=60, deadline=None)
+@given(plain_maps())
+def test_embedding_matches_manual_enlargement(Fl):
+    # grid coordinates put distances exactly on ladder levels
+    F, lad = Fl
+    D = F.dist_to_image_matrix()
+    for closed in (False, True):
+        G = embed_plain(F, lad, closed=closed)
+        dl = G.delta_matrix()
+        for x in range(F.X.n):
+            for y in range(F.Y.n):
+                member = []
+                for k, t in enumerate(lad.levels):
+                    if k == 0:
+                        expect = (x, y) in F.graph
+                    else:
+                        expect = D[x, y] <= t + 1e-12 if closed else D[x, y] < t - 1e-12
+                    assert G.contains(x, k, y) == expect
+                    assert (y in G.fibre(x, k).tolist()) == expect
+                    assert (x in G.inverse_at_level_idx(k, y).tolist()) == expect
+                    member.append(expect)
+                # delta: the smallest positive level at which y is in F(x, t)
+                first = next((t for t, m in zip(lad.positive, member[1:]) if m), INF)
+                assert G.delta(y, x) == first and dl[x, y] == first
+
+
 def _assert_onsets_match_inverses(G):
     on = G.onset_matrix()
     for k in range(1, len(G.ladder)):
@@ -288,6 +293,16 @@ def test_onset_matrix_matches_inverse_queries(Fl, data):
     assert G.onset_matrix().ravel().tolist() == start
     dl = G.delta_matrix()
     assert all(dl[x, y] == G.delta(y, x) for x in range(F.X.n) for y in range(F.Y.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain_maps())
+def test_plain_map_index_is_brute_force(Fl):
+    F, _ = Fl
+    for x in range(F.X.n):
+        assert F.image(x).tolist() == sorted(b for a, b in F.graph if a == x)
+    for y in range(F.Y.n):
+        assert F.preimage(y).tolist() == sorted(a for a, b in F.graph if b == y)
 
 
 def _brute_dist_to_image(F):
