@@ -448,15 +448,16 @@ def check_open_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
     one value beyond the diameter.  y is in F(B(x, t), 0) iff
     d(x, F_0^{-1}(y)) < t, so only the smallest candidate above
     mu(delta) can fail; it is the one compared, and the one reported.
+    The finite candidates above mu(delta) are picked with one mask.
     """
     diam = F.X.diameter()
-    levels = [float(v) for v in F.ladder.levels]
     for (x, y) in W:
         md = mu(F.delta(y, x))
-        cands = [float(v) for v in F.X.dist_row(x)] + levels + [md + diam + 1.0]
-        t = min((c for c in cands if c != INF and c > md), default=None)
-        if t is None:
+        cands = np.concatenate((F.X.dist_row(x), F.ladder.levels, [md + diam + 1.0]))
+        cands = cands[(cands != INF) & (cands > md)]
+        if not cands.size:
             continue
+        t = float(cands.min())
         lhs = _dist_level0(F, x, y)
         if not lhs < t:
             return Verdict(False, (x, y), lhs, t,

@@ -75,7 +75,8 @@ def check_openness(q: RegularityQuery,
     one value beyond the diameter, which suffices on a finite space.
     y is in F(B(x, t)) iff d(x, F^{-1}(y)) < t, so only the smallest
     candidate above mu(d(y, F(x))) can fail; it is the one compared, and
-    the one reported as rhs.
+    the one reported as rhs.  The candidates above it are picked with one
+    `policy.lt_each` mask over x's distance row.
     """
     diam = q.F.X.diameter()
     for (x, y) in q.W:
@@ -87,10 +88,11 @@ def check_openness(q: RegularityQuery,
         # membership stays exactly strict because lhs and the candidate
         # radii are drawn from the same distance row, so a tie means the
         # witness sits on the boundary of the open ball and is excluded
-        cands = [float(v) for v in q.F.X.dist_row(x)] + [md + diam + 1.0]
-        t = min((c for c in cands if policy.lt(md, c)), default=None)
-        if t is not None and not lhs < t:
-            return PropertyVerdict("openness", False, (x, y), lhs, t)
+        cands = np.append(q.F.X.dist_row(x), md + diam + 1.0)
+        cands = cands[policy.lt_each(md, cands)]
+        if cands.size and not lhs < cands.min():
+            return PropertyVerdict("openness", False, (x, y), lhs,
+                                   float(cands.min()))
     return PropertyVerdict("openness", True)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ekeland import EVPError, EVPInstance
 from .metric import FiniteMetricSpace, MetricError
-from .moduli import AuxScheme, FunctionalModulus, ModulusError
+from .moduli import AuxScheme, FunctionalModulus
 from .optcond import OptInstance, PolyMapSpec
 from .policy import DEFAULT_POLICY, NumericPolicy, RegkitError
 from .polyhedra import Polyhedron, PolyhedronError
@@ -55,9 +55,14 @@ class InstanceFile:
     sequences: dict = field(default_factory=dict)
 
 
-def _space(sec: dict, ptr: str, policy: NumericPolicy) -> FiniteMetricSpace:
+def _object(sec, ptr: str) -> dict:
     if not isinstance(sec, dict):
         raise InstanceError(ptr, "must be an object")
+    return sec
+
+
+def _space(sec: dict, ptr: str, policy: NumericPolicy) -> FiniteMetricSpace:
+    _object(sec, ptr)
     metric = sec.get("metric")
     try:
         if metric == "matrix":
@@ -76,22 +81,23 @@ def _space(sec: dict, ptr: str, policy: NumericPolicy) -> FiniteMetricSpace:
 
 
 def _modulus(sec: dict, ptr: str) -> FunctionalModulus:
+    kind = _object(sec, ptr).get("kind")
+    if kind not in ("linear", "power", "table"):
+        raise InstanceError(ptr + "/kind", f"unknown modulus kind {kind!r}")
     try:
-        kind = sec.get("kind")
         if kind == "linear":
             return FunctionalModulus.linear(float(sec["kappa"]))
         if kind == "power":
             return FunctionalModulus.power(float(sec["lam"]), float(sec["k"]))
-        if kind == "table":
-            return FunctionalModulus.table(
-                [tuple(p) for p in sec["breakpoints"]],
-                interp=sec.get("interp", "step"))
-        raise InstanceError(ptr + "/kind", f"unknown modulus kind {kind!r}")
-    except (KeyError, ModulusError, TypeError) as e:
+        return FunctionalModulus.table(
+            [tuple(p) for p in sec["breakpoints"]],
+            interp=sec.get("interp", "step"))
+    except (KeyError, TypeError, ValueError) as e:  # ModulusError is a ValueError
         raise InstanceError(ptr, str(e)) from e
 
 
 def _scheme(sec: dict, ptr: str) -> AuxScheme:
+    _object(sec, ptr)
     return AuxScheme(
         b=_modulus(sec["b"], ptr + "/b") if "b" in sec else None,
         m=_modulus(sec["m"], ptr + "/m") if "m" in sec else None,
@@ -123,9 +129,8 @@ _POLICY_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
 def _policy(sec, override: Optional[dict]) -> NumericPolicy:
     """The policy section with the overrides applied; each field must have
     its default's type (a JSON integer counts as a number)."""
-    if not isinstance(sec, dict):
-        raise InstanceError("/policy", "must be an object")
-    sec = dict(sec, **{k: v for k, v in (override or {}).items() if v is not None})
+    sec = dict(_object(sec, "/policy"),
+               **{k: v for k, v in (override or {}).items() if v is not None})
     for name, value in sec.items():
         if name not in _POLICY_DEFAULTS:
             raise InstanceError(f"/policy/{name}", "unknown policy field")
@@ -166,22 +171,25 @@ def parse_instance(raw: dict,
     if msec is not None:
         if inst.X is None or inst.Y is None:
             raise InstanceError("/map", "map requires X and Y spaces")
+        embed = _object(msec, "/map").get("embed", "open")
+        if embed not in ("open", "closed"):
+            raise InstanceError("/map/embed", 'must be "open" or "closed"')
         if "ladder" in msec:
             try:
                 inst.ladder = TLadder(np.array(msec["ladder"], dtype=float))
-            except LadderError as e:
+            except (LadderError, TypeError, ValueError) as e:
                 raise InstanceError("/map/ladder", str(e)) from e
         if "plain_graph" in msec:
             try:
                 inst.plain = PlainSetValuedMap(
                     inst.X, inst.Y,
                     {(int(a), int(b)) for a, b in msec["plain_graph"]})
-            except (IndexError, ValueError) as e:
+            except (IndexError, TypeError, ValueError) as e:
                 raise InstanceError("/map/plain_graph", str(e)) from e
             if inst.ladder is not None:
                 inst.param = embed_plain(
                     inst.plain, inst.ladder,
-                    closed=msec.get("embed", "open") == "closed",
+                    closed=embed == "closed",
                     policy=policy)
         elif "graph" in msec:
             if inst.ladder is None:
@@ -192,7 +200,7 @@ def parse_instance(raw: dict,
                     graph=[(int(a), int(t), int(b)) for a, t, b in msec["graph"]],
                     monotone=bool(msec.get("monotone", False)),
                     policy=policy)
-            except (IndexError, ValueError, LadderError) as e:
+            except (IndexError, TypeError, ValueError, LadderError) as e:
                 raise InstanceError("/map/graph", str(e)) from e
 
     if "mu" in raw:

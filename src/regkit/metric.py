@@ -3,8 +3,10 @@
 Points are referenced by integer index.  A space is backed either by
 coordinate vectors with a norm metric (euclidean / manhattan / chebyshev)
 or by an explicit distance matrix, which is audited for metric axioms at
-load time.  Every finite metric space is complete, so no completeness
-hypothesis ever needs checking downstream.
+load time.  Norm distances between n and m points are built one
+coordinate at a time, in O(n·m) memory whatever the dimension.  Every
+finite metric space is complete, so no completeness hypothesis ever
+needs checking downstream.
 """
 from __future__ import annotations
 
@@ -27,15 +29,47 @@ class PointIndexError(RegkitError, IndexError):
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distances from each row of a (rows) to each row of b (columns)."""
-    diff = a[:, None, :] - b[None, :, :]
-    if metric == "euclidean":
-        return np.sqrt((diff ** 2).sum(-1))
-    if metric == "manhattan":
-        return np.abs(diff).sum(-1)
+    """Distances from each row of a (rows) to each row of b (columns),
+    one coordinate column at a time; columns are summed in numpy's pairwise
+    order, so each entry equals the (n, m, d) tensor reduction bit for bit."""
+    if metric not in NORM_METRICS:
+        raise MetricError(f"unknown metric {metric!r}")
+
+    def col(k: int) -> np.ndarray:
+        c = np.subtract.outer(a[:, k], b[:, k])
+        return np.square(c, out=c) if metric == "euclidean" else np.abs(c, out=c)
+
     if metric == "chebyshev":
-        return np.abs(diff).max(-1)
-    raise MetricError(f"unknown metric {metric!r}")
+        out = col(0)
+        for k in range(1, a.shape[1]):
+            np.maximum(out, col(k), out=out)
+        return out
+    out = _sum_columns(col, range(a.shape[1]))
+    return np.sqrt(out, out=out) if metric == "euclidean" else out
+
+
+def _sum_columns(col, ks: range) -> np.ndarray:
+    """The sum of col(k) over ks, grouped as numpy's pairwise summation:
+    in order below 8 terms, in 8 strided partial sums up to 128, and in
+    halves (each a multiple of 8 long) above."""
+    n = len(ks)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _sum_columns(col, ks[:half])
+        out += _sum_columns(col, ks[half:])
+        return out
+    if n < 8:
+        out, head = col(ks[0]), 1
+    else:
+        head = n - n % 8
+        r = [col(k) for k in ks[:8]]
+        for i in range(8, head):
+            r[i % 8] += col(ks[i])
+        out = (r[0] + r[1]) + (r[2] + r[3])
+        out += (r[4] + r[5]) + (r[6] + r[7])
+    for k in ks[head:]:
+        out += col(k)
+    return out
 
 
 @dataclass
@@ -57,6 +91,8 @@ class FiniteMetricSpace:
                 raise MetricError("coordinates contain NaN")
             if arr.ndim == 1:
                 arr = arr.reshape(-1, 1)  # scalars are points on the line
+            if arr.ndim != 2 or arr.shape[1] == 0:
+                raise MetricError("points need one or more coordinates")
             self.coords = arr
             self._n = arr.shape[0]
             # cache the full matrix only for small spaces; large ones use rows
@@ -88,10 +124,13 @@ class FiniteMetricSpace:
         # O(n^3) triangle audit in blocks of the first point, O(n^2) memory;
         # the strict > keeps the row-major first worst (i, r, j), as argmax
         rows = max(1, (1 << 20) // max(m.size, 1))  # blocks of 8 MiB
+        buf = np.empty((rows,) + m.shape)
         worst = -INF
         for i0 in range(0, len(m), rows):
             blk = m[i0:i0 + rows]
-            viol = blk[:, None, :] - (blk[:, :, None] + m[None, :, :])
+            viol = buf[:len(blk)]
+            np.add(blk[:, :, None], m[None, :, :], out=viol)
+            np.subtract(blk[:, None, :], viol, out=viol)
             k = np.argmax(viol)
             if viol.flat[k] > worst:
                 worst = viol.flat[k]

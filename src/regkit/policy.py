@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 INF = float("inf")
 
 
@@ -33,6 +35,12 @@ class NumericPolicy:
         if b == INF:
             return True
         return a < b - self.tol_strict
+
+    def lt_each(self, a: float, values: np.ndarray) -> np.ndarray:
+        """lt(a, v) for each v of an array, as a boolean mask."""
+        if a == INF:
+            return np.zeros(np.shape(values), dtype=bool)
+        return (values == INF) | (a < values - self.tol_strict)
 
     def le(self, a: float, b: float) -> bool:
         if a == INF:

@@ -35,9 +35,9 @@ class TLadder:
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=float)
-        if lv.size == 0 or lv[0] != 0.0:
-            raise LadderError("ladder must start at 0")
-        if (np.diff(lv) <= 0).any():
+        if lv.ndim != 1 or lv.size == 0 or lv[0] != 0.0:
+            raise LadderError("ladder must be a list of levels starting at 0")
+        if not (np.diff(lv) > 0).all():  # a NaN level fails too
             raise LadderError("ladder levels must be strictly increasing")
         self.levels = lv
 

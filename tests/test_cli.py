@@ -92,20 +92,40 @@ def _set(section, key, value):
     return mutate
 
 
-@pytest.mark.parametrize("mutate,pointer", [
-    (_drop_f, "/evp/f"), (_set("evp", "f", "abc"), "/evp"),
-    (_set(None, "X", []), "/X"), (_set(None, "evp", 5), "/evp"),
-    (_set(None, "W", 5), "/W"), (_set(None, "nu", [[0, 1]]), "/nu"),
-    (_set(None, "nu", 5), "/nu"), (_set(None, "nu", [[0, 1, "a"]]), "/nu"),
-    (_set(None, "policy", [1, 2]), "/policy"),
-    (_set("policy", "tol_strict", "abc"), "/policy/tol_strict"),
-    (_set("policy", "horizon", "x"), "/policy/horizon")],
+def _set_map(key, value):
+    def mutate(raw):
+        raw["map"][key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("kind,mutate,pointer", [
+    ("evp", _drop_f, "/evp/f"), ("evp", _set("evp", "f", "abc"), "/evp"),
+    ("evp", _set(None, "X", []), "/X"), ("evp", _set(None, "evp", 5), "/evp"),
+    ("evp", _set(None, "W", 5), "/W"), ("evp", _set(None, "nu", [[0, 1]]), "/nu"),
+    ("evp", _set(None, "nu", 5), "/nu"),
+    ("evp", _set(None, "nu", [[0, 1, "a"]]), "/nu"),
+    ("evp", _set(None, "policy", [1, 2]), "/policy"),
+    ("evp", _set("policy", "tol_strict", "abc"), "/policy/tol_strict"),
+    ("evp", _set("policy", "horizon", "x"), "/policy/horizon"),
+    ("plain-lipschitz", _set(None, "map", 5), "/map"),
+    ("plain-lipschitz", _set_map("ladder", "abc"), "/map/ladder"),
+    ("plain-lipschitz", _set_map("plain_graph", 5), "/map/plain_graph"),
+    ("plain-lipschitz", _set(None, "mu", 5), "/mu"),
+    ("plain-lipschitz", _set("mu", "kappa", "abc"), "/mu"),
+    ("plain-lipschitz", _set("X", "points", [[]] * 20), "/X"),
+    ("plain-lipschitz", _set_map("ladder", [0.0, float("nan")]), "/map/ladder"),
+    ("plain-lipschitz", _set_map("embed", 5), "/map/embed"),
+    ("plain-lipschitz", _set_map("embed", "Closed"), "/map/embed"),
+    ("plain-lipschitz", _set(None, "scheme", 5), "/scheme"),
+    ("param-monotone", _set_map("graph", 5), "/map/graph")],
     ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int",
          "nu-pair", "nu-int", "nu-string", "policy-list", "policy-tol-string",
-         "policy-horizon-string"])
-def test_malformed_instance_sections_exit_2(mutate, pointer, tmp_path,
+         "policy-horizon-string", "map-int", "ladder-string", "plain-graph-int",
+         "mu-int", "mu-kappa-string", "points-empty", "ladder-nan", "embed-int",
+         "embed-capitalised", "scheme-int", "graph-int"])
+def test_malformed_instance_sections_exit_2(kind, mutate, pointer, tmp_path,
                                             capsys):
-    raw = generate_instance("evp", 20, 0)
+    raw = generate_instance(kind, 20, 0)
     mutate(raw)
     path = str(tmp_path / "bad.json")
     save_instance(raw, path)

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from regkit.metric import (BallSpec, FiniteMetricSpace, MetricError,
-                           PointIndexError, ball_members)
+from regkit.metric import (NORM_METRICS, BallSpec, FiniteMetricSpace,
+                           MetricError, PointIndexError, _pairwise,
+                           ball_members)
 from regkit.policy import RegkitError
 
 coords_1d = st.lists(st.floats(-50, 50), min_size=2, max_size=12)
@@ -62,6 +64,14 @@ def test_norm_metric_rejects_nan_coordinates(metric):
     with pytest.raises(MetricError, match="NaN"):
         FiniteMetricSpace(metric=metric,
                           coords=np.array([[0.0, 1.0], [float("nan"), 2.0]]))
+
+
+@pytest.mark.parametrize("coords", [[[], []], 5.0, [[[0.0]], [[1.0]]]],
+                         ids=["no-coordinates", "scalar", "matrices"])
+def test_norm_metric_needs_coordinate_vectors(coords):
+    # zero-length vectors would put distinct points at distance 0
+    with pytest.raises(MetricError, match="coordinates"):
+        FiniteMetricSpace(metric="chebyshev", coords=np.array(coords))
 
 
 def test_unknown_metric_rejected():
@@ -140,3 +150,40 @@ def test_triangle_audit_memory_is_quadratic_at_300_points():
         line[b, a] += 1.0
     with pytest.raises(MetricError, match=re.escape("violated by 1 at (40,41,45)")):
         FiniteMetricSpace(metric="matrix", dmatrix=line)
+
+
+def _pairwise_3d(a, b, metric):
+    """The (n, m, d) difference-tensor form that `_pairwise` must match."""
+    diff = a[:, None, :] - b[None, :, :]
+    if metric == "euclidean":
+        return np.sqrt((diff ** 2).sum(-1))
+    if metric == "manhattan":
+        return np.abs(diff).sum(-1)
+    return np.abs(diff).max(-1)
+
+
+@st.composite
+def point_pairs(draw):
+    d = draw(st.one_of(st.integers(1, 40), st.sampled_from([129, 150])))
+    elems = st.floats(-1e6, 1e6, allow_subnormal=False)
+    a = draw(hnp.arrays(float, (draw(st.integers(1, 5)), d), elements=elems))
+    b = draw(hnp.arrays(float, (draw(st.integers(1, 5)), d), elements=elems))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_pairs(), st.sampled_from(NORM_METRICS))
+def test_pairwise_equals_difference_tensor_reduction(ab, metric):
+    a, b = ab
+    assert np.array_equal(_pairwise(a, b, metric), _pairwise_3d(a, b, metric))
+
+
+def test_pairwise_memory_is_two_result_matrices():
+    pts = np.random.default_rng(0).uniform(-3, 3, size=(1000, 3))
+    tracemalloc.start()
+    try:
+        _pairwise(pts, pts, "euclidean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * pts.shape[0] ** 2 * 8, peak   # the 3-d tensor alone is 3x
