@@ -64,17 +64,18 @@ def _object(sec, ptr: str) -> dict:
 def _space(sec: dict, ptr: str, policy: NumericPolicy) -> FiniteMetricSpace:
     _object(sec, ptr)
     metric = sec.get("metric")
+    key = "dmatrix" if metric == "matrix" else "points"
+    if key not in sec:
+        raise InstanceError(f"{ptr}/{key}", "missing")
+    try:
+        arr = np.array(sec[key], dtype=float)
+    except (TypeError, ValueError) as e:    # ragged, or not numbers
+        raise InstanceError(f"{ptr}/{key}", str(e)) from e
     try:
         if metric == "matrix":
-            if "dmatrix" not in sec:
-                raise InstanceError(ptr + "/dmatrix", "missing")
-            return FiniteMetricSpace(metric="matrix",
-                                     dmatrix=np.array(sec["dmatrix"], dtype=float),
+            return FiniteMetricSpace(metric="matrix", dmatrix=arr,
                                      policy=policy)
-        if "points" not in sec:
-            raise InstanceError(ptr + "/points", "missing")
-        return FiniteMetricSpace(metric=metric,
-                                 coords=np.array(sec["points"], dtype=float),
+        return FiniteMetricSpace(metric=metric, coords=arr,
                                  labels=sec.get("labels"), policy=policy)
     except MetricError as e:
         raise InstanceError(ptr, str(e)) from e
@@ -98,12 +99,15 @@ def _modulus(sec: dict, ptr: str) -> FunctionalModulus:
 
 def _scheme(sec: dict, ptr: str) -> AuxScheme:
     _object(sec, ptr)
+    seqs = {}
+    for key in ("b_seq", "c_seq"):
+        try:
+            seqs[key] = tuple(float(v) for v in sec.get(key, ()))
+        except (TypeError, ValueError) as e:
+            raise InstanceError(f"{ptr}/{key}", str(e)) from e
     return AuxScheme(
         b=_modulus(sec["b"], ptr + "/b") if "b" in sec else None,
-        m=_modulus(sec["m"], ptr + "/m") if "m" in sec else None,
-        b_seq=tuple(float(v) for v in sec.get("b_seq", ())),
-        c_seq=tuple(float(v) for v in sec.get("c_seq", ())),
-    )
+        m=_modulus(sec["m"], ptr + "/m") if "m" in sec else None, **seqs)
 
 
 def _poly(sec: dict, ptr: str) -> Polyhedron:

@@ -36,10 +36,20 @@ class FeasibilityResult:
     point: Optional[np.ndarray] = None
 
 
+# HiGHS model status (by name) -> scipy's LP status: 0 optimal, 1 limit
+# reached, 2 infeasible, 3 unbounded; every other model status (solver
+# trouble, kUnboundedOrInfeasible included) is 4
+_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+           "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
+# scipy's re-check of an "optimal" point: sqrt(tol) * 10 at tol = 1e-9
+_FEAS_TOL = np.sqrt(1e-9) * 10
+
+
 @lru_cache(maxsize=None)
 def _highs():
-    """scipy's HiGHS core and scipy's options for method "highs":
-    presolve on, dual simplex, silent."""
+    """scipy's HiGHS core; scipy's options for method "highs": presolve
+    on, dual simplex, silent; and, keyed by HiGHS model status, its LP
+    status (see `_STATUS`) and message."""
     from scipy.optimize._highspy import _core
     options = _core.HighsOptions()
     options.presolve = "on"
@@ -48,16 +58,11 @@ def _highs():
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
-    return _core, options
-
-
-# HiGHS model status (by name) -> scipy's LP status: 0 optimal, 1 limit
-# reached, 2 infeasible, 3 unbounded; every other model status (solver
-# trouble, kUnboundedOrInfeasible included) is 4
-_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-           "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
-# scipy's re-check of an "optimal" point: sqrt(tol) * 10 at tol = 1e-9
-_FEAS_TOL = np.sqrt(1e-9) * 10
+    text = _core._Highs().modelStatusToString
+    statuses = {model: (_STATUS.get(name, 4), f"HiGHS model status "
+                                              f"{int(model)}: {text(model)}")
+                for name, model in _core.HighsModelStatus.__members__.items()}
+    return _core, options, statuses
 
 
 @dataclass
@@ -139,7 +144,7 @@ class LPFamily:
         self._m_ub, self._m_eq = A_ub.shape[0], A_eq.shape[0]
         m = self._m_ub + self._m_eq
 
-        core, options = _highs()
+        core, options, self._statuses = _highs()
         lp = core.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_ = c
@@ -159,13 +164,19 @@ class LPFamily:
         mat.index_ = np.nonzero(nz)[1].astype(np.int32)
         mat.value_ = At[nz]
 
-        self._core, self._highs = core, core._Highs()
+        self._highs, self._error = core._Highs(), core.HighsStatus.kError
+        # scipy's re-check limits on x, on the slack of each ub row and on
+        # the residual of each eq row, in that order
+        tol = _FEAS_TOL
+        self._floor = np.repeat([self._lo - tol, -tol], [n, m])
+        self._ceil = np.repeat([self._hi + tol, np.inf, tol],
+                               [n, self._m_ub, self._m_eq])
         # a model HiGHS refuses reports the status of that refusal for
         # every member, as scipy's LP function would
         self._refused = None
-        if self._highs.passOptions(options) == core.HighsStatus.kError:
+        if self._highs.passOptions(options) == self._error:
             self._refused = self._highs.getModelStatus()
-        elif self._highs.passModel(lp) == core.HighsStatus.kError:
+        elif self._highs.passModel(lp) == self._error:
             self._refused = core.HighsModelStatus.kModelError
 
     def solve(self, b_ub=None, b_eq=None) -> LPResult:
@@ -175,39 +186,29 @@ class LPFamily:
         b_ub = _rhs(b_ub, self._m_ub, "ub")
         b_eq = _rhs(b_eq, self._m_eq, "eq")
         highs, model, ran = self._highs, self._refused, False
+        upper = np.concatenate([b_ub, b_eq])
         if model is None:
             lower = [-np.inf] * self._m_ub + b_eq.tolist()
-            upper = np.concatenate([b_ub, b_eq]).tolist()
-            for i, bounds in enumerate(zip(lower, upper)):
+            for i, bounds in enumerate(zip(lower, upper.tolist())):
                 highs.changeRowBounds(i, *bounds)
-            ran = highs.run() != self._core.HighsStatus.kError
+            ran = highs.run() != self._error
             model = highs.getModelStatus()
-        res = self._result(model, ran, b_ub, b_eq)
-        if res.status != 0:
-            highs.clearSolver()         # the next member starts cold
+        status, message = self._statuses[model]
+        if status == 0 and ran:
+            sol = highs.getSolution()
+            x = np.array(sol.col_value)
+            fun = highs.getObjectiveValue()
+            checked = np.concatenate([x, upper - np.asarray(sol.row_value)])
+            # NaN fails every comparison
+            if fun == fun and ((checked >= self._floor)
+                               & (checked <= self._ceil)).all():
+                return LPResult(0, x, fun, message)
+            res = LPResult(4, x, fun, f"solution violates the constraints by "
+                                      f"more than {_FEAS_TOL:.2E}; {message}")
+        else:   # "optimal" with no solution to read is a solver failure
+            res = LPResult(status or 4, None, None, message)
+        highs.clearSolver()             # the next member starts cold
         return res
-
-    def _result(self, model, ran, b_ub, b_eq) -> LPResult:
-        highs = self._highs
-        status = _STATUS.get(model.name, 4)
-        message = f"HiGHS model status {int(model)}: " \
-                  f"{highs.modelStatusToString(model)}"
-        if status == 0 and not ran:
-            status = 4                  # "optimal" with no solution to read
-        if status != 0:
-            return LPResult(status, None, None, message)
-        sol = highs.getSolution()
-        x = np.array(sol.col_value)
-        fun = highs.getInfo().objective_function_value
-        row = np.asarray(sol.row_value)
-        slack, con = b_ub - row[:self._m_ub], b_eq - row[self._m_ub:]
-        lo, hi, tol = self._lo, self._hi, _FEAS_TOL
-        if (np.isnan(fun) or np.isnan(slack).any() or np.isnan(con).any()
-                or not ((x >= lo - tol) & (x <= hi + tol)).all()
-                or (slack < -tol).any() or (np.abs(con) > tol).any()):
-            return LPResult(4, x, fun, f"solution violates the constraints by "
-                                       f"more than {tol:.2E}; {message}")
-        return LPResult(0, x, fun, message)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):

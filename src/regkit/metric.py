@@ -87,8 +87,8 @@ class FiniteMetricSpace:
             if self.coords is None:
                 raise MetricError("norm metric requires coordinates")
             arr = np.asarray(self.coords, dtype=float)
-            if np.isnan(arr).any():
-                raise MetricError("coordinates contain NaN")
+            if not np.isfinite(arr).all():
+                raise MetricError("coordinates contain NaN or inf")
             if arr.ndim == 1:
                 arr = arr.reshape(-1, 1)  # scalars are points on the line
             if arr.ndim != 2 or arr.shape[1] == 0:
@@ -112,9 +112,9 @@ class FiniteMetricSpace:
         tol = self.policy.triangle_tol
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MetricError("dmatrix must be square")
-        # every check below compares with < or >, which NaN passes
-        if np.isnan(m).any():
-            raise MetricError("dmatrix contains NaN")
+        # NaN passes every < or > check below, and inf - inf is NaN
+        if not np.isfinite(m).all():
+            raise MetricError("dmatrix contains NaN or inf")
         if (m < -tol).any():
             raise MetricError("dmatrix has negative entries")
         if np.abs(np.diag(m)).max(initial=0.0) > tol:

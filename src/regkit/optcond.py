@@ -17,8 +17,9 @@ without an LP (a direction pair off the tangent cone, a slice row
 Everything the rule needs at one critical triple that depends on neither
 the sampled x nor the multipliers (F+, G+, the joint second-order cones
 of their graphs and of gph H, the second-order sets of S and
-A2(-D, zbar, k)) is built once per call by `_triple_sets`; each sampled x
-only slices the prebuilt cones.
+A2(-D, zbar, k)) is built once per call by `_triple_sets`.  Each derivative
+cone then gets one `_Slicer` per call, so a sampled x costs the slice's
+right-hand side and one member of the slicer's LP family, and no polyhedron.
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ def _slice_polyhedron(A: np.ndarray, b: np.ndarray, x: np.ndarray,
     """{y : A (x, y) <= b} as a polyhedron in y; None only when a row
     without y-part reads 0 <= rhs < 0.  No LP: the caller's own LP finds
     any other empty slice.  The rows kept, and so the polyhedron's
-    matrix, do not depend on x (see `_slice_family`)."""
+    matrix, do not depend on x (see `_Slicer`)."""
     n_in = A.shape[1] - n_out
     Ay = A[:, n_in:]
     rhs = b - A[:, :n_in] @ x
@@ -123,13 +124,51 @@ def _slice_cone(T: Optional[Polyhedron], x) -> Optional[Polyhedron]:
     return _slice_polyhedron(T.A, T.b, x, T.dim - x.size)
 
 
-def _slice_family(T: Optional[Polyhedron], n_in: int, c):
-    """min <c, e> over the slices {e : (x, e) in T} at varying x, as one
-    LP family; None when T is None.  Every slice that is not None has the
-    matrix of the slice at x = 0, which T, a cone, always has; a member
-    is solved by passing its slice's b."""
-    return None if T is None else linsolve.LPFamily(
-        c, A_ub=_slice_cone(T, np.zeros(n_in)).A)
+class _Slicer:
+    """The slices {e : (x, e) in T} of one cone T at varying x, and
+    min <c, e> over them as one LP family.
+
+    A slice keeps the rows of T with a y-part, normalized as `Polyhedron`
+    normalizes them, so its matrix does not depend on x: it is `cone.A`,
+    the slice at x = 0, which T, a cone, always has.  `rhs(x)` is the b
+    of `_slice_cone(T, x)`, computed by the same operations, and None
+    where that is None; no polyhedron is built per x.
+    """
+
+    def __init__(self, T: Optional[Polyhedron], n: int, c):
+        self.cone = None
+        if T is None:
+            return
+        Ay = T.A[:, n:]
+        self._keep = np.abs(Ay).max(axis=1, initial=0.0) > 1e-12
+        self._Ax, self._b = T.A[:, :n], T.b
+        Ay = Ay[self._keep]
+        self._norms = np.linalg.norm(Ay, axis=1)
+        self.cone = Polyhedron(Ay, np.zeros(Ay.shape[0]))
+        self.family = linsolve.LPFamily(c, A_ub=self.cone.A)
+
+    def rhs(self, x) -> Optional[np.ndarray]:
+        if self.cone is None:
+            return None
+        rhs = self._b - self._Ax @ x
+        if (rhs[~self._keep] < -1e-9).any():
+            return None
+        return rhs[self._keep] / self._norms
+
+    def minimum(self, x) -> tuple:
+        """inf <c, e> over the slice at x and a minimizer: (+inf, None)
+        over the empty set, (-inf, None) when unbounded."""
+        b = self.rhs(x)
+        return (np.inf, None) if b is None else self.family.solve(b).minimum()
+
+    def points(self, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """A few points of the slice with right-hand side b: sampled from
+        `cone`, which has its matrix, when b is 0 as `Polyhedron.is_cone`
+        reads it, else one LP point (c = 0), or none when it is empty."""
+        if np.abs(b).max(initial=0.0) <= 1e-12:
+            return sample_cone_points(self.cone, 4, rng)
+        pt = self.family.solve(b).minimum()[1]
+        return pt[None, :] if pt is not None else np.zeros((0, self.cone.dim))
 
 
 def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u, v,
@@ -373,14 +412,6 @@ class RuleVerdict:
     notes: list[str] = field(default_factory=list)
 
 
-def _min_support(family: linsolve.LPFamily, P: Optional[Polyhedron]):
-    """inf <c, y> over the slice P, a member of `family` (see
-    `_slice_family`); +inf over the empty set, -inf when unbounded."""
-    if P is None:
-        return np.inf, None
-    return family.solve(P.b).minimum()
-
-
 def a2_of_minus_D(inst: OptInstance, k, tol: float = 1e-9) -> Optional[Polyhedron]:
     """A2(-D, zbar, k); None (empty) when k leaves the tangent cone."""
     mD = inst.minus_D()
@@ -398,7 +429,7 @@ class _TripleSets:
     TF2, TG2 and TH2 are the joint second-order cones in (x, e) of the F+,
     G+ and H graphs along (u, v), (u, k) and (u, 0), each None when that
     pair leaves the graph's tangent cone; slicing one at x gives the
-    second-order derivative set at x.
+    second-order derivative set at x (see `slicers`).
     """
 
     S2: SecondOrderSets             # second-order sets of S at (xbar, u)
@@ -407,15 +438,11 @@ class _TripleSets:
     TG2: Optional[Polyhedron]
     TH2: Optional[Polyhedron]
 
-    def slices(self, x):
-        """The F+, G+ and H second-order derivative sets at x."""
-        return tuple(_slice_cone(T, x) for T in (self.TF2, self.TG2, self.TH2))
-
-    def families(self, n: int, cs):
-        """One LP family per derivative set, minimizing <c, .> for the
-        matching c of `cs` over that set's slices."""
-        return tuple(_slice_family(T, n, c)
-                     for T, c in zip((self.TF2, self.TG2, self.TH2), cs))
+    def slicers(self, n: int, cs) -> list[_Slicer]:
+        """One slicer of TF2, TG2 and TH2 each, minimizing <c, .> for the
+        matching c of `cs`."""
+        return [_Slicer(T, n, c)
+                for T, c in zip((self.TF2, self.TG2, self.TH2), cs)]
 
 
 def _triple_sets(inst: OptInstance, trip: CriticalTriple,
@@ -430,17 +457,6 @@ def _triple_sets(inst: OptInstance, trip: CriticalTriple,
                                       trip.u, trip.k, tol),
         TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero,
                                       tol))
-
-
-def _sample_points(P: Polyhedron, family: linsolve.LPFamily,
-                   rng: np.random.Generator) -> np.ndarray:
-    """A few points of P: sampled when P is a cone (then it holds 0), else
-    one LP point, or none when P is empty.  P is a member of `family`, an
-    LP family with c = 0."""
-    if P.is_cone():
-        return sample_cone_points(P, 4, rng)
-    pt = family.solve(P.b).minimum()[1]
-    return pt[None, :] if pt is not None else np.zeros((0, P.dim))
 
 
 def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
@@ -483,14 +499,13 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     IT2 = sets.S2.IT2
     xs = sample_cone_points(IT2, n_samples, rng)
 
-    families = sets.families(inst.n, (mult.v_star, mult.k_star, mult.w_star))
+    slicers = sets.slicers(inst.n, (mult.v_star, mult.k_star, mult.w_star))
     worst, arg = np.inf, None
     checked = 0
     for x in xs:
         if IT2.m and not (IT2.A @ x < -tol).all():
             continue
-        (fy, ay), (gz, az), (hw, aw) = (
-            _min_support(fam, P) for fam, P in zip(families, sets.slices(x)))
+        (fy, ay), (gz, az), (hw, aw) = (s.minimum(x) for s in slicers)
         lhs = fy + gz + hw
         if np.isnan(lhs):       # inf + (-inf): an empty set wins, vacuous
             continue
@@ -631,15 +646,14 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                                            rng)])
     else:
         ds = np.zeros((1, inst.q))
-    families = sets.families(inst.n, (np.zeros(inst.p), np.zeros(inst.q),
-                                      np.zeros(inst.r)))
+    slicers = sets.slicers(inst.n, (np.zeros(inst.p), np.zeros(inst.q),
+                                    np.zeros(inst.r)))
     tuples: list[tuple] = []
     for x in xs:
-        slices = sets.slices(x)
-        if any(P is None for P in slices):
+        bs = [s.rhs(x) for s in slicers]
+        if any(b is None for b in bs):
             continue
-        ys, zs, ws = (_sample_points(P, fam, rng)
-                      for P, fam in zip(slices, families))
+        ys, zs, ws = (s.points(b, rng) for s, b in zip(slicers, bs))
         for y in ys:
             for z in zs:
                 for w in ws:
@@ -656,22 +670,18 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
         row[nq + nn:] = -(sigma * w)
         return row
 
+    # prefer alpha-mass: normality when the data allows it
+    c = np.zeros(nvar)
+    c[:nq] = -1.0
     candidates = []
     for signs in product((1.0, -1.0), repeat=r):
         sigma = np.array(signs)
-        cuts: list[tuple] = []
+        ub_A = np.vstack([-np.eye(nvar)]
+                         + [rule_row(sigma, *tup) for tup in tuples])
         # row generation: re-solve with each exact violating tuple added
         # as a constraint until the candidate passes the exact check
         for _ in range(25):
-            rows = [rule_row(sigma, y, z, w, d)
-                    for (y, z, w, d) in tuples + cuts]
-            ub_A = [-np.eye(nvar)] + ([np.array(rows)] if rows else [])
-            ub_b = [np.zeros(nvar)] + ([np.zeros(len(rows))] if rows else [])
-            # prefer alpha-mass: normality when the data allows it
-            c = np.zeros(nvar)
-            c[:nq] = -1.0
-            res = linsolve.solve_lp(c, A_ub=np.vstack(ub_A),
-                                    b_ub=np.concatenate(ub_b),
+            res = linsolve.solve_lp(c, A_ub=ub_A, b_ub=np.zeros(len(ub_A)),
                                     A_eq=eqs_A, b_eq=eqs_b)
             if res.status != 0:
                 break
@@ -688,7 +698,7 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                 break
             if cut is None:
                 break
-            cuts.append(cut)
+            ub_A = np.vstack([ub_A, rule_row(sigma, *cut)])
     if not candidates:
         return None
     # one draw per success: callers go on drawing from rng, and this keeps
@@ -727,14 +737,14 @@ def check_cq(inst: OptInstance, trip: CriticalTriple, n_samples: int = 32,
         if sets.A2 is not None else np.zeros((1, inst.q))
     if ds.shape[0] == 0:
         ds = np.zeros((1, inst.q))
-    fam_z = _slice_family(sets.TG2, inst.n, np.zeros(inst.q))
-    fam_w = _slice_family(sets.TH2, inst.n, np.zeros(inst.r))
+    sz = _Slicer(sets.TG2, inst.n, np.zeros(inst.q))
+    sw = _Slicer(sets.TH2, inst.n, np.zeros(inst.r))
     gens: list[np.ndarray] = []
     for x in xs:
-        GZ, HW = _slice_cone(sets.TG2, x), _slice_cone(sets.TH2, x)
-        if GZ is None or HW is None:
+        bz, bw = sz.rhs(x), sw.rhs(x)
+        if bz is None or bw is None:
             continue
-        zs, ws = _sample_points(GZ, fam_z, rng), _sample_points(HW, fam_w, rng)
+        zs, ws = sz.points(bz, rng), sw.points(bw, rng)
         for z in zs:
             for w in ws:
                 for d in ds:
@@ -749,11 +759,13 @@ def check_cq(inst: OptInstance, trip: CriticalTriple, n_samples: int = 32,
     rank = int(np.linalg.matrix_rank(Gm, tol=1e-9))
     if rank < needed:
         return CQVerdict(False, rank, needed)
+    # e in cone(Gm) as `linsolve.in_cone_of` asks it, one member per axis
+    axes = linsolve.LPFamily(np.zeros(len(Gm)), A_eq=Gm.T, bounds=(0, None))
     for j in range(needed):
         for sgn in (1.0, -1.0):
             e = np.zeros(needed)
             e[j] = sgn
-            if not linsolve.in_cone_of(Gm, e, tol):
+            if axes.solve(b_eq=e).status != 0:
                 return CQVerdict(False, rank, needed, missing=e)
     return CQVerdict(True, rank, needed)
 

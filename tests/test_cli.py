@@ -92,6 +92,12 @@ def _set(section, key, value):
     return mutate
 
 
+def _set_point(i, value):
+    def mutate(raw):
+        raw["X"]["points"][i] = value
+    return mutate
+
+
 def _set_map(key, value):
     def mutate(raw):
         raw["map"][key] = value
@@ -117,12 +123,22 @@ def _set_map(key, value):
     ("plain-lipschitz", _set_map("embed", 5), "/map/embed"),
     ("plain-lipschitz", _set_map("embed", "Closed"), "/map/embed"),
     ("plain-lipschitz", _set(None, "scheme", 5), "/scheme"),
-    ("param-monotone", _set_map("graph", 5), "/map/graph")],
+    ("param-monotone", _set_map("graph", 5), "/map/graph"),
+    ("plain-lipschitz", _set_point(0, [1.0, 2.0]), "/X/points"),
+    ("plain-lipschitz", _set_point(0, float("inf")), "/X"),
+    ("plain-lipschitz", _set(None, "X", {"metric": "matrix",
+                                          "dmatrix": [[0.0, 1.0], [1.0]]}),
+     "/X/dmatrix"),
+    ("plain-lipschitz", _set(None, "scheme", {"b_seq": "abc"}),
+     "/scheme/b_seq"),
+    ("plain-lipschitz", _set(None, "scheme", {"c_seq": ["x"]}),
+     "/scheme/c_seq")],
     ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int",
          "nu-pair", "nu-int", "nu-string", "policy-list", "policy-tol-string",
          "policy-horizon-string", "map-int", "ladder-string", "plain-graph-int",
          "mu-int", "mu-kappa-string", "points-empty", "ladder-nan", "embed-int",
-         "embed-capitalised", "scheme-int", "graph-int"])
+         "embed-capitalised", "scheme-int", "graph-int", "points-ragged",
+         "points-inf", "dmatrix-ragged", "b_seq-string", "c_seq-string"])
 def test_malformed_instance_sections_exit_2(kind, mutate, pointer, tmp_path,
                                             capsys):
     raw = generate_instance(kind, 20, 0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+from regkit import linsolve
 from regkit.linsolve import (LPFamily, LinSolveError, feasible_point,
                              in_cone_of, max_support, solve_lp,
                              strict_interior_point)
@@ -252,3 +253,15 @@ def test_family_rejects_bad_right_hand_sides():
     # a rejected right-hand side leaves the family usable
     res = fam.solve([-1.0, -2.0], [0.0])
     assert res.status == 0 and res.x == pytest.approx([2.0, 2.0])
+
+
+def test_status_table_is_keyed_by_every_model_status():
+    # a member's status is read from a table keyed by the HiGHS enum; it
+    # must give each model status the LP status _STATUS gives its name
+    core, _, statuses = linsolve._highs()
+    members = core.HighsModelStatus.__members__
+    assert len(statuses) == len(members)
+    for name, model in members.items():
+        status, message = statuses[model]
+        assert status == linsolve._STATUS.get(name, 4)
+        assert message.startswith(f"HiGHS model status {int(model)}: ")

@@ -66,6 +66,21 @@ def test_norm_metric_rejects_nan_coordinates(metric):
                           coords=np.array([[0.0, 1.0], [float("nan"), 2.0]]))
 
 
+def test_matrix_metric_rejects_inf():
+    inf = float("inf")
+    with pytest.raises(MetricError, match="inf"):
+        FiniteMetricSpace(metric="matrix",
+                          dmatrix=[[0, inf, 1], [inf, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+def test_norm_metric_rejects_inf_coordinates(metric):
+    # an infinite coordinate would give inf and inf - inf = NaN distances
+    with pytest.raises(MetricError, match="inf"):
+        FiniteMetricSpace(metric=metric,
+                          coords=np.array([[0.0, 1.0], [-np.inf, 2.0]]))
+
+
 @pytest.mark.parametrize("coords", [[[], []], 5.0, [[[0.0]], [[1.0]]]],
                          ids=["no-coordinates", "scalar", "matrices"])
 def test_norm_metric_needs_coordinate_vectors(coords):

@@ -9,7 +9,8 @@ from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
                             check_claim2, check_cq, check_multiplier_rule,
                             critical_directions, exact_rule_margin,
                             find_multipliers, second_order_graph_derivative)
-from regkit.linsolve import solve_lp
+from regkit import linsolve
+from regkit.linsolve import in_cone_of, solve_lp
 from regkit.polyhedra import Polyhedron, sample_cone_points, tangent_cone
 
 
@@ -53,38 +54,108 @@ def test_empty_value_set_is_left_to_its_lp():
     V = E.value_polyhedron(x)
     assert isinstance(V, Polyhedron) and V.is_empty()
     assert E.dist_to_value(np.zeros(1), x) == np.inf
-    fam = optcond._slice_family(E.graph, 1, np.ones(1))
-    assert optcond._min_support(fam, V)[0] == np.inf
-    fam0 = optcond._slice_family(E.graph, 1, np.zeros(1))
-    assert optcond._sample_points(V, fam0, np.random.default_rng(0)).shape \
-        == (0, 1)
+    assert optcond._Slicer(E.graph, 1, np.ones(1)).minimum(x)[0] == np.inf
+    zero = optcond._Slicer(E.graph, 1, np.zeros(1))
+    assert zero.points(zero.rhs(x), np.random.default_rng(0)).shape == (0, 1)
+
+
+def _triple_cones(size, seed):
+    """(inst, sets, T, dim e, rng) for each derivative cone T of each
+    critical triple of the demo (size 0) or a generated problem."""
+    inst = parse_instance(demo_polyopt_raw() if size == 0 else
+                          generate_instance("polyhedral-opt", size, seed)).opt
+    rng = np.random.default_rng(seed)
+    for trip in critical_directions(inst, n_dirs=16, rng=rng):
+        sets = optcond._triple_sets(inst, trip, 1e-9)
+        for T, d in ((sets.TF2, inst.p), (sets.TG2, inst.q),
+                     (sets.TH2, inst.r)):
+            yield inst, sets, T, d, rng
+
+
+def test_slicer_rhs_is_the_normalized_slice_b():
+    # a cone with a row without y-part, -x1 <= 0, read 0 <= x1 at a slice
+    T = Polyhedron(np.array([[-1.0, 0.0, 0.0], [0.5, -2.0, 1.0],
+                             [0.0, 3.0, -1.0], [1.0, 1.0, 0.0]]), np.zeros(4))
+    cases = [(T, 2, np.array([[1.0, 0.5], [-1.0, 2.0], [0.0, 0.0]]))]
+    for size, seed in ((0, 0), (3, 0), (4, 1)):
+        for inst, sets, Tc, _, rng in _triple_cones(size, seed):
+            xs = sample_cone_points(sets.S2.IT2, 8, rng)
+            cases.append((Tc, inst.n, np.vstack([xs, -xs])))
+    nones = values = 0
+    for T, n, xs in cases:
+        s = optcond._Slicer(T, n, None if T is None else np.ones(T.dim - n))
+        for x in xs:
+            P, b = optcond._slice_cone(T, x), s.rhs(x)
+            assert (P is None) == (b is None)
+            if P is None:
+                nones += 1
+            else:
+                assert np.array_equal(b, P.b) and np.array_equal(s.cone.A, P.A)
+                values += 1
+    assert nones > 0 and values > 0
 
 
 @pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 1)])
 def test_slice_families_match_one_member_solves(size, seed):
     # size 0 is the demo; every slice of a triple's derivative cones is a
     # member of one family, solved warm, and must equal a fresh solve
+    members = 0
+    for inst, sets, T, d, rng in _triple_cones(size, seed):
+        c = rng.normal(size=d)
+        for obj in (c, np.zeros(d)):
+            s = optcond._Slicer(T, inst.n, obj)
+            for x in sample_cone_points(sets.S2.IT2, 16, rng):
+                P = optcond._slice_cone(T, x)
+                if P is None:
+                    continue
+                res, ref = s.family.solve(s.rhs(x)), solve_lp(obj, P.A, P.b)
+                assert res.status == ref.status
+                if ref.status == 0:
+                    assert res.fun == pytest.approx(ref.fun, rel=1e-9,
+                                                    abs=1e-9)
+                    assert P.contains(res.x, 1e-6)
+                members += 1
+    assert members > 0
+
+
+@pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 5), (4, 3),
+                                       (5, 1)])
+def test_cq_axis_family_matches_one_lp_per_axis(size, seed, monkeypatch):
+    # check_cq asks every signed axis as a member of one family on Gm.T;
+    # its verdict and first missing axis must be those of one fresh
+    # in_cone_of per axis, in the same order (CQ fails on the last three)
     inst = parse_instance(demo_polyopt_raw() if size == 0 else
                           generate_instance("polyhedral-opt", size, seed)).opt
-    rng = np.random.default_rng(seed)
-    members = 0
-    for trip in critical_directions(inst, n_dirs=16, rng=rng):
-        sets = optcond._triple_sets(inst, trip, 1e-9)
-        cs = [rng.normal(size=d) for d in (inst.p, inst.q, inst.r)]
-        for obj in (cs, [np.zeros_like(c) for c in cs]):
-            families = sets.families(inst.n, obj)
-            for x in sample_cone_points(sets.S2.IT2, 16, rng):
-                for fam, c, P in zip(families, obj, sets.slices(x)):
-                    if P is None:
-                        continue
-                    res, ref = fam.solve(P.b), solve_lp(c, P.A, P.b)
-                    assert res.status == ref.status
-                    if ref.status == 0:
-                        assert res.fun == pytest.approx(ref.fun, rel=1e-9,
-                                                        abs=1e-9)
-                        assert P.contains(res.x, 1e-6)
-                    members += 1
-    assert members > 0
+    made = []
+
+    class Recording(linsolve.LPFamily):
+        def __init__(self, c, A_ub=None, A_eq=None, bounds=None):
+            super().__init__(c, A_ub, A_eq, bounds)
+            if bounds == (0, None):
+                made.append(np.asarray(A_eq).T)
+
+    monkeypatch.setattr(linsolve, "LPFamily", Recording)
+    asked = 0
+    for k in range(2):
+        for trip in critical_directions(inst, n_dirs=16,
+                                        rng=np.random.default_rng(k)):
+            made.clear()
+            v = check_cq(inst, trip, rng=np.random.default_rng(k))
+            if not made:            # no generators, or rank < q + r
+                assert not v.holds and v.missing is None
+                continue
+            (Gm,) = made
+            axes = []
+            for j in range(v.needed):
+                for sgn in (1.0, -1.0):
+                    axes.append(np.zeros(v.needed))
+                    axes[-1][j] = sgn
+            missing = next((e for e in axes if not in_cone_of(Gm, e)), None)
+            assert v.holds == (missing is None)
+            if missing is not None:
+                assert np.array_equal(v.missing, missing)
+            asked += 1
+    assert asked > 0
 
 
 def test_off_graph_base_rejected():
