@@ -10,15 +10,14 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 
 import numpy as np
 
 from . import certifiers, conventional, ekeland, optcond
-from .induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
-                        run_induction, verify_preconditions)
+from .induction import (LevelMap, PreconditionError, run_induction,
+                        verify_preconditions)
 from .instances import (InstanceError, demo_polyopt_raw, generate_instance,
                         load_instance, save_instance)
 from .moduli import ModulusError
@@ -48,15 +47,10 @@ def _load(args):
     return load_instance(args.instance, _policy_overrides(args))
 
 
-def _seq_from_spec(sec: dict, name: str) -> Seq:
-    if name not in sec:
-        raise InstanceError(f"/sequences/{name}", "missing")
-    s = sec[name]
-    if s.get("kind") == "geometric":
-        return Seq.geometric(float(s["first"]), float(s["ratio"]))
-    if s.get("kind") == "explicit":
-        return Seq.explicit([float(v) for v in s["table"]])
-    raise InstanceError(f"/sequences/{name}", f"unknown kind {s.get('kind')!r}")
+def _check_points(F, args):
+    """--x and --y must name points of F's X and Y (PointIndexError)."""
+    F.X._check(args.x)
+    F.Y._check(args.y)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -88,9 +82,10 @@ def cmd_induct(args) -> int:
     inst = _load(args)
     if inst.param is None:
         raise InstanceError("/map", "induct needs a parametric map")
-    seqs = SequenceSpec(a=_seq_from_spec(inst.sequences, "a"),
-                        b=_seq_from_spec(inst.sequences, "b"),
-                        horizon=inst.policy.horizon)
+    seqs = inst.sequences
+    if seqs is None:
+        raise InstanceError("/sequences", "induct needs sequences a and b")
+    _check_points(inst.param, args)
     phi = LevelMap.from_param_map(inst.param, args.y)
     pre = verify_preconditions(phi, args.t, args.x, seqs, policy=inst.policy)
     trace = run_induction(phi, args.t, args.x, seqs, policy=inst.policy)
@@ -108,6 +103,7 @@ def cmd_certify(args) -> int:
         raise InstanceError("/map", "certify needs a parametric map")
     rep = Report(f"certify/{args.criterion}", inst.policy.seed, inst.policy)
     F, pol = inst.param, inst.policy
+    _check_points(F, args)
     if args.criterion == "khanh+":
         cert = certifiers.certify_khanh_plus(F, args.x, args.t, args.y,
                                              inst.scheme, pol)
@@ -171,6 +167,7 @@ def cmd_regcheck(args) -> int:
         v = certifiers.check_nu_regular_on_W(F, W, mu, inst.nu)
         rep.add("regcheck/nu-regular", v.holds, witness=v.counterexample)
     elif args.property == "local":
+        _check_points(F, args)
         v = certifiers.check_local_regularity(F, args.x, args.y, mu,
                                               inst.policy)
         rep.add("regcheck/local", v.holds,
@@ -185,11 +182,12 @@ def cmd_ekeland(args) -> int:
     if inst.evp is None:
         raise InstanceError("/evp", "instance has no variational data")
     evp = inst.evp
-    if args.epsilon or args.lam or args.x0 is not None:
+    if (args.epsilon, args.lam, args.x0) != (None, None, None):
         evp = ekeland.EVPInstance(
             space=evp.space, f=evp.f,
-            eps=args.epsilon or evp.eps, lam=args.lam or evp.lam,
-            x0=args.x0 if args.x0 is not None else evp.x0)
+            eps=evp.eps if args.epsilon is None else args.epsilon,
+            lam=evp.lam if args.lam is None else args.lam,
+            x0=evp.x0 if args.x0 is None else args.x0)
     rep = Report("ekeland", inst.policy.seed, inst.policy)
     if args.verify_only is not None:
         chk = ekeland.evp_verify(evp, args.verify_only, inst.policy)
@@ -304,9 +302,9 @@ def _check_modulus_fit(inst, rep):
                                           policy=inst.policy)
     rep.add("modulus/tight", tight, margin=fit.lam_star,
             witness=fit.achieved_at)
-    if "kappa_true" in inst.meta:
+    if inst.kappa_true is not None:
         rep.add("modulus/vs-construction",
-                fit.lam_star <= inst.meta["kappa_true"] + 1e-9,
+                fit.lam_star <= inst.kappa_true + 1e-9,
                 margin=fit.lam_star)
 
 

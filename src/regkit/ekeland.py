@@ -50,8 +50,8 @@ class EVPInstance:
             raise EVPError("f must be proper and bounded below")
         if not np.isfinite(self.f).any():
             raise EVPError("f is nowhere finite")
-        if self.eps <= 0 or self.lam <= 0:
-            raise EVPError("eps and lambda must be positive")
+        if not (0 < self.eps < INF and 0 < self.lam < INF):  # NaN fails too
+            raise EVPError("eps and lambda must be positive and finite")
         self.space._check(self.x0)
         if not np.isfinite(self.f[self.x0]):
             raise EVPError("starting point has infinite value")

@@ -1,11 +1,11 @@
-"""Instance files: schema, loading with located errors, and generators.
+"""Instance files: one schema, loading with located errors, and generators.
 
-One JSON format (versioned) carries every kind of instance the toolkit
-consumes: finite metric spaces, plain/parametric set-valued maps,
-moduli and schemes, validation sets, variational-principle data, and
-polyhedral optimization problems.  Loading re-validates the inner
-invariants (metric axioms, ladder shape, monotonicity flags) and
-reports violations with JSON-pointer-style locations.
+One versioned JSON format carries every kind of instance the toolkit reads.
+`_get` reads each field by one rule of a closed set and raises any failure
+as an `InstanceError` at the field's JSON pointer; `_make` locates at its
+section the invariant a regkit constructor rejects.  Every integer of a
+file sizes an array the file holds or is capped, so memory stays bounded
+by the file's size.
 """
 from __future__ import annotations
 
@@ -15,16 +15,23 @@ from typing import Optional
 
 import numpy as np
 
-from .ekeland import EVPError, EVPInstance
-from .metric import FiniteMetricSpace, MetricError
+from .ekeland import EVPInstance
+from .induction import Seq, SequenceSpec
+from .metric import FiniteMetricSpace
 from .moduli import AuxScheme, FunctionalModulus
 from .optcond import OptInstance, PolyMapSpec
 from .policy import DEFAULT_POLICY, NumericPolicy, RegkitError
-from .polyhedra import Polyhedron, PolyhedronError
-from .svmap import (LadderError, ParamSetValuedMap, PlainSetValuedMap, TLadder,
-                    embed_plain)
+from .polyhedra import Polyhedron
+from .svmap import ParamSetValuedMap, PlainSetValuedMap, TLadder, embed_plain
 
 FORMAT_VERSION = 1
+
+# The largest accepted value of each policy loop count (the least is 1):
+POLICY_CAPS = {
+    "horizon": 512,             # run_induction recurses per step; Python stops at 1,000
+    "cone_gamma_levels": 1074,  # the cone oracles' gamma_k = 2^-k is 0.0 for k > 1074
+    "evp_cap": 100_000,         # evp_oracle's |X|^2 distances: 10^10 at this cap
+}
 
 
 class InstanceError(RegkitError, ValueError):
@@ -52,101 +59,199 @@ class InstanceFile:
     evp: Optional[EVPInstance] = None
     opt: Optional[OptInstance] = None
     meta: dict = field(default_factory=dict)
-    sequences: dict = field(default_factory=dict)
+    kappa_true: Optional[float] = None          # /meta/kappa_true
+    sequences: Optional[SequenceSpec] = None
 
 
-def _object(sec, ptr: str) -> dict:
-    if not isinstance(sec, dict):
-        raise InstanceError(ptr, "must be an object")
-    return sec
+# -- the schema: how each field is read, converted and located ---------------
 
-
-def _space(sec: dict, ptr: str, policy: NumericPolicy) -> FiniteMetricSpace:
-    _object(sec, ptr)
-    metric = sec.get("metric")
-    key = "dmatrix" if metric == "matrix" else "points"
+def _get(sec: dict, key, ptr: str, rule, *args, default=...):
+    """sec[key] converted by rule(value, pointer, *args), or the default when
+    absent (a field without one is required).  A failed conversion is raised
+    at the field's pointer; an InstanceError raised deeper passes unchanged."""
+    at = f"{ptr}/{key}"
     if key not in sec:
-        raise InstanceError(f"{ptr}/{key}", "missing")
+        if default is ...:
+            raise InstanceError(at, "missing")
+        return default
     try:
-        arr = np.array(sec[key], dtype=float)
-    except (TypeError, ValueError) as e:    # ragged, or not numbers
-        raise InstanceError(f"{ptr}/{key}", str(e)) from e
+        return rule(sec[key], at, *args)
+    except InstanceError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
+        raise InstanceError(at, str(e)) from e
+
+
+def _make(ptr: str, build, *args, **kw):
+    """build(*args, **kw), with the invariant it rejects located at ptr."""
     try:
-        if metric == "matrix":
-            return FiniteMetricSpace(metric="matrix", dmatrix=arr,
-                                     policy=policy)
-        return FiniteMetricSpace(metric=metric, coords=arr,
-                                 labels=sec.get("labels"), policy=policy)
-    except MetricError as e:
+        return build(*args, **kw)
+    except InstanceError:
+        raise
+    except (RegkitError, ValueError) as e:  # svmap's monotone check: ValueError
         raise InstanceError(ptr, str(e)) from e
 
 
-def _modulus(sec: dict, ptr: str) -> FunctionalModulus:
-    kind = _object(sec, ptr).get("kind")
-    if kind not in ("linear", "power", "table"):
-        raise InstanceError(ptr + "/kind", f"unknown modulus kind {kind!r}")
-    try:
-        if kind == "linear":
-            return FunctionalModulus.linear(float(sec["kappa"]))
-        if kind == "power":
-            return FunctionalModulus.power(float(sec["lam"]), float(sec["k"]))
-        return FunctionalModulus.table(
-            [tuple(p) for p in sec["breakpoints"]],
-            interp=sec.get("interp", "step"))
-    except (KeyError, TypeError, ValueError) as e:  # ModulusError is a ValueError
-        raise InstanceError(ptr, str(e)) from e
+def _is(v, at, kind, options=()):
+    """v itself if it is a JSON value of that kind, and one of options if any."""
+    if not isinstance(v, kind) or (options and v not in options):
+        raise TypeError("must be " + (" or ".join(map(json.dumps, options)) or {
+            dict: "an object", list: "an array", str: "a string", bool: "a boolean"}[kind]))
+    return v
 
 
-def _scheme(sec: dict, ptr: str) -> AuxScheme:
-    _object(sec, ptr)
-    seqs = {}
-    for key in ("b_seq", "c_seq"):
-        try:
-            seqs[key] = tuple(float(v) for v in sec.get(key, ()))
-        except (TypeError, ValueError) as e:
-            raise InstanceError(f"{ptr}/{key}", str(e)) from e
+def _number(v, at, lo=-np.inf) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not lo <= float(v) < np.inf:
+        raise ValueError("must be a finite number" + (f" >= {lo}" if lo > -np.inf else ""))
+    return float(v)
+
+
+def _int(v, at, lo, hi=np.inf) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
+        raise ValueError(f"must be {lo}" if lo == hi else
+                         f"must be an integer in [{lo}, {hi}]")
+    return v
+
+
+def _floats(v, at, *shapes) -> np.ndarray:
+    """v as one float array whose shape fits one of shapes (None: any)."""
+    a = np.array(v, dtype=float)
+    if not any(len(s) == a.ndim and all(k in (None, m) for k, m in zip(s, a.shape))
+               for s in shapes):
+        raise ValueError(f"must be an array of shape {' or '.join(map(str, shapes))}"
+                         f", not {a.shape}".replace("None", "*"))
+    return a
+
+
+def _rows(v, at, sizes, free=0) -> np.ndarray:
+    """v as a (k, len(sizes) + free) float array whose column j < len(sizes)
+    holds integers in [0, sizes[j]); the first row breaking this is located."""
+    width = len(sizes) + free
+    a = _floats(v, at, (None, width), (0,)).reshape(-1, width)
+    idx = a[:, :len(sizes)]
+    bad = ((idx < 0) | (idx >= sizes) | (idx % 1 != 0)).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InstanceError(f"{at}/{i}", f"{v[i]} has an index outside the "
+                                         f"sizes {tuple(sizes)}")
+    return a
+
+
+# -- sections, each read through the rules above ----------------------------
+
+def _space(sec, at, policy) -> FiniteMetricSpace:
+    metric = _get(_is(sec, at, dict), "metric", at, _is, str)
+    arr = {"dmatrix": _get(sec, "dmatrix", at, _floats, (None, None))} \
+        if metric == "matrix" else \
+        {"coords": _get(sec, "points", at, _floats, (None,), (None, None))}
+    return _make(at, FiniteMetricSpace, metric=metric, policy=policy, **arr)
+
+
+def _map(sec, at, X, Y, policy) -> tuple:
+    """(ladder, plain map, parametric map) of the map section."""
+    if X is None or Y is None:
+        raise InstanceError(at, "map requires X and Y spaces")
+    embed = _get(_is(sec, at, dict), "embed", at, _is, str, ("open", "closed"),
+                 default="open")
+    ladder = _get(sec, "ladder", at, _floats, (None,), default=None)
+    ladder = ladder if ladder is None else _make(at + "/ladder", TLadder, ladder)
+    if "plain_graph" in sec:
+        pairs = _get(sec, "plain_graph", at, _rows, (X.n, Y.n)).astype(int)
+        plain = _make(at + "/plain_graph", PlainSetValuedMap, X, Y, pairs.tolist())
+        return ladder, plain, None if ladder is None else embed_plain(
+            plain, ladder, closed=embed == "closed", policy=policy)
+    if "graph" not in sec:
+        return ladder, None, None
+    if ladder is None:
+        raise InstanceError(at + "/ladder", "missing for triple graph")
+    triples = _get(sec, "graph", at, _rows, (X.n, len(ladder), Y.n)).astype(int)
+    return ladder, None, _make(
+        at + "/graph", ParamSetValuedMap, X, Y, ladder, graph=triples.tolist(),
+        monotone=_get(sec, "monotone", at, _is, bool, default=False), policy=policy)
+
+
+def _modulus(sec, at) -> FunctionalModulus:
+    kind = _get(_is(sec, at, dict), "kind", at, _is, str, ("linear", "power", "table"))
+    if kind == "table":
+        return _make(at, FunctionalModulus.table,
+                     _get(sec, "breakpoints", at, _floats, (None, 2)),
+                     interp=_get(sec, "interp", at, _is, str, default="step"))
+    args = ("kappa",) if kind == "linear" else ("lam", "k")
+    return _make(at, getattr(FunctionalModulus, kind),
+                 *(_get(sec, k, at, _number) for k in args))
+
+
+def _scheme(sec, at) -> AuxScheme:
     return AuxScheme(
-        b=_modulus(sec["b"], ptr + "/b") if "b" in sec else None,
-        m=_modulus(sec["m"], ptr + "/m") if "m" in sec else None, **seqs)
+        b=_get(_is(sec, at, dict), "b", at, _modulus, default=None),
+        m=_get(sec, "m", at, _modulus, default=None),
+        **{k: tuple(_get(sec, k, at, _floats, (None,), default=np.empty(0)).tolist())
+           for k in ("b_seq", "c_seq")})
 
 
-def _poly(sec: dict, ptr: str) -> Polyhedron:
-    try:
-        return Polyhedron(np.array(sec["A"], dtype=float),
-                          np.array(sec["b"], dtype=float))
-    except (KeyError, PolyhedronError) as e:
-        raise InstanceError(ptr, str(e)) from e
+def _seq(sec, at) -> Seq:
+    kind = _get(_is(sec, at, dict), "kind", at, _is, str, ("geometric", "explicit"))
+    if kind == "explicit":
+        return _make(at, Seq.explicit, _get(sec, "table", at, _floats, (None,)).tolist())
+    return _make(at, Seq.geometric, *(_get(sec, k, at, _number) for k in ("first", "ratio")))
 
 
-def _polymap(sec: dict, ptr: str) -> PolyMapSpec:
-    try:
-        return PolyMapSpec(_poly(sec, ptr), int(sec["n_in"]), int(sec["n_out"]))
-    except (KeyError, ValueError) as e:
-        raise InstanceError(ptr, str(e)) from e
+def _evp(sec, at, X) -> EVPInstance:
+    if X is None:
+        raise InstanceError(at, "evp requires the X space")
+    f = _get(_is(sec, at, dict), "f", at, _floats, (None,))
+    if np.isnan(f).any():  # null means +inf; a NaN stays for EVPInstance
+        f[np.array(sec["f"], dtype=object) == None] = np.inf  # noqa: E711
+    return _make(at, EVPInstance, space=X, f=f, eps=_get(sec, "epsilon", at, _number),
+                 lam=_get(sec, "lambda", at, _number), x0=_get(sec, "x0", at, _int, 0))
 
 
-_POLICY_DEFAULTS = {f.name: f.default for f in fields(NumericPolicy)}
-_POLICY_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
-                 bool: ((bool,), "a boolean")}
+def _polyhedron(sec, at, dim) -> Polyhedron:
+    A = _get(_is(sec, at, dict), "A", at, _floats, (None, dim))
+    return _make(at, Polyhedron, A, _get(sec, "b", at, _floats, (None,)))
 
 
-def _policy(sec, override: Optional[dict]) -> NumericPolicy:
-    """The policy section with the overrides applied; each field must have
-    its default's type (a JSON integer counts as a number)."""
-    sec = dict(_object(sec, "/policy"),
+def _polymap(sec, at, n_in, n_out) -> PolyMapSpec:
+    for key, k in (("n_in", n_in), ("n_out", n_out)):
+        _get(_is(sec, at, dict), key, at, _int, k, k)
+    return PolyMapSpec(_polyhedron(sec, at, n_in + n_out), n_in, n_out)
+
+
+def _poly(sec, at) -> OptInstance:
+    """The optimisation problem; n, p, q and r must size every array."""
+    n, p, q, r = (_get(_is(sec, at, dict), k, at, _int, 1) for k in "npqr")
+    base = dict(enumerate(_get(sec, "base", at, _is, list)))
+    opt = OptInstance(
+        n, p, q, r, *(_get(sec, k, at, _polyhedron, d)
+                      for k, d in (("S", n), ("C", p), ("D", q), ("Q", p))),
+        *(_get(sec, k, at, _polymap, n, d)
+          for k, d in (("F_graph", p), ("G_graph", q), ("H_graph", r))),
+        *(_get(base, i, at + "/base", _floats, (d,)) for i, d in enumerate((n, p, q))))
+    problems = _make(at, opt.validate)
+    if problems:
+        raise InstanceError(at, "; ".join(problems))
+    return opt
+
+
+_POLICY_RULES = {f.name: {bool: (_is, bool), float: (_number, 0.0),
+                          int: (_int, 1 if f.name in POLICY_CAPS else 0,
+                                POLICY_CAPS.get(f.name, np.inf))}[type(f.default)]
+                 for f in fields(NumericPolicy)}
+
+
+def _policy(sec, at, override: Optional[dict]) -> NumericPolicy:
+    """The section with the overrides, each read by its default's type's rule."""
+    sec = dict(_is(sec, at, dict),
                **{k: v for k, v in (override or {}).items() if v is not None})
-    for name, value in sec.items():
-        if name not in _POLICY_DEFAULTS:
-            raise InstanceError(f"/policy/{name}", "unknown policy field")
-        accepted, what = _POLICY_KINDS[type(_POLICY_DEFAULTS[name])]
-        # bool subclasses int, so a boolean passes only where one is expected
-        if isinstance(value, bool) != (bool in accepted) or not isinstance(value, accepted):
-            raise InstanceError(f"/policy/{name}", f"must be {what}")
-    return DEFAULT_POLICY.with_overrides(**sec)
+    for name in sec:
+        if name not in _POLICY_RULES:
+            raise InstanceError(f"{at}/{name}", "unknown policy field")
+    return DEFAULT_POLICY.with_overrides(
+        **{name: _get(sec, name, at, *_POLICY_RULES[name]) for name in sec})
 
 
-def load_instance(path: str,
-                  policy_override: Optional[dict] = None) -> InstanceFile:
+def load_instance(path: str, policy_override: Optional[dict] = None) -> InstanceFile:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -155,110 +260,30 @@ def load_instance(path: str,
     return parse_instance(raw, policy_override)
 
 
-def parse_instance(raw: dict,
-                   policy_override: Optional[dict] = None) -> InstanceFile:
-    if raw.get("version") != FORMAT_VERSION:
-        raise InstanceError("/version", f"expected {FORMAT_VERSION}")
-    kind = raw.get("kind", "generic")
-
-    policy = _policy(raw.get("policy", {}), policy_override)
-
-    inst = InstanceFile(kind=kind, policy=policy, raw=raw,
-                        meta=raw.get("meta", {}),
-                        sequences=raw.get("sequences", {}))
-    if "X" in raw:
-        inst.X = _space(raw["X"], "/X", policy)
-    if "Y" in raw:
-        inst.Y = _space(raw["Y"], "/Y", policy)
-
-    msec = raw.get("map")
-    if msec is not None:
-        if inst.X is None or inst.Y is None:
-            raise InstanceError("/map", "map requires X and Y spaces")
-        embed = _object(msec, "/map").get("embed", "open")
-        if embed not in ("open", "closed"):
-            raise InstanceError("/map/embed", 'must be "open" or "closed"')
-        if "ladder" in msec:
-            try:
-                inst.ladder = TLadder(np.array(msec["ladder"], dtype=float))
-            except (LadderError, TypeError, ValueError) as e:
-                raise InstanceError("/map/ladder", str(e)) from e
-        if "plain_graph" in msec:
-            try:
-                inst.plain = PlainSetValuedMap(
-                    inst.X, inst.Y,
-                    {(int(a), int(b)) for a, b in msec["plain_graph"]})
-            except (IndexError, TypeError, ValueError) as e:
-                raise InstanceError("/map/plain_graph", str(e)) from e
-            if inst.ladder is not None:
-                inst.param = embed_plain(
-                    inst.plain, inst.ladder,
-                    closed=embed == "closed",
-                    policy=policy)
-        elif "graph" in msec:
-            if inst.ladder is None:
-                raise InstanceError("/map/ladder", "missing for triple graph")
-            try:
-                inst.param = ParamSetValuedMap(
-                    inst.X, inst.Y, inst.ladder,
-                    graph=[(int(a), int(t), int(b)) for a, t, b in msec["graph"]],
-                    monotone=bool(msec.get("monotone", False)),
-                    policy=policy)
-            except (IndexError, TypeError, ValueError, LadderError) as e:
-                raise InstanceError("/map/graph", str(e)) from e
-
-    if "mu" in raw:
-        inst.mu = _modulus(raw["mu"], "/mu")
-    if "scheme" in raw:
-        inst.scheme = _scheme(raw["scheme"], "/scheme")
-    try:
-        inst.W = [(int(a), int(b)) for a, b in raw.get("W", [])]
-    except (TypeError, ValueError) as e:
-        raise InstanceError("/W", f"must be a list of index pairs: {e}") from e
-    if "nu" in raw:
-        try:
-            inst.nu = {(int(a), int(b)): float(v) for a, b, v in raw["nu"]}
-        except (TypeError, ValueError) as e:
-            raise InstanceError("/nu", f"must be a list of (x, y, nu) "
-                                f"triples: {e}") from e
-
-    if "evp" in raw:
-        sec = raw["evp"]
-        if inst.X is None:
-            raise InstanceError("/evp", "evp requires the X space")
-        try:
-            f = np.array([np.inf if v is None else float(v) for v in sec["f"]])
-            inst.evp = EVPInstance(space=inst.X, f=f,
-                                   eps=float(sec["epsilon"]),
-                                   lam=float(sec["lambda"]),
-                                   x0=int(sec["x0"]))
-        except KeyError as e:
-            raise InstanceError(f"/evp/{e.args[0]}", "missing") from e
-        except (EVPError, TypeError, ValueError) as e:
-            raise InstanceError("/evp", str(e)) from e
-
-    if "poly" in raw:
-        sec = raw["poly"]
-        try:
-            base = sec["base"]
-            opt = OptInstance(
-                n=int(sec["n"]), p=int(sec["p"]), q=int(sec["q"]),
-                r=int(sec["r"]),
-                S=_poly(sec["S"], "/poly/S"), C=_poly(sec["C"], "/poly/C"),
-                D=_poly(sec["D"], "/poly/D"), Q=_poly(sec["Q"], "/poly/Q"),
-                F=_polymap(sec["F_graph"], "/poly/F_graph"),
-                G=_polymap(sec["G_graph"], "/poly/G_graph"),
-                H=_polymap(sec["H_graph"], "/poly/H_graph"),
-                xbar=np.array(base[0], dtype=float),
-                ybar=np.array(base[1], dtype=float),
-                zbar=np.array(base[2], dtype=float))
-        except (KeyError, ValueError) as e:
-            raise InstanceError("/poly", str(e)) from e
-        problems = opt.validate()
-        if problems:
-            raise InstanceError("/poly", "; ".join(problems))
-        inst.opt = opt
-    return inst
+def parse_instance(raw: dict, policy_override: Optional[dict] = None) -> InstanceFile:
+    raw = _get({"": raw}, "", "", _is, dict)        # the document, at "/"
+    _get(raw, "version", "", _int, FORMAT_VERSION, FORMAT_VERSION)
+    policy = _get({"policy": {}, **raw}, "policy", "", _policy, policy_override)
+    meta = _get(raw, "meta", "", _is, dict, default={})
+    seqs = _get(raw, "sequences", "", _is, dict, default=None)
+    X, Y = (_get(raw, k, "", _space, policy, default=None) for k in "XY")
+    ladder, plain, param = _get(raw, "map", "", _map, X, Y, policy,
+                                default=(None, None, None))
+    sizes = tuple(0 if S is None else S.n for S in (X, Y))
+    W = _get(raw, "W", "", _rows, sizes, default=np.empty((0, 2))).astype(int)
+    nu = _get(raw, "nu", "", _rows, sizes, 1, default=np.empty((0, 3)))
+    return InstanceFile(
+        kind=_get(raw, "kind", "", _is, str, default="generic"), policy=policy,
+        raw=raw, X=X, Y=Y, plain=plain, param=param, ladder=ladder,
+        mu=_get(raw, "mu", "", _modulus, default=None),
+        scheme=_get(raw, "scheme", "", _scheme, default=None),
+        W=list(map(tuple, W.tolist())),
+        nu=dict(zip(map(tuple, nu[:, :2].astype(int).tolist()), nu[:, 2].tolist())),
+        evp=_get(raw, "evp", "", _evp, X, default=None),
+        opt=_get(raw, "poly", "", _poly, default=None), meta=meta,
+        kappa_true=_get(meta, "kappa_true", "/meta", _number, default=None),
+        sequences=None if seqs is None else SequenceSpec(
+            *(_get(seqs, k, "/sequences", _seq) for k in "ab"), horizon=policy.horizon))
 
 
 def save_instance(raw: dict, path: str):
@@ -278,16 +303,10 @@ def generate_instance(kind: str, size: int, seed: int) -> dict:
         raise InstanceError("/kind", f"unknown kind {kind!r}")
     if size > SIZE_CAPS[kind]:
         raise InstanceError("/size", f"cap for {kind} is {SIZE_CAPS[kind]}")
-    rng = np.random.default_rng(seed)
-    gen = {"plain-lipschitz": _gen_plain_lipschitz,
-           "param-monotone": _gen_param_monotone,
-           "evp": _gen_evp,
-           "polyhedral-opt": _gen_polyopt}[kind]
-    raw = gen(size, rng)
-    raw["version"] = FORMAT_VERSION
-    raw["kind"] = kind
-    raw["policy"] = {"seed": seed}
-    return raw
+    gen = {"plain-lipschitz": _gen_plain_lipschitz, "param-monotone": _gen_param_monotone,
+           "evp": _gen_evp, "polyhedral-opt": _gen_polyopt}[kind]
+    return {**gen(size, np.random.default_rng(seed)), "version": FORMAT_VERSION,
+            "kind": kind, "policy": {"seed": seed}}
 
 
 def _gen_plain_lipschitz(size: int, rng) -> dict:
@@ -297,17 +316,16 @@ def _gen_plain_lipschitz(size: int, rng) -> dict:
     xs = np.sort(rng.uniform(-5.0, 5.0, size=n))
     c = float(rng.uniform(0.5, 2.0))
     ys = c * xs
-    pairs = [[i, i] for i in range(n)]
-    W = [[i, j] for i in range(n) for j in rng.choice(n, size=min(n, 8),
-                                                     replace=False)]
+    W = [[i, int(j)] for i in range(n)
+         for j in rng.choice(n, size=min(n, 8), replace=False)]
     return {
         "X": {"metric": "euclidean", "points": xs.tolist()},
         "Y": {"metric": "euclidean", "points": ys.tolist()},
-        "map": {"plain_graph": pairs, "embed": "open",
+        "map": {"plain_graph": [[i, i] for i in range(n)], "embed": "open",
                 "ladder": np.linspace(0.0, float(2 * np.ptp(ys) + 1.0),
                                       33).tolist()},
         "mu": {"kind": "linear", "kappa": 1.0 / c},
-        "W": [[int(a), int(b)] for a, b in W],
+        "W": W,
         "meta": {"kappa_true": 1.0 / c, "scale": c},
     }
 
@@ -343,8 +361,7 @@ def _gen_evp(size: int, rng) -> dict:
     f -= f.min()
     eps = float(rng.uniform(0.5, 2.0))
     lam = float(rng.uniform(0.5, 3.0))
-    admissible = np.nonzero(f < f.min() + eps)[0]
-    x0 = int(rng.choice(admissible))
+    x0 = int(rng.choice(np.nonzero(f < f.min() + eps)[0]))
     return {
         "X": {"metric": "euclidean", "points": pts.tolist()},
         "evp": {"f": f.tolist(), "epsilon": eps, "lambda": lam, "x0": x0},
@@ -355,65 +372,47 @@ def _linmap_graph(M) -> dict:
     """Graph section of the single-valued map x -> M x (equality pairs)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     mm, nn = M.shape
-    A = np.vstack([np.hstack([M, -np.eye(mm)]),
-                   np.hstack([-M, np.eye(mm)])])
+    A = np.block([[M, -np.eye(mm)], [-M, np.eye(mm)]])
     return {"A": A.tolist(), "b": [0.0] * (2 * mm), "n_in": nn, "n_out": mm}
 
 
-def _gen_polyopt(size: int, rng) -> dict:
-    """A random linear vector problem around the origin, optimal by design.
+def _poly_raw(AS, MF, MG, MH) -> dict:
+    """The poly section of min F(x) on S = {AS x <= 0}, G(x) in -D, 0 in H(x),
+    for linear maps x -> M x into R, C = D = Q = R+ and base point 0."""
+    n = len(AS[0])
+    ray = {"A": [[-1.0]], "b": [0.0]}          # the half-line t >= 0
+    return {"n": n, "p": 1, "q": 1, "r": 1,
+            "S": {"A": np.asarray(AS, dtype=float).tolist(), "b": [0.0] * len(AS)},
+            "C": ray, "D": ray, "Q": ray,
+            "F_graph": _linmap_graph(MF), "G_graph": _linmap_graph(MG),
+            "H_graph": _linmap_graph(MH),
+            "base": [[0.0] * n, [0.0], [0.0]]}
 
-    G, H, S are random; the objective row is synthesized from a chosen
-    certificate (beta, w, gamma >= 0) as M_F = -beta M_G - w M_H
-    - gamma' A_S, which makes v* = 1, k* = beta, w* = w exact
-    multipliers for the critical triple (0, 0, 0): the combined row then
-    lies in the dual cone of S, so the rule holds on all of S with
-    right-hand side 0.  The certificate is recorded in metadata.
-    """
+
+def _gen_polyopt(size: int, rng) -> dict:
+    """A random linear vector problem around the origin, optimal by design:
+    G, H, S are random and M_F = -beta M_G - w M_H - gamma' A_S for a chosen
+    certificate (beta, w, gamma >= 0), so v* = 1, k* = beta, w* = w are exact
+    multipliers for the critical triple (0, 0, 0) and the rule holds on all
+    of S with right-hand side 0.  The certificate is recorded in metadata."""
     n = int(np.clip(size, 2, 6))
-    p, q, r = 1, 1, 1
-    MG = rng.normal(size=(q, n)).round(3)
-    MH = rng.normal(size=(r, n)).round(3)
+    MG = rng.normal(size=(1, n)).round(3)
+    MH = rng.normal(size=(1, n)).round(3)
     n_rows = int(rng.integers(1, n + 1))
     AS = rng.normal(size=(n_rows, n)).round(3)
     beta = round(float(rng.uniform(0.0, 2.0)), 3)
     wmul = round(float(rng.normal()), 3)
     gamma = rng.uniform(0.0, 1.0, size=n_rows).round(3)
     MF = -(beta * MG + wmul * MH + (gamma @ AS)[None, :])
-    ray = {"A": [[-1.0]], "b": [0.0]}          # the half-line t >= 0
-    return {
-        "poly": {
-            "n": n, "p": p, "q": q, "r": r,
-            "S": {"A": AS.tolist(), "b": [0.0] * n_rows},
-            "C": ray, "D": ray, "Q": ray,
-            "F_graph": _linmap_graph(MF), "G_graph": _linmap_graph(MG),
-            "H_graph": _linmap_graph(MH),
-            "base": [[0.0] * n, [0.0] * p, [0.0] * q],
-        },
-        "meta": {"certificate": {"v": 1.0, "k": beta, "w": wmul,
-                                 "gamma": gamma.tolist()}},
-    }
+    return {"poly": _poly_raw(AS, MF, MG, MH),
+            "meta": {"certificate": {"v": 1.0, "k": beta, "w": wmul,
+                                     "gamma": gamma.tolist()}}}
 
 
 def demo_polyopt_raw() -> dict:
-    """minimize -x2 subject to x2 <= 0, x1 = 0 (the shipped LP demo).
-
-    F(x) = -x2 into Y = R ordered by Q = R+; G(x) = x2 with the
-    constraint G(x) in -D = -R+; H(x) = x1 with 0 in H(x); S = R^2.
-    The origin is optimal with multipliers v* = 1, k* = 1.
-    """
-    ray = {"A": [[-1.0]], "b": [0.0]}
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "polyhedral-opt",
-        "policy": {"seed": 0},
-        "poly": {
-            "n": 2, "p": 1, "q": 1, "r": 1,
-            "S": {"A": [[0.0, 0.0]], "b": [0.0]},
-            "C": ray, "D": ray, "Q": ray,
-            "F_graph": _linmap_graph([[0.0, -1.0]]),
-            "G_graph": _linmap_graph([[0.0, 1.0]]),
-            "H_graph": _linmap_graph([[1.0, 0.0]]),
-            "base": [[0.0, 0.0], [0.0], [0.0]],
-        },
-    }
+    """minimize -x2 subject to x2 <= 0, x1 = 0 (the shipped LP demo): F(x) = -x2,
+    G(x) = x2, H(x) = x1 and S = R^2; the origin is optimal with v* = k* = 1."""
+    return {"version": FORMAT_VERSION, "kind": "polyhedral-opt",
+            "policy": {"seed": 0},
+            "poly": _poly_raw([[0.0, 0.0]], [[0.0, -1.0]], [[0.0, 1.0]],
+                              [[1.0, 0.0]])}

@@ -8,7 +8,7 @@ import pytest
 
 from regkit import cli
 from regkit.cli import EXIT_BUG, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
-from regkit.instances import (demo_polyopt_raw, generate_instance,
+from regkit.instances import (SIZE_CAPS, demo_polyopt_raw, generate_instance,
                               save_instance)
 
 
@@ -59,13 +59,17 @@ def test_usage_errors_exit_2(tmp_path):
 
 def test_regkit_errors_exit_2(tmp_path, capsys):
     # t off the ladder (LadderError), eps below f(x0) - inf f (EVPError),
-    # point indices outside the space (PointIndexError) and a NaN point
-    # coordinate in the instance JSON (MetricError)
+    # point indices outside the space (PointIndexError), a NaN point
+    # coordinate in the instance JSON (MetricError), policy overrides
+    # outside their ranges (InstanceError), and an --epsilon of 0 or a NaN
+    # --lambda (EVPError)
     pm, ev = str(tmp_path / "pm.json"), str(tmp_path / "e.json")
     assert main(["gen", "--kind", "param-monotone", "--size", "10",
                  "--seed", "3", "--out", pm]) == EXIT_PASS
     assert main(["gen", "--kind", "evp", "--size", "10", "--seed", "1",
                  "--out", ev]) == EXIT_PASS
+    dm = str(tmp_path / "demo.json")
+    save_instance(demo_polyopt_raw(), dm)
     nan_file = str(tmp_path / "nan.json")
     raw = generate_instance("plain-lipschitz", 12, 0)
     raw["X"]["points"][1] = float("nan")
@@ -76,7 +80,11 @@ def test_regkit_errors_exit_2(tmp_path, capsys):
                  ["ekeland", ev, "--epsilon", "1e-9"],
                  ["ekeland", ev, "--x0", "999"],
                  ["ekeland", ev, "--verify-only", "999"],
-                 ["load", nan_file]):
+                 ["load", nan_file],
+                 ["optcond", dm, "--task", "critical", "--seed", "-1"],
+                 ["ekeland", ev, "--horizon", "0"],
+                 ["ekeland", ev, "--epsilon", "0"],
+                 ["ekeland", ev, "--lambda", "nan"]):
         assert main(argv) == EXIT_INPUT, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
@@ -104,8 +112,18 @@ def _set_map(key, value):
     return mutate
 
 
+def _set_item(section, key, i, value):
+    def mutate(raw):
+        (raw[section] if section else raw)[key][i] = value
+    return mutate
+
+
+def _top_level_list(raw):
+    return [1, 2]
+
+
 @pytest.mark.parametrize("kind,mutate,pointer", [
-    ("evp", _drop_f, "/evp/f"), ("evp", _set("evp", "f", "abc"), "/evp"),
+    ("evp", _drop_f, "/evp/f"), ("evp", _set("evp", "f", "abc"), "/evp/f"),
     ("evp", _set(None, "X", []), "/X"), ("evp", _set(None, "evp", 5), "/evp"),
     ("evp", _set(None, "W", 5), "/W"), ("evp", _set(None, "nu", [[0, 1]]), "/nu"),
     ("evp", _set(None, "nu", 5), "/nu"),
@@ -117,7 +135,7 @@ def _set_map(key, value):
     ("plain-lipschitz", _set_map("ladder", "abc"), "/map/ladder"),
     ("plain-lipschitz", _set_map("plain_graph", 5), "/map/plain_graph"),
     ("plain-lipschitz", _set(None, "mu", 5), "/mu"),
-    ("plain-lipschitz", _set("mu", "kappa", "abc"), "/mu"),
+    ("plain-lipschitz", _set("mu", "kappa", "abc"), "/mu/kappa"),
     ("plain-lipschitz", _set("X", "points", [[]] * 20), "/X"),
     ("plain-lipschitz", _set_map("ladder", [0.0, float("nan")]), "/map/ladder"),
     ("plain-lipschitz", _set_map("embed", 5), "/map/embed"),
@@ -132,23 +150,52 @@ def _set_map(key, value):
     ("plain-lipschitz", _set(None, "scheme", {"b_seq": "abc"}),
      "/scheme/b_seq"),
     ("plain-lipschitz", _set(None, "scheme", {"c_seq": ["x"]}),
-     "/scheme/c_seq")],
+     "/scheme/c_seq"),
+    ("polyhedral-opt", _set("poly", "F_graph", {}), "/poly/F_graph/n_in"),
+    ("polyhedral-opt", _set("poly", "C", 5), "/poly/C"),
+    ("polyhedral-opt", _set("poly", "S", []), "/poly/S"),
+    ("polyhedral-opt", _set("poly", "base", 5), "/poly/base"),
+    ("polyhedral-opt", _set(None, "poly", 5), "/poly"),
+    ("polyhedral-opt", _set("poly", "q", 2), "/poly/D/A"),
+    ("polyhedral-opt", _set_item("poly", "base", 0, [0.0]), "/poly/base/0"),
+    ("evp", _top_level_list, "/"),
+    ("param-monotone", _set_item(None, "W", 0, [0, 10**9]), "/W/0"),
+    ("param-monotone", _set_item(None, "W", 0, [0, -1]), "/W/0"),
+    ("param-monotone", _set(None, "nu", [[0, 10**9, 1.0]]), "/nu/0"),
+    ("evp", _set("policy", "seed", -1), "/policy/seed"),
+    ("evp", _set("policy", "tol_strict", float("nan")), "/policy/tol_strict"),
+    ("evp", _set("policy", "tol_strict", -1.0), "/policy/tol_strict"),
+    ("evp", _set("policy", "horizon", -5), "/policy/horizon"),
+    ("param-monotone", _set(None, "sequences", 5), "/sequences"),
+    ("param-monotone", _set(None, "sequences", {"a": 5, "b": 5}),
+     "/sequences/a"),
+    ("param-monotone", _set(None, "sequences",
+                            {"a": {"kind": "geometric", "ratio": 0.5},
+                             "b": {"kind": "geometric", "first": 1.0,
+                                   "ratio": 0.5}}), "/sequences/a/first"),
+    ("plain-lipschitz", _set(None, "meta", 5), "/meta")],
     ids=["evp-f-missing", "evp-f-string", "X-list", "evp-int", "W-int",
          "nu-pair", "nu-int", "nu-string", "policy-list", "policy-tol-string",
          "policy-horizon-string", "map-int", "ladder-string", "plain-graph-int",
          "mu-int", "mu-kappa-string", "points-empty", "ladder-nan", "embed-int",
          "embed-capitalised", "scheme-int", "graph-int", "points-ragged",
-         "points-inf", "dmatrix-ragged", "b_seq-string", "c_seq-string"])
+         "points-inf", "dmatrix-ragged", "b_seq-string", "c_seq-string",
+         "F_graph-empty", "C-int", "S-empty", "base-int", "poly-int", "q-2",
+         "base0-short", "top-level-list", "W-index-huge", "W-index-negative",
+         "nu-index-huge", "policy-seed-negative", "policy-tol-nan",
+         "policy-tol-negative", "policy-horizon-negative", "sequences-int",
+         "sequences-int-specs", "sequences-no-first", "meta-int"])
 def test_malformed_instance_sections_exit_2(kind, mutate, pointer, tmp_path,
                                             capsys):
-    raw = generate_instance(kind, 20, 0)
-    mutate(raw)
+    raw = generate_instance(kind, min(20, SIZE_CAPS[kind]), 0)
+    raw = mutate(raw) or raw
     path = str(tmp_path / "bad.json")
     save_instance(raw, path)
     capsys.readouterr()
     assert main(["load", path]) == EXIT_INPUT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {pointer}: "), err
+    assert err[0].count(": /") == 1, err        # one pointer per line
 
 
 def test_commands_without_lps_never_import_scipy_optimize(plain_file):
