@@ -151,7 +151,8 @@ print(json.dumps(out))
 
 
 def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    # far below the 7.45 GiB that one 10^9-float array would take
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 def test_huge_sizes_exit_2_under_a_memory_limit(tmp_path):
@@ -168,7 +169,9 @@ def test_huge_sizes_exit_2_under_a_memory_limit(tmp_path):
               ["optcond", "--task", "cones", "--validate"]),
          ["ekeland", str(tmp_path / "policy-horizon.json"),
           "--horizon", str(10**9)]]]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # one BLAS thread, so the limit does not depend on the number of cores
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     children = [subprocess.Popen(
         [sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
