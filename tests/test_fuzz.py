@@ -161,14 +161,15 @@ def test_huge_sizes_exit_2_under_a_memory_limit(tmp_path):
         save_instance(_mutant(kind, path, 10**9), f)
         return [argv[0], f, *argv[1:]]
 
+    evp = str(tmp_path / "evp.json")
+    save_instance(BASES["evp"], evp)
     groups = [
         [case("polyhedral-opt", ("poly", k), ["optcond", "--task", "cq"])
          for k in ("n", "q", "r")],
         [case("evp", ("policy", "horizon"), ["ekeland"]),
          case("demo", ("policy", "cone_gamma_levels"),
               ["optcond", "--task", "cones", "--validate"]),
-         ["ekeland", str(tmp_path / "policy-horizon.json"),
-          "--horizon", str(10**9)]]]
+         ["ekeland", evp, "--horizon", str(10**9)]]]
     # one BLAS thread, so the limit does not depend on the number of cores
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
