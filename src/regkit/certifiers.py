@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .induction import LevelMap, PreconditionError
+from .induction import PreconditionError, step_distances
 from .metric import ball_members, BallSpec
 from .moduli import AuxScheme, FunctionalModulus, ModulusError, canonical_mu
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
@@ -61,23 +61,8 @@ def _require_graph_point(F: ParamSetValuedMap, x: int, t: float, y: int,
     return t_idx
 
 
-def _dist_level0(F: ParamSetValuedMap, x: int, y: int) -> float:
-    return F.dist_to_inverse(x, 0, y)
-
-
-def _region(F: ParamSetValuedMap, fib: np.ndarray, x: int, radius: float,
-            policy: NumericPolicy) -> np.ndarray:
-    """fib intersected with B(x, radius); radius 0 is the singleton {x}."""
-    if fib.size == 0:
-        return fib
-    if radius <= 0:
-        return fib[fib == x]
-    row = F.X.dist_row(x)[fib]
-    return fib[row < radius - policy.tol_strict]
-
-
 def _confirm(cert: Certificate, F, x, y, bound, strict, policy):
-    cert.target = _dist_level0(F, x, y)
+    cert.target = F.dist_to_inverse(x, 0, y)
     cert.bound = bound
     cert.strict = strict
     cert.confirmed = policy.lt(cert.target, bound) if strict \
@@ -129,15 +114,14 @@ def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
                 ok, det = False, f"b table exhausted at n={n}"
                 break
             b_n = b_seq[n]
-            fib = F.inverse_at_level_idx(levels[n], y)
-            region = _region(F, fib, x, partial if n else 0.0, policy)
-            nxt = F.inverse_at_level_idx(levels[n + 1], y)
-            for u in region.tolist():
-                du = F.X.dist_row(u)[nxt].min() if nxt.size else INF
+            for u, du in step_distances(
+                    F.X, F.inverse_at_level_idx(levels[n], y),
+                    F.inverse_at_level_idx(levels[n + 1], y), x,
+                    partial if n else 0.0, tol):
                 # a distance that is exactly 0 at resolution satisfies any
                 # strict bound with positive right-hand side
                 if du > tol and not policy.lt(du, b_n):
-                    ok, wit = False, (n, int(u))
+                    ok, wit = False, (n, u)
                     det = f"d(u, F_(next)^-1(y)) = {du} >= b_{n} = {b_n}"
                     break
             if not ok:
@@ -219,19 +203,17 @@ def certify_khanh4_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
         cert.notes.append("canonical mu = suffix sums of m over the b-orbit")
 
     def net(n, tau, nxt, lev, lev_next):
-        radius = 0.0 if n == 0 else mu_fn(t) - mu_fn(tau)
-        fib = F.inverse_at_level_idx(lev, y)
-        region = _region(F, fib, x, radius, policy)
-        nxt_set = F.inverse_at_level_idx(lev_next, y)
         m_tau = scheme.m(tau)
         tol = policy.tol_strict
-        for u in region.tolist():
-            du = F.X.dist_row(u)[nxt_set].min() if nxt_set.size else INF
+        for u, du in step_distances(
+                F.X, F.inverse_at_level_idx(lev, y),
+                F.inverse_at_level_idx(lev_next, y), x,
+                0.0 if n == 0 else mu_fn(t) - mu_fn(tau), tol):
             # du = 0 at resolution satisfies the strict bound outright; the
             # orbit tail drives m(tau) down to the tolerance scale where
             # policy.lt would reject an exact hit
             if du > tol and not policy.lt(du, m_tau):
-                return False, (n, int(u)), \
+                return False, (n, u), \
                     f"d(u, F_b(tau)^-1(y)) = {du} >= m(tau) = {m_tau}"
         return True, None, ""
 
@@ -247,8 +229,10 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
                         policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
     """Image-space criterion: (set1) + (set2) in Y replace the X-space step.
 
-    The X-space step condition is re-derived internally from (set1) and
-    (set2), logging the intermediate witness z used in the derivation.
+    Both read d0[z] = d(y, F_0(z)): (set1) asks that every z with
+    d0[z] < tau lie in F_tau^{-1}(y), and (set2) that d0 falls below
+    b(tau) on B(u, m(tau)).  The X-space step they imply is then checked
+    on the same u.
     """
     cert = Certificate("image")
     _require_graph_point(F, x, t, y, policy)
@@ -256,49 +240,44 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
     mu_fn, canonical = _resolve_mu(scheme, mu, t, policy.horizon, policy.tol_strict)
     if canonical:
         cert.notes.append("canonical mu = suffix sums of m over the b-orbit")
-
+    d0 = F.level0_image_dists(y)
     set1_ok, set1_wit, set1_det = True, None, ""
+    n_set2 = 0
 
     def set1_at(tau: float, lev: int):
+        # F_0^-1(B(y, tau)) inside F_tau^-1(y), the ball open (tau > tol)
         nonlocal set1_ok, set1_wit, set1_det
         if not set1_ok or tau <= tol:
             return
-        lhs = F.level0_inverse_of_ball(y, tau)
-        rhs = set(F.inverse_at_level_idx(lev, y).tolist())
-        extra = lhs - rhs
-        if extra:
-            set1_ok, set1_wit = False, (tau, sorted(extra)[0])
+        extra = d0 < tau - tol
+        extra[F.inverse_at_level_idx(lev, y)] = False
+        if extra.any():
+            set1_ok, set1_wit = False, (tau, int(extra.argmax()))
             set1_det = f"F_0^-1(B(y,{tau})) escapes F_tau^-1(y)"
 
-    witnesses_z: list[tuple] = []
-
     def net(n, tau, nxt, lev, lev_next):
+        nonlocal n_set2
         set1_at(tau, lev)
         if nxt > tol:
             set1_at(nxt, lev_next)
-        radius = 0.0 if n == 0 else mu_fn(t) - mu_fn(tau)
-        fib = F.inverse_at_level_idx(lev, y)
-        region = _region(F, fib, x, radius, policy)
         m_tau, b_tau = scheme.m(tau), scheme.b(tau)
-        yrow = F.Y.dist_row(y)
-        for u in region.tolist():
-            # (set2): some z in B(u, m(tau)) has d(y, F_0(z)) < b(tau)
-            img = F.level0_image_of_ball(u, m_tau)
-            dy = yrow[sorted(img)].min() if img else INF
+        for u, du in step_distances(
+                F.X, F.inverse_at_level_idx(lev, y),
+                F.inverse_at_level_idx(lev_next, y), x,
+                0.0 if n == 0 else mu_fn(t) - mu_fn(tau), tol):
+            # (set2): d(y, F_0(B(u, m(tau)))) < b(tau)
+            ball = [u] if m_tau == 0 else F.X.dist_row(u) < m_tau - tol
+            dy = d0[ball].min(initial=INF)
             # dy = 0 at resolution: y itself is reached, so the strict
             # bound holds for any positive b(tau), even one below tol
             if dy > tol and not policy.lt(dy, b_tau):
-                return False, (n, int(u)), \
+                return False, (n, u), \
                     f"d(y, F_0(B(u,m))) = {dy} >= b(tau) = {b_tau}"
-            # re-derive the step bound: pick the witness z explicitly
-            z = _set2_witness(F, u, m_tau, y, b_tau, policy)
-            witnesses_z.append((n, int(u), z))
-            # z in F_0^-1(B(y, b(tau))) and, via (set1), in F_b(tau)^-1(y);
-            # hence d(u, F_b(tau)^-1(y)) < m(tau) -- asserted numerically
-            nxt_set = F.inverse_at_level_idx(lev_next, y)
-            du = F.X.dist_row(u)[nxt_set].min() if nxt_set.size else INF
+            n_set2 += 1
+            # some z of the ball has d0[z] < b(tau), so by (set1) z lies in
+            # F_b(tau)^-1(y): d(u, F_b(tau)^-1(y)) < m(tau), asserted here
             if set1_ok and du > tol and not policy.lt(du, m_tau):
-                return False, (n, int(u)), \
+                return False, (n, u), \
                     "derived step inequality failed despite (set1)+(set2)"
         return True, None, ""
 
@@ -306,24 +285,9 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
         cert, F, x, t, y, scheme, mu_fn, policy, net)
     cert.add("set1", set1_ok, set1_det, set1_wit)
     cert.add("set2+derived-step", net_ok, net_det, net_wit)
-    cert.notes.append(f"{len(witnesses_z)} intermediate z-witnesses logged")
+    cert.notes.append(f"{n_set2} intermediate z-witnesses logged")
     _confirm(cert, F, x, y, mu_t, strict=True, policy=policy)
     return cert
-
-
-def _set2_witness(F, u, radius, y, b_tau, policy):
-    tol = policy.tol_strict
-    row = F.X.dist_row(u)
-    xs = [u] if radius <= 0 else np.nonzero(row < radius - tol)[0].tolist()
-    yrow = F.Y.dist_row(y)
-    for z in xs:
-        img = F.fibre(int(z), 0)
-        if not img.size:
-            continue
-        dyz = float(yrow[img].min())
-        if dyz <= tol or policy.lt(dyz, b_tau):
-            return int(z)
-    return None
 
 
 # -- decrease-condition criterion ------------------------------------------
@@ -386,7 +350,7 @@ def free_t_estimate(F: ParamSetValuedMap, x: int, y: int, criterion: str,
     if delta == INF:
         cert.vacuous = True
         cert.add("delta", True, "delta = +inf: conclusion trivially true")
-        cert.target = _dist_level0(F, x, y)
+        cert.target = F.dist_to_inverse(x, 0, y)
         cert.bound = INF
         cert.strict = False
         cert.confirmed = True
@@ -434,7 +398,7 @@ class Verdict:
 def check_regular_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
     """d(x, F_0^{-1}(y)) <= mu(delta(y,F,x)) for every pair in W."""
     for (x, y) in W:
-        lhs = _dist_level0(F, x, y)
+        lhs = F.dist_to_inverse(x, 0, y)
         rhs = mu(F.delta(y, x))
         if not (lhs <= rhs or (lhs == INF and rhs == INF)):
             return Verdict(False, (x, y), lhs, rhs)
@@ -458,7 +422,7 @@ def check_open_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
         if not cands.size:
             continue
         t = float(cands.min())
-        lhs = _dist_level0(F, x, y)
+        lhs = F.dist_to_inverse(x, 0, y)
         if not lhs < t:
             return Verdict(False, (x, y), lhs, t,
                            detail=f"y not in F(B(x,{t}),0)")
@@ -488,7 +452,7 @@ def equivalence_audit(F: ParamSetValuedMap, W, mu) -> EquivalenceAudit:
                 strong = False
                 break
         else:
-            lhs = float(F.X.dist_row(x)[pre0].min()) if pre0.size else INF
+            lhs = float(F.X.dist_row(x)[pre0].min(initial=INF))
             if not lhs < md:
                 strong = False
                 break

@@ -16,12 +16,11 @@ rather than assuming it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .metric import FiniteMetricSpace
 from .moduli import FunctionalModulus
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
 from .svmap import PlainSetValuedMap

@@ -15,7 +15,7 @@ reported trace is the greedy-first chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -129,6 +129,34 @@ class PreReport:
         return self.ok
 
 
+def _fibres_in_U(phi: LevelMap, t: float, x: int, restrict_U: Optional[set[int]],
+                 tol: float) -> Callable[[int], np.ndarray]:
+    """Check x in Phi(t) and in U; return Phi's fibre query restricted to U."""
+    if int(x) not in phi.fibre(phi.ladder.index_of(t, tol)).tolist():
+        raise PreconditionError(f"x={x} not in Phi(t={t})")
+    if restrict_U is None:
+        return phi.fibre
+    if int(x) not in restrict_U:
+        raise PreconditionError(f"x={x} not in the restriction set")
+    keep = np.array(list(restrict_U))
+
+    def fibre(level_idx: int) -> np.ndarray:
+        fib = phi.fibre(level_idx)
+        return fib[np.isin(fib, keep)]
+    return fibre
+
+
+def step_distances(space: FiniteMetricSpace, fib: np.ndarray, nxt: np.ndarray,
+                   x: int, radius: float, tol: float) -> Iterator[tuple[int, float]]:
+    """The induction step: (u, d(u, nxt)) for each u of fib in the region,
+    in index order.  The region is {x} at radius <= 0, else the u with
+    d(x, u) < radius - tol; the distance to an empty nxt is +inf.  Each
+    caller applies its own bound to d(u, nxt)."""
+    region = fib[fib == x] if radius <= 0 else fib[space.dist_row(x)[fib] < radius - tol]
+    for u in region.tolist():
+        yield u, space.dist_row(u)[nxt].min(initial=INF)
+
+
 def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
                          restrict_U: Optional[set[int]] = None,
                          policy: NumericPolicy = DEFAULT_POLICY) -> PreReport:
@@ -158,47 +186,29 @@ def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
         a_ok, msg = False, "a_n does not reach 0 within horizon"
     checks.append(("A2", a_ok, msg))
 
-    t_idx = ladder.index_of(t, tol)
-    start = phi.fibre(t_idx)
-    in_phi = int(x) in set(start.tolist())
-    if not in_phi:
-        raise PreconditionError(f"x={x} not in Phi(t={t})")
-    if restrict_U is not None and int(x) not in restrict_U:
-        raise PreconditionError(f"x={x} not in the restriction set")
-
+    fibre = _fibres_in_U(phi, t, x, restrict_U, tol)
     witness = None
     a3_ok, a3_msg = True, ""
-    rowx = phi.space.dist_row(x)
     for n in range(seqs.horizon):
-        a_n = seqs.a.value(n)
-        a_next = seqs.a.value(n + 1)
         try:
-            lev_n = ladder.snap_up(a_n, tol)
-            lev_next = ladder.snap_up(a_next, tol)
+            lev_n = ladder.snap_up(seqs.a.value(n), tol)
+            lev_next = ladder.snap_up(seqs.a.value(n + 1), tol)
         except LadderError as e:
             raise PreconditionError(f"resolution error at n={n}: {e}") from e
         b_n = seqs.b.value(n)
-        fib = phi.fibre(lev_n)
-        nxt = phi.fibre(lev_next)
-        if restrict_U is not None:
-            fib = np.array([i for i in fib if i in restrict_U], dtype=int)
-            nxt = np.array([i for i in nxt if i in restrict_U], dtype=int)
-        if n == 0:
-            region = fib[fib == x]
-        else:
-            rad = seqs.b_partial(n)
-            region = fib[rowx[fib] < rad - tol] if fib.size else fib
-        if region.size == 0:
-            continue  # vacuous step
-        for u in region.tolist():
-            du = phi.space.dist_row(u)[nxt].min() if nxt.size else INF
+        radius = seqs.b_partial(n) if n else 0.0
+        if n and not radius:
+            continue  # the open ball B(x, 0) is empty: a vacuous step
+        stepped = False
+        for u, du in step_distances(phi.space, fibre(lev_n), fibre(lev_next),
+                                    x, radius, tol):
+            stepped = True
             if not policy.lt(du, b_n):
-                a3_ok = False
-                witness = (n, int(u))
+                a3_ok, witness = False, (n, u)
                 a3_msg = f"d(u={u}, Phi(a_{n + 1})) = {du} >= b_{n} = {b_n}"
                 break
-        if not a3_ok or lev_next == 0:
-            break
+        if not a3_ok or (stepped and lev_next == 0):
+            break  # an empty region is vacuous and does not end the sweep
     checks.append(("A3", a3_ok, a3_msg))
     return PreReport(ok=all(c[1] for c in checks), checks=checks, witness=witness)
 
@@ -215,11 +225,7 @@ def run_induction(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
     tol = policy.tol_strict
     ladder = phi.ladder
     trace = IterationTrace(bound=seqs.b_total())
-    t_idx = ladder.index_of(t, tol)
-    if int(x) not in set(phi.fibre(t_idx).tolist()):
-        raise PreconditionError(f"x={x} not in Phi(t={t})")
-    if restrict_U is not None and int(x) not in restrict_U:
-        raise PreconditionError(f"x={x} not in the restriction set")
+    fibre = _fibres_in_U(phi, t, x, restrict_U, tol)
 
     levels = []
     for n in range(seqs.horizon + 1):
@@ -241,16 +247,10 @@ def run_induction(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
     path: list[tuple[int, int]] = []  # (x_n, n_candidates)
 
     def successors(n: int, xn: int) -> list[int]:
-        b_n = seqs.b.value(n)
-        nxt = phi.fibre(levels[n + 1])
-        if restrict_U is not None:
-            nxt = np.array([i for i in nxt if i in restrict_U], dtype=int)
-        if nxt.size == 0:
-            return []
-        drow = phi.space.dist_row(xn)[nxt]
-        ok = nxt[drow < b_n - tol]
-        order = np.lexsort((ok, phi.space.dist_row(xn)[ok]))
-        return ok[order].tolist()
+        nxt = fibre(levels[n + 1])
+        d = phi.space.dist_row(xn)[nxt]
+        ok = d < seqs.b.value(n) - tol
+        return nxt[ok][np.lexsort((nxt[ok], d[ok]))].tolist()
 
     def dfs(n: int, xn: int) -> bool:
         deepest[0] = max(deepest[0], n)

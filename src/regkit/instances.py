@@ -4,8 +4,9 @@ One versioned JSON format carries every kind of instance the toolkit reads.
 `_get` reads each field by one rule of a closed set and raises any failure
 as an `InstanceError` at the field's JSON pointer; `_make` locates at its
 section the invariant a regkit constructor rejects.  Every integer of a
-file sizes an array the file holds or is capped, so memory stays bounded
-by the file's size.
+file sizes an array the file holds or is capped, and a map's |X|·|Y| is
+capped (`MAP_CAP`), so memory stays bounded by the file's size and the
+caps.
 """
 from __future__ import annotations
 
@@ -32,6 +33,9 @@ POLICY_CAPS = {
     "cone_gamma_levels": 1074,  # the cone oracles' gamma_k = 2^-k is 0.0 for k > 1074
     "evp_cap": 100_000,         # evp_oracle's |X|^2 distances: 10^10 at this cap
 }
+# The largest accepted |X|·|Y| of a map: dist_to_image_matrix and the onset
+# matrix are |X|×|Y| arrays, 32 MB each at this cap
+MAP_CAP = 4_000_000
 
 
 class InstanceError(RegkitError, ValueError):
@@ -152,6 +156,8 @@ def _map(sec, at, X, Y, policy) -> tuple:
     """(ladder, plain map, parametric map) of the map section."""
     if X is None or Y is None:
         raise InstanceError(at, "map requires X and Y spaces")
+    if X.n * Y.n > MAP_CAP:
+        raise InstanceError(at, f"{X.n} x {Y.n} points is above the cap of {MAP_CAP} pairs")
     embed = _get(_is(sec, at, dict), "embed", at, _is, str, ("open", "closed"),
                  default="open")
     ladder = _get(sec, "ladder", at, _floats, (None,), default=None)

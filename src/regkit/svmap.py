@@ -96,10 +96,7 @@ class PlainSetValuedMap:
 
     def dist_to_image(self, y: int, x: int) -> float:
         """d(y, F(x)); +inf when F(x) is empty."""
-        img = self._images[x]
-        if img.size == 0:
-            return INF
-        return float(self.Y.dist_row(y)[img].min())
+        return float(self.Y.dist_row(y)[self._images[x]].min(initial=INF))
 
     def dist_to_image_matrix(self) -> np.ndarray:
         """Matrix D[x, y] = d(y, F(x)), one column-block min per x."""
@@ -110,10 +107,7 @@ class PlainSetValuedMap:
         return D
 
     def dist_to_preimage(self, x: int, y: int) -> float:
-        pre = self._preimages[y]
-        if pre.size == 0:
-            return INF
-        return float(self.X.dist_row(x)[pre].min())
+        return float(self.X.dist_row(x)[self._preimages[y]].min(initial=INF))
 
 
 class ParamSetValuedMap:
@@ -206,38 +200,12 @@ class ParamSetValuedMap:
         return np.append(self.ladder.levels, INF)[self.onset_matrix()]
 
     def dist_to_inverse(self, x: int, t_idx: int, y: int) -> float:
-        inv = self.inverse_at_level_idx(t_idx, y)
-        if inv.size == 0:
-            return INF
-        return float(self.X.dist_row(x)[inv].min())
+        return float(self.X.dist_row(x)[self.inverse_at_level_idx(t_idx, y)].min(initial=INF))
 
-    def level0_inverse_of_ball(self, y: int, radius: float) -> set[int]:
-        """F_0^{-1}(B(y, radius)) over the open Y-ball (strict, tol semantics)."""
-        tol = self.policy.tol_strict
+    def level0_image_dists(self, y: int) -> np.ndarray:
+        """d(y, F_0(x)) for every x, +inf where F_0(x) is empty."""
         yrow = self.Y.dist_row(y)
-        if radius == 0:
-            ball = np.array([y], dtype=int)
-        else:
-            ball = np.nonzero(yrow < radius - tol)[0]
-        bset = set(ball.tolist())
-        out: set[int] = set()
-        for xi in range(self.X.n):
-            if bset & set(self.fibre(xi, 0).tolist()):
-                out.add(xi)
-        return out
-
-    def level0_image_of_ball(self, u: int, radius: float) -> set[int]:
-        """F_0(B(u, radius)) over the open ball (strict, tol semantics)."""
-        tol = self.policy.tol_strict
-        row = self.X.dist_row(u)
-        if radius == 0:
-            xs = [u]
-        else:
-            xs = np.nonzero(row < radius - tol)[0]
-        out: set[int] = set()
-        for xi in xs:
-            out.update(self.fibre(int(xi), 0).tolist())
-        return out
+        return np.array([yrow[self.fibre(x, 0)].min(initial=INF) for x in range(self.X.n)])
 
 
 def embed_plain(F: PlainSetValuedMap, ladder: TLadder, closed: bool = False,
@@ -275,15 +243,12 @@ def outer_semicontinuity_at_zero(F: ParamSetValuedMap, y: int) -> OscReport:
     """
     if F.ladder.positive.size == 0:
         raise LadderError("no positive ladder levels")
-    tol = F.policy.tol_strict
-    zero_set = set(F.inverse_at_level_idx(0, y).tolist())
-    first = F.inverse_at_level_idx(1, y)
-    for z in first.tolist():
-        # d(z, F_{t_min}^{-1}(y)) = 0 <= tol for members of the fibre itself
-        if z not in zero_set:
-            near = any(F.X.d(z, w) <= tol for w in zero_set)
-            if not near:
-                return OscReport(False, witness=int(z))
+    zero = F.inverse_at_level_idx(0, y)
+    # members of the zero fibre pass outright; any other z needs a member
+    # within tol of it
+    for z in np.setdiff1d(F.inverse_at_level_idx(1, y), zero).tolist():
+        if F.X.dist_row(z)[zero].min(initial=INF) > F.policy.tol_strict:
+            return OscReport(False, witness=z)
     return OscReport(True)
 
 

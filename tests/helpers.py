@@ -185,6 +185,18 @@ def random_param_map(rng: np.random.Generator, n_max: int = 20,
     return F, W
 
 
+def random_linear_scheme(rng: np.random.Generator, t: float) -> AuxScheme:
+    """b(tau) = r tau and m(tau) = k tau with k < 1, plus explicit tables
+    b_n = m(tau_n) and c_n = tau_{n+1} over tau_n = t r^n, ending at c = 0,
+    so every level m(c_n) stays on a ladder whose top is at least t."""
+    r = float(rng.uniform(0.3, 0.7))
+    k = float(rng.uniform(0.1, 1.0))
+    taus = [t * r ** n for n in range(int(rng.integers(2, 8)))]
+    return AuxScheme(b=FunctionalModulus.linear(r), m=FunctionalModulus.linear(k),
+                     b_seq=tuple(k * tau for tau in taus),
+                     c_seq=tuple(taus[1:]) + (0.0,))
+
+
 @dataclass
 class PlainChain:
     F: PlainSetValuedMap

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from regkit import certifiers
-from regkit.induction import PreconditionError
+from regkit.induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
+                              verify_preconditions)
 from regkit.metric import FiniteMetricSpace
 from regkit.moduli import (AuxScheme, FunctionalModulus, ModulusError,
                            canonical_mu)
@@ -134,6 +135,138 @@ def test_image_space_set1_violation():
     cert = certifiers.certify_image_space(F2, ci.x, ci.t, ci.y,
                                           ci.scheme_orbit)
     assert any(h.name == "set1" and not h.passed for h in cert.hypotheses)
+
+
+def _random_starts(seed: int, twins: bool = False):
+    """(F, x, t, y, scheme) over the positive-level graph points of a random
+    param map; with twins, point 1 sits on point 0 (distance 0)."""
+    rng = np.random.default_rng(seed)
+    F, _ = helpers.random_param_map(rng)
+    if twins:
+        coords = F.X.coords.copy()
+        coords[1] = coords[0]
+        F = ParamSetValuedMap(FiniteMetricSpace(metric="euclidean", coords=coords),
+                              F.Y, F.ladder, graph=F.graph, monotone=True)
+    trip = sorted(tr for tr in F.graph if tr[1] > 0)
+    for j in rng.choice(len(trip), size=min(4, len(trip)), replace=False):
+        x, k, y = trip[int(j)]
+        t = float(F.ladder.levels[k])
+        yield F, x, t, y, helpers.random_linear_scheme(rng, t)
+
+
+def _image_space_by_sets(F, x, t, y, scheme, policy=DEFAULT_POLICY):
+    """The (set1) and (set2 + derived step) witnesses of the image-space
+    criterion re-derived from fibres and distance rows with Python sets:
+    F_0^{-1}(B(y, tau)) and F_0(B(u, m)) are unions of level-0 fibres.
+    Also counts the u that pass (set2)."""
+    tol, H = policy.tol_strict, policy.horizon
+    yrow = F.Y.dist_row(y)
+
+    def inv0_of_ball(tau):
+        ball = {j for j in range(F.Y.n) if yrow[j] < tau - tol}
+        return {z for z in range(F.X.n) if ball & set(F.fibre(z, 0).tolist())}
+
+    def img0_of_ball(u, m):
+        row = F.X.dist_row(u)
+        zs = [u] if m == 0 else [z for z in range(F.X.n) if row[z] < m - tol]
+        return set().union(*(F.fibre(z, 0).tolist() for z in zs))
+
+    set1 = step = None
+    n_set2 = 0
+    orbit = scheme.orbit(t, H, tol)
+    mu_t = canonical_mu(scheme, t, H, tol)
+    for n, (tau, nxt) in enumerate(zip(orbit, orbit[1:])):
+        if tau <= tol:
+            break
+        lev, lev_next = F.ladder.snap_up(tau, tol), F.ladder.snap_up(nxt, tol)
+        for s, k in ((tau, lev), (nxt, lev_next)):
+            if set1 is None and s > tol:
+                extra = inv0_of_ball(s) - set(F.inverse_at_level_idx(k, y).tolist())
+                set1 = (s, min(extra)) if extra else None
+        radius = 0.0 if n == 0 else mu_t - canonical_mu(scheme, tau, H, tol)
+        rowx = F.X.dist_row(x)
+        m, b = scheme.m(tau), scheme.b(tau)
+        for u in F.inverse_at_level_idx(lev, y).tolist():
+            if not (u == x if radius <= 0 else rowx[u] < radius - tol):
+                continue
+            dy = min((yrow[j] for j in img0_of_ball(u, m)), default=INF)
+            du = min((F.X.d(u, v) for v in F.inverse_at_level_idx(lev_next, y).tolist()),
+                     default=INF)
+            if dy > tol and not policy.lt(dy, b):
+                step = (n, u)
+                break
+            n_set2 += 1
+            if set1 is None and du > tol and not policy.lt(du, m):
+                step = (n, u)
+                break
+        if step is not None or lev_next == 0:
+            break
+    return set1, step, n_set2
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_image_space_matches_set_derivation(seed):
+    """(set1) and (set2+derived-step) verdicts and witnesses agree with the
+    set derivation, on maps with empty level-0 fibres and twin points."""
+    for F, x, t, y, scheme in _random_starts(seed, twins=seed % 2 == 1):
+        cert = certifiers.certify_image_space(F, x, t, y, scheme)
+        hyp = {h.name: h for h in cert.hypotheses}
+        assert hyp["mutau+"].passed
+        set1, step, n_set2 = _image_space_by_sets(F, x, t, y, scheme)
+        assert (hyp["set1"].passed, hyp["set1"].witness) == (set1 is None, set1)
+        assert (hyp["set2+derived-step"].passed,
+                hyp["set2+derived-step"].witness) == (step is None, step)
+        assert f"{n_set2} intermediate z-witnesses logged" in cert.notes
+
+
+@pytest.mark.parametrize("criterion", ["B4+/B5+", "net+++", "A3"])
+def test_failing_step_witnesses_are_genuine(criterion):
+    """Each failing step witness (n, u) lies in step n's region, and its
+    d(u, next fibre) breaks the bound under that caller's rule."""
+    tol = DEFAULT_POLICY.tol_strict
+    failures = 0
+    for seed in range(40):
+        for F, x, t, y, scheme in _random_starts(seed):
+            if criterion == "B4+/B5+":
+                cert = certifiers.certify_khanh_plus(F, x, t, y, scheme)
+                levels = [F.ladder.index_of(t, tol)] + [F.ladder.snap_up(scheme.m(c), tol)
+                                    for c in scheme.c_seq]
+                bounds = list(scheme.b_seq)
+                radii = np.cumsum([0.0] + bounds)
+            elif criterion == "net+++":
+                cert = certifiers.certify_khanh4_plus(F, x, t, y, scheme)
+                orbit = scheme.orbit(t, DEFAULT_POLICY.horizon, tol)
+                levels = [F.ladder.snap_up(tau, tol) for tau in orbit]
+                bounds = [scheme.m(tau) for tau in orbit]
+                mu = [canonical_mu(scheme, tau, DEFAULT_POLICY.horizon, tol)
+                      for tau in orbit]
+                radii = [mu[0] - v for v in mu]
+            else:
+                phi = LevelMap.from_param_map(F, y)
+                seqs = SequenceSpec(a=Seq.geometric(t, scheme.b(1.0)),
+                                    b=Seq.explicit(scheme.b_seq))
+                pre = verify_preconditions(phi, t, x, seqs)
+                wit = pre.witness
+                levels = [F.ladder.snap_up(seqs.a.value(n), tol)
+                          for n in range(seqs.horizon + 1)]
+                bounds = [seqs.b.value(n) for n in range(seqs.horizon)]
+                radii = [seqs.b_partial(n) for n in range(seqs.horizon)]
+            if criterion != "A3":
+                failed = [h for h in cert.hypotheses if h.name == criterion
+                          and not h.passed and h.witness is not None]
+                wit = failed[0].witness if failed else None
+            if wit is None:
+                continue
+            failures += 1
+            n, u = wit
+            assert u in F.inverse_at_level_idx(levels[n], y).tolist()
+            assert u == x if n == 0 else F.X.d(x, u) < radii[n] - tol
+            nxt = F.inverse_at_level_idx(levels[n + 1], y).tolist()
+            du = min((F.X.d(u, v) for v in nxt), default=INF)
+            assert not DEFAULT_POLICY.lt(du, bounds[n])
+            if criterion != "A3":     # the certifiers accept an exact hit
+                assert du > tol
+    assert failures >= 10, failures
 
 
 # -- free-t wrappers ---------------------------------------------------------

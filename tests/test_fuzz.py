@@ -163,13 +163,18 @@ def test_huge_sizes_exit_2_under_a_memory_limit(tmp_path):
 
     evp = str(tmp_path / "evp.json")
     save_instance(BASES["evp"], evp)
+    # a 1.5 MB file whose |X|x|Y| matrices would take 6.7 GiB each
+    big = str(tmp_path / "big-map.json")
+    line = {"metric": "euclidean", "points": list(range(30_000))}
+    save_instance({"version": 1, "X": line, "Y": line, "map": {
+        "plain_graph": [[i, i] for i in range(30_000)], "ladder": [0, 1, 2]}}, big)
     groups = [
         [case("polyhedral-opt", ("poly", k), ["optcond", "--task", "cq"])
          for k in ("n", "q", "r")],
         [case("evp", ("policy", "horizon"), ["ekeland"]),
          case("demo", ("policy", "cone_gamma_levels"),
               ["optcond", "--task", "cones", "--validate"]),
-         ["ekeland", evp, "--horizon", str(10**9)]]]
+         ["ekeland", evp, "--horizon", str(10**9)], ["load", big]]]
     # one BLAS thread, so the limit does not depend on the number of cores
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -183,3 +188,5 @@ def test_huge_sizes_exit_2_under_a_memory_limit(tmp_path):
         for argv, (code, msg) in zip(argvs, json.loads(out)):
             assert code == 2 and msg.startswith("error: /"), (argv, msg)
             assert "MemoryError" not in msg, (argv, msg)
+            if argv[1] == big:
+                assert msg.startswith("error: /map: ") and msg.count("\n") == 1, msg

@@ -4,9 +4,9 @@ import pytest
 
 import helpers
 from regkit.induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
-                              run_induction, verify_preconditions)
+                              run_induction, step_distances, verify_preconditions)
 from regkit.metric import FiniteMetricSpace
-from regkit.policy import DEFAULT_POLICY
+from regkit.policy import DEFAULT_POLICY, INF
 from regkit.svmap import TLadder
 
 
@@ -66,6 +66,30 @@ def test_precondition_failures_reported():
         verify_preconditions(case.phi, case.t, case.phi.space.n - 1, case.seqs)
     with pytest.raises(PreconditionError):
         run_induction(case.phi, case.t, case.phi.space.n - 1, case.seqs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_step_distances_match_brute_force(seed):
+    """The step's region and d(u, next fibre) against a brute force, with
+    radius 0 at an x outside fib, an empty fib and an empty next fibre."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 15))
+    space = FiniteMetricSpace(metric="euclidean",
+                              coords=rng.uniform(0.0, 4.0, size=(n, 2)))
+    tol = DEFAULT_POLICY.tol_strict
+    x = int(rng.integers(0, n))
+    subsets = [np.nonzero(rng.random(n) < p)[0] for p in (0.3, 0.7)]
+    empty = np.empty(0, dtype=int)
+    without_x = np.setdiff1d(np.arange(n), [x])
+    for fib, nxt, radius in [(f, g, r) for f in subsets + [empty, without_x]
+                             for g in subsets + [empty]
+                             for r in (0.0, float(rng.uniform(0.5, 3.0)))]:
+        got = list(step_distances(space, fib, nxt, x, radius, tol))
+        region = [u for u in fib.tolist() if
+                  (u == x if radius == 0 else space.d(x, u) < radius - tol)]
+        want = [(u, min((space.d(u, v) for v in nxt.tolist()), default=INF))
+                for u in region]
+        assert got == want
 
 
 def test_horizon_exhausted():

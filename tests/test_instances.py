@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from regkit import instances
 from regkit.instances import (FORMAT_VERSION, InstanceError, generate_instance,
                               load_instance, parse_instance, save_instance)
 
@@ -40,6 +41,17 @@ def test_map_requires_spaces_and_ladder():
     with pytest.raises(InstanceError, match="/map/graph"):
         parse_instance({**base, "map": {"graph": [[7, 0, 0]],
                                         "ladder": [0.0, 1.0]}})
+
+
+def test_map_size_is_capped(monkeypatch):
+    """A map with |X|·|Y| above MAP_CAP is rejected at /map, one at the cap loads."""
+    monkeypatch.setattr(instances, "MAP_CAP", 6)
+    line = {"metric": "euclidean", "points": [0.0, 1.0, 2.0]}
+    raw = {"version": 1, "X": line, "Y": {**line, "points": [0.0, 1.0]},
+           "map": {"plain_graph": [[0, 0]], "ladder": [0.0, 1.0]}}
+    assert parse_instance(raw).param is not None
+    with pytest.raises(InstanceError, match="^/map: 3 x 3 points"):
+        parse_instance({**raw, "Y": line})
 
 
 def test_modulus_errors_are_located():

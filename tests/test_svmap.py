@@ -110,28 +110,6 @@ def test_triple_graph_and_monotone_validation():
         ParamSetValuedMap(X, Y, lad, graph=[(0, 9, 0)])
 
 
-def test_level0_ball_operations():
-    ci = helpers.make_chain(3)
-    F = ci.F
-    # brute-force re-derivation of both ball images
-    for radius in (0.0, 0.3, 1.0):
-        got = F.level0_inverse_of_ball(ci.y, radius)
-        yrow = F.Y.dist_row(ci.y)
-        ball = {ci.y} if radius == 0 else \
-            {j for j in range(F.Y.n) if yrow[j] < radius - 1e-12}
-        want = {x for x in range(F.X.n)
-                if ball & set(F.fibre(x, 0).tolist())}
-        assert got == want
-    u = ci.x
-    got = F.level0_image_of_ball(u, 0.5)
-    row = F.X.dist_row(u)
-    want = set()
-    for x in range(F.X.n):
-        if row[x] < 0.5 - 1e-12:
-            want |= set(F.fibre(x, 0).tolist())
-    assert got == want
-
-
 # -- outer semicontinuity ----------------------------------------------------
 
 def test_osc_detects_fibre_collapse():
