@@ -20,7 +20,7 @@ from .induction import (LevelMap, PreconditionError, run_induction,
                         verify_preconditions)
 from .instances import (InstanceError, demo_polyopt_raw, generate_instance,
                         load_instance, save_instance)
-from .moduli import ModulusError
+from .moduli import FunctionalModulus, ModulusError
 from .policy import RegkitError
 from .polyhedra import (sample_directions, sampled_tangent_membership,
                         tangent_cone)
@@ -191,14 +191,11 @@ def cmd_ekeland(args) -> int:
     rep = Report("ekeland", inst.policy.seed, inst.policy)
     if args.verify_only is not None:
         chk = ekeland.evp_verify(evp, args.verify_only, inst.policy)
-        for name, ok in (("near", chk.near), ("descent", chk.descent),
-                         ("stationary", chk.stationary)):
-            rep.add(f"ekeland/{name}", ok, witness=chk.violation)
-        return _emit(rep, args)
-    res = ekeland.evp_solve(evp, inst.policy)
-    chk = ekeland.evp_verify(evp, res.z, inst.policy)
-    rep.add("ekeland/solve", chk.ok, witness=res.z,
-            detail=f"iters={res.n_iter} residual={res.residual}")
+    else:
+        res = ekeland.evp_solve(evp, inst.policy)
+        chk = ekeland.evp_verify(evp, res.z, inst.policy)
+        rep.add("ekeland/solve", chk.ok, witness=res.z,
+                detail=f"iters={res.n_iter} residual={res.residual}")
     for name, ok in (("near", chk.near), ("descent", chk.descent),
                      ("stationary", chk.stationary)):
         rep.add(f"ekeland/{name}", ok, witness=chk.violation)
@@ -218,7 +215,7 @@ def cmd_optcond(args) -> int:
         if args.validate:
             dirs = sample_directions(opt.n, 200, rng)
             agree = sum(
-                T.contains(d, 1e-9) == sampled_tangent_membership(
+                T.contains(d) == sampled_tangent_membership(
                     opt.S, opt.xbar, d,
                     inst.policy.cone_gamma_levels,
                     inst.policy.cone_oracle_tol).member
@@ -253,7 +250,6 @@ def cmd_optcond(args) -> int:
         else:
             ext = optcond.BallExtension(
                 opt.H, opt.xbar + 0.1 * sample_directions(opt.n, 16, rng))
-            from .moduli import FunctionalModulus
             mu = FunctionalModulus.linear(10.0)
             c2 = optcond.check_claim2(opt, trip, ext, mu, theta=1.0, rng=rng)
             rep.add("optcond/claim2", c2.holds,

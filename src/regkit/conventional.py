@@ -235,9 +235,12 @@ def estimate_best_modulus(F: PlainSetValuedMap, W: Iterable[tuple[int, int]],
 
 
 def modulus_is_tight(F: PlainSetValuedMap, W: list[tuple[int, int]],
-                     fit: ModulusFit, shrink: float = 1e-9,
+                     fit: ModulusFit,
                      policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True when lam* passes on W but lam*(1 - shrink) fails.
+    """True when lam* passes on W but lam*(1 - 1e-9) fails.
+
+    lam* is the largest ratio over W, so a smaller rate fails at its
+    argmax; the relative step 1e-9 is far above rounding.
 
     Degenerate case lam* = 0 (every pair lands exactly) is reported tight.
     """
@@ -251,6 +254,6 @@ def modulus_is_tight(F: PlainSetValuedMap, W: list[tuple[int, int]],
     strict = NumericPolicy(tol_strict=0.0, triangle_tol=policy.triangle_tol,
                            horizon=policy.horizon)
     qb = RegularityQuery(F, W, FunctionalModulus.power(
-        fit.lam_star * (1.0 - shrink), fit.k))
+        fit.lam_star * (1.0 - 1e-9), fit.k))
     fails_below = not check_metric_regularity(qb, strict).holds
     return ok_at and fails_below

@@ -142,7 +142,7 @@ def evp_verify(inst: EVPInstance, z: int,
                     dist=float(dz))
 
 
-def evp_oracle(inst: EVPInstance, chunk: int = 256,
+def evp_oracle(inst: EVPInstance,
                policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """All points satisfying conclusions (i)-(iii), by brute force.
 
@@ -159,6 +159,7 @@ def evp_oracle(inst: EVPInstance, chunk: int = 256,
     slope = inst.slope
     near = inst.space.dist_row(inst.x0) < inst.lam
     idx_all = np.nonzero(near & finite & (fvals <= fvals[inst.x0] + tol))[0]
+    chunk = 256     # block arrays are chunk x |X| floats: 20 MB at |X| = 10^4
     for lo in range(0, idx_all.size, chunk):
         cand = idx_all[lo:lo + chunk]
         # rows: candidate z; cols: competitor u

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import RegkitError
+from .policy import POLY_TOL, RegkitError
 
 
 class LinSolveError(RegkitError, RuntimeError):
@@ -224,8 +224,7 @@ def feasible_point(n: int, A_ub=None, b_ub=None, A_eq=None,
     return FeasibilityResult(point is not None, point)
 
 
-def strict_interior_point(n: int, A_ub, b_ub, A_eq=None, b_eq=None,
-                          tol: float = 1e-9):
+def strict_interior_point(n: int, A_ub, b_ub, A_eq=None, b_eq=None):
     """A point with A_ub x < b_ub (componentwise) and A_eq x = b_eq, or None.
 
     Maximizes the uniform slack s subject to A_ub x + s <= b_ub with rows
@@ -241,7 +240,7 @@ def strict_interior_point(n: int, A_ub, b_ub, A_eq=None, b_eq=None,
     bub = np.concatenate([b_ub, [1.0]])
     Aeq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
     res = solve_lp(c, A_ub=Aub, b_ub=bub, A_eq=Aeq, b_eq=b_eq)
-    if res.status != 0 or -res.fun <= tol:
+    if res.status != 0 or -res.fun <= POLY_TOL:
         return None
     return np.asarray(res.x[:n])
 
@@ -258,11 +257,11 @@ def max_support(c, n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     return -val, arg
 
 
-def in_cone_of(generators: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+def in_cone_of(generators: np.ndarray, v: np.ndarray) -> bool:
     """v in cone(generators)?  Generators are rows; empty cone is {0}."""
     G = np.atleast_2d(np.asarray(generators, dtype=float))
     v = np.asarray(v, dtype=float)
     if G.size == 0 or G.shape[0] == 0:
-        return bool(np.abs(v).max(initial=0.0) <= tol)
+        return bool(np.abs(v).max(initial=0.0) <= POLY_TOL)
     res = solve_lp(np.zeros(G.shape[0]), A_eq=G.T, b_eq=v, bounds=(0, None))
     return res.status == 0

@@ -144,14 +144,15 @@ class AuxScheme:
         orb = self.orbit(t, horizon, tol)
         return orb[-1] <= tol and all(b <= a for a, b in zip(orb, orb[1:]))
 
-    def m_vanishing_sampled(self, t: float, horizon: int, tol: float = 1e-12,
-                            n_eps: int = 8) -> bool:
-        """Sampled form of 'm(tau) -> 0 forces tau -> 0': inf m on [eps, t] > 0."""
+    def m_vanishing_sampled(self, t: float, horizon: int,
+                            tol: float = 1e-12) -> bool:
+        """Sampled form of 'm(tau) -> 0 forces tau -> 0': inf m on [eps, t] > 0
+        at 33 points for eps = t/2, ..., t/2^8, 264 calls of m at most."""
         if self.m is None:
             raise ModulusError("scheme has no m function")
         if t <= 0:
             return True
-        for j in range(n_eps):
+        for j in range(8):
             eps = t * 0.5 ** (j + 1)
             taus = np.linspace(eps, t, 33)
             if min(self.m(float(s)) for s in taus) <= tol:

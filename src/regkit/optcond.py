@@ -13,24 +13,26 @@ treated as its interior; bd Q is the union of the facet-equality slices
 of that closure.  A derivative set is None only when it is known empty
 without an LP (a direction pair off the tangent cone, a slice row
 0 <= rhs < 0); the LP that uses any other set reports it empty.
+Memberships and re-checks are read at `policy.POLY_TOL`.
 
 Everything the rule needs at one critical triple that depends on neither
 the sampled x nor the multipliers (F+, G+, the joint second-order cones
 of their graphs and of gph H, the second-order sets of S and
-A2(-D, zbar, k)) is built once per call by `_triple_sets`.  Each derivative
-cone then gets one `_Slicer` per call, so a sampled x costs the slice's
-right-hand side and one member of the slicer's LP family, and no polyhedron.
+A2(-D, zbar, k)) is built once per call by `_triple_sets`.  Every slice
+{e : (x, e) in T} is cut by one `_Slicer` per graph or cone, so a sampled
+x costs the slice's right-hand side and one LP family member, no polyhedron.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import linsolve
-from .policy import RegkitError
+from .policy import POLY_TOL, RegkitError
 from .polyhedra import (Polyhedron, SecondOrderSets, cone_hull_shifted,
                         fourier_motzkin, normal_cone_generators,
                         sample_cone_points, sample_directions,
@@ -56,33 +58,21 @@ class PolyMapSpec:
         if self.graph.dim != self.n_in + self.n_out:
             raise OptError("graph dimension mismatch")
 
+    @cached_property
+    def _slicer(self) -> "_Slicer":
+        return _Slicer(self.graph, self.n_in)
+
     def value_polyhedron(self, x) -> Optional[Polyhedron]:
         """E(x) in the output space; None when known empty without an LP."""
-        return _slice_polyhedron(self.graph.A, self.graph.b,
-                                 np.asarray(x, dtype=float), self.n_out)
+        return self._slicer.at(x)
 
-    def contains(self, x, y, tol: float = 1e-9) -> bool:
-        return self.graph.contains(np.concatenate([x, y]), tol)
+    def contains(self, x, y) -> bool:
+        return self.graph.contains(np.concatenate([x, y]))
 
     def dist_to_value(self, y, x) -> float:
         """d_inf(y, E(x)); +inf when E(x) is empty."""
         V = self.value_polyhedron(x)
         return np.inf if V is None else V.linf_distance(np.asarray(y, dtype=float))
-
-
-def _slice_polyhedron(A: np.ndarray, b: np.ndarray, x: np.ndarray,
-                      n_out: int) -> Optional[Polyhedron]:
-    """{y : A (x, y) <= b} as a polyhedron in y; None only when a row
-    without y-part reads 0 <= rhs < 0.  No LP: the caller's own LP finds
-    any other empty slice.  The rows kept, and so the polyhedron's
-    matrix, do not depend on x (see `_Slicer`)."""
-    n_in = A.shape[1] - n_out
-    Ay = A[:, n_in:]
-    rhs = b - A[:, :n_in] @ x
-    keep = np.abs(Ay).max(axis=1, initial=0.0) > 1e-12
-    if (rhs[~keep] < -1e-9).any():
-        return None
-    return Polyhedron(Ay[keep], rhs[keep])
 
 
 def graph_plus_cone(E: PolyMapSpec, K: Polyhedron) -> PolyMapSpec:
@@ -108,52 +98,50 @@ def graph_plus_cone(E: PolyMapSpec, K: Polyhedron) -> PolyMapSpec:
 
 # -- graph derivatives ------------------------------------------------------
 
-def _graph_tangent_cone(E: PolyMapSpec, xbar, ebar, tol) -> Polyhedron:
+def _graph_tangent_cone(E: PolyMapSpec, xbar, ebar) -> Polyhedron:
     """T(gph E, (xbar, ebar)) in (x, e)."""
     base = np.concatenate([np.asarray(xbar, float), np.asarray(ebar, float)])
-    if not E.graph.contains(base, tol):
+    if not E.graph.contains(base):
         raise OptError("base point off the graph")
-    return tangent_cone(E.graph, base, tol)
-
-
-def _slice_cone(T: Optional[Polyhedron], x) -> Optional[Polyhedron]:
-    """{e : (x, e) in T}; None when T is None or known empty without an LP."""
-    if T is None:
-        return None
-    x = np.asarray(x, dtype=float)
-    return _slice_polyhedron(T.A, T.b, x, T.dim - x.size)
+    return tangent_cone(E.graph, base)
 
 
 class _Slicer:
-    """The slices {e : (x, e) in T} of one cone T at varying x, and
-    min <c, e> over them as one LP family.
+    """The slices {e : (x, e) in T} of one polyhedron T (None: empty) at
+    varying x in R^n, and, given c, min <c, e> over them as one LP family.
 
-    A slice keeps the rows of T with a y-part, normalized as `Polyhedron`
-    normalizes them, so its matrix does not depend on x: it is `cone.A`,
-    the slice at x = 0, which T, a cone, always has.  `rhs(x)` is the b
-    of `_slice_cone(T, x)`, computed by the same operations, and None
-    where that is None; no polyhedron is built per x.
+    A slice keeps T's rows with an e-part; it is None, with no LP, when a
+    row without one reads 0 <= rhs < -POLY_TOL, and any other empty slice
+    is left to its LP.  The kept rows do not depend on x, so neither does
+    the slice's normalized matrix `cone.A`.  `at(x)` normalizes the raw
+    kept rows and rhs once; `rhs(x)` is its b, with no polyhedron built.
     """
 
-    def __init__(self, T: Optional[Polyhedron], n: int, c):
+    def __init__(self, T: Optional[Polyhedron], n: int, c=None):
         self.cone = None
         if T is None:
             return
         Ay = T.A[:, n:]
         self._keep = np.abs(Ay).max(axis=1, initial=0.0) > 1e-12
-        self._Ax, self._b = T.A[:, :n], T.b
-        Ay = Ay[self._keep]
-        self._norms = np.linalg.norm(Ay, axis=1)
-        self.cone = Polyhedron(Ay, np.zeros(Ay.shape[0]))
-        self.family = linsolve.LPFamily(c, A_ub=self.cone.A)
+        self._Ax, self._b, self._Ay = T.A[:, :n], T.b, Ay[self._keep]
+        self._norms = np.linalg.norm(self._Ay, axis=1)
+        self.cone = Polyhedron(self._Ay, np.zeros(self._Ay.shape[0]))
+        if c is not None:
+            self.family = linsolve.LPFamily(c, A_ub=self.cone.A)
 
-    def rhs(self, x) -> Optional[np.ndarray]:
+    def _raw_rhs(self, x) -> Optional[np.ndarray]:
         if self.cone is None:
             return None
-        rhs = self._b - self._Ax @ x
-        if (rhs[~self._keep] < -1e-9).any():
-            return None
-        return rhs[self._keep] / self._norms
+        rhs = self._b - self._Ax @ np.asarray(x, dtype=float)
+        return None if (rhs[~self._keep] < -POLY_TOL).any() else rhs[self._keep]
+
+    def at(self, x) -> Optional[Polyhedron]:
+        rhs = self._raw_rhs(x)
+        return None if rhs is None else Polyhedron(self._Ay, rhs)
+
+    def rhs(self, x) -> Optional[np.ndarray]:
+        rhs = self._raw_rhs(x)
+        return None if rhs is None else rhs / self._norms
 
     def minimum(self, x) -> tuple:
         """inf <c, e> over the slice at x and a minimizer: (+inf, None)
@@ -171,19 +159,19 @@ class _Slicer:
         return pt[None, :] if pt is not None else np.zeros((0, self.cone.dim))
 
 
-def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u, v,
-                              tol) -> Optional[Polyhedron]:
+def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u,
+                              v) -> Optional[Polyhedron]:
     """Unsliced second-order derivative set in (x, e); None when the
     direction pair leaves the graph's tangent cone."""
     direction = np.concatenate([np.asarray(u, float), np.asarray(v, float)])
-    T = _graph_tangent_cone(E, xbar, ebar, tol)
-    if not T.contains(direction, tol):
+    T = _graph_tangent_cone(E, xbar, ebar)
+    if not T.contains(direction):
         return None
-    return tangent_cone(T, direction, tol)
+    return tangent_cone(T, direction)
 
 
-def second_order_graph_derivative(E: PolyMapSpec, xbar, ebar, u, v, x,
-                                  tol: float = 1e-9) -> Optional[Polyhedron]:
+def second_order_graph_derivative(E: PolyMapSpec, xbar, ebar, u, v,
+                                  x) -> Optional[Polyhedron]:
     """D2E(xbar, ebar, u, v)(x), the second-order derivative set at x.
 
     None when (u, v) leaves the graph's tangent cone or the slice is
@@ -191,7 +179,8 @@ def second_order_graph_derivative(E: PolyMapSpec, xbar, ebar, u, v, x,
     cone, which equals both the contingent and adjacent second-order
     sets for polyhedral graphs.
     """
-    return _slice_cone(_joint_second_order_graph(E, xbar, ebar, u, v, tol), x)
+    return _Slicer(_joint_second_order_graph(E, xbar, ebar, u, v),
+                   np.size(x)).at(x)
 
 
 # -- problem instances ------------------------------------------------------
@@ -218,28 +207,27 @@ class OptInstance:
         self.ybar = np.asarray(self.ybar, dtype=float)
         self.zbar = np.asarray(self.zbar, dtype=float)
 
-    def validate(self, tol: float = 1e-9) -> list[str]:
+    def validate(self) -> list[str]:
         """Feasibility of the base triple plus cone sanity; returns problems."""
         bad = []
-        if not self.S.contains(self.xbar, tol):
+        if not self.S.contains(self.xbar):
             bad.append("xbar outside S")
-        if not self.F.contains(self.xbar, self.ybar, tol):
+        if not self.F.contains(self.xbar, self.ybar):
             bad.append("ybar not in F(xbar)")
-        if not self.G.contains(self.xbar, self.zbar, tol):
+        if not self.G.contains(self.xbar, self.zbar):
             bad.append("zbar not in G(xbar)")
-        minusD = Polyhedron(-self.D.A, self.D.b)
-        if not minusD.contains(self.zbar, tol):
+        if not self.minus_D().contains(self.zbar):
             bad.append("zbar not in -D")
-        if not self.H.contains(self.xbar, np.zeros(self.r), tol):
+        if not self.H.contains(self.xbar, np.zeros(self.r)):
             bad.append("0 not in H(xbar)")
         for name, K in (("C", self.C), ("Q", self.Q), ("D", self.D)):
             if not K.is_cone():
                 bad.append(f"{name} is not a cone")
-            elif not _pointed(K, tol):
+            elif not _pointed(K):
                 bad.append(f"{name} is not pointed")
-        if not self.D.has_nonempty_interior(tol):
+        if not self.D.has_nonempty_interior():
             bad.append("D has empty interior")
-        if not self.Q.has_nonempty_interior(tol):
+        if not self.Q.has_nonempty_interior():
             bad.append("Q has empty interior")
         return bad
 
@@ -270,7 +258,7 @@ class OptInstance:
         return Polyhedron(A2, b2)
 
 
-def _pointed(K: Polyhedron, tol: float = 1e-9) -> bool:
+def _pointed(K: Polyhedron) -> bool:
     """K cap -K = {0}.  The lineality space of {x : A x <= 0} is the null
     space of A, so pointedness is a rank condition."""
     if K.m == 0:
@@ -302,8 +290,8 @@ def _point_on_minus_boundary(K: Polyhedron, inside: Polyhedron):
 
 
 def critical_directions(inst: OptInstance, n_dirs: int = 64,
-                        rng: Optional[np.random.Generator] = None,
-                        tol: float = 1e-9) -> list[CriticalTriple]:
+                        rng: Optional[np.random.Generator] = None
+                        ) -> list[CriticalTriple]:
     """Sampled enumeration of the critical-direction system.
 
     Candidate u come from a direction sample plus the coordinate axes;
@@ -311,8 +299,8 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
     For each remaining u the three memberships are resolved by linear
     feasibility: v in DF+(xbar, ybar)(u) meeting -bd Q (facet by facet),
     k in DG+(xbar, zbar)(u) meeting -cl cone(D + zbar), and (u, 0) in
-    the tangent cone of gph H.  Every returned triple re-verifies each
-    membership.  An empty list is a valid outcome.
+    the tangent cone of gph H.  The v and k that LPs find are re-checked at
+    `POLY_TOL`.  An empty list is a valid outcome.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     cands = [np.zeros(inst.n)]
@@ -320,63 +308,49 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
     cands += list(sample_directions(inst.n, n_dirs, rng))
 
     # first-order cones at the base point, sliced per candidate u
-    TS = tangent_cone(inst.S, inst.xbar, tol)
+    TS = tangent_cone(inst.S, inst.xbar)
     TH = tangent_cone(inst.H.graph,
-                      np.concatenate([inst.xbar, np.zeros(inst.r)]), tol)
-    TF = _graph_tangent_cone(inst.F_plus(), inst.xbar, inst.ybar, tol)
-    TG = _graph_tangent_cone(inst.G_plus(), inst.xbar, inst.zbar, tol)
+                      np.concatenate([inst.xbar, np.zeros(inst.r)]))
+    sv = _Slicer(_graph_tangent_cone(inst.F_plus(), inst.xbar, inst.ybar),
+                 inst.n)
+    sk = _Slicer(_graph_tangent_cone(inst.G_plus(), inst.xbar, inst.zbar),
+                 inst.n)
     big_cone = cone_hull_shifted(inst.D, inst.zbar)
 
     out: list[CriticalTriple] = []
     for u in cands:
-        if not TS.contains(u, tol):
+        if not TS.contains(u):
             continue
-        if not TH.contains(np.concatenate([u, np.zeros(inst.r)]), tol):
+        if not TH.contains(np.concatenate([u, np.zeros(inst.r)])):
             continue
-        DV = _slice_cone(TF, u)
+        DV = sv.at(u)
         if DV is None:
             continue
         v = _point_on_minus_boundary(inst.Q, DV)
         if v is None:
             continue
-        DK = _slice_cone(TG, u)
+        DK = sk.at(u)
         if DK is None:
             continue
         # k = 0 first when admissible: it carries no orthogonality
         # constraint on k*, so multipliers are most often found there
         kcands = []
         zero_k = np.zeros(inst.q)
-        if DK.contains(zero_k, tol) and big_cone.contains(zero_k, tol):
+        if DK.contains(zero_k) and big_cone.contains(zero_k):
             kcands.append(zero_k)
         A_ub = np.vstack([DK.A, -big_cone.A])
         b_ub = np.concatenate([DK.b, big_cone.b])
         resk = linsolve.feasible_point(inst.q, A_ub, b_ub)
         if resk.feasible and (not kcands
-                              or np.abs(resk.point - zero_k).max() > tol):
+                              or np.abs(resk.point - zero_k).max() > POLY_TOL):
             kcands.append(resk.point)
-        for k in kcands:
-            trip = CriticalTriple(u=np.asarray(u, float), v=v, k=k)
-            if _verify_critical(inst, trip, TS, TH, TF, TG, big_cone, tol):
-                out.append(trip)
+        # v in DV, -v in Q and on one of its facets, re-checked at POLY_TOL
+        if not (DV.contains(v) and inst.Q.contains(-v) and (inst.Q.m == 0 or (
+                np.abs(inst.Q.A @ -v - inst.Q.b) <= POLY_TOL).any())):
+            continue
+        out += [CriticalTriple(u=np.asarray(u, float), v=v, k=k)
+                for k in kcands if DK.contains(k) and big_cone.contains(-k)]
     return out
-
-
-def _verify_critical(inst, trip, TS, TH, TF, TG, big_cone, tol) -> bool:
-    if not TS.contains(trip.u, tol):
-        return False
-    if not TH.contains(np.concatenate([trip.u, np.zeros(inst.r)]), tol):
-        return False
-    DV = _slice_cone(TF, trip.u)
-    if DV is None or not DV.contains(trip.v, tol):
-        return False
-    if not inst.Q.contains(-trip.v, tol):
-        return False
-    if inst.Q.m and not (np.abs(inst.Q.A @ -trip.v - inst.Q.b) <= tol).any():
-        return False
-    DK = _slice_cone(TG, trip.u)
-    if DK is None or not DK.contains(trip.k, tol):
-        return False
-    return big_cone.contains(-trip.k, tol)
 
 
 # -- the multiplier rule ----------------------------------------------------
@@ -412,13 +386,12 @@ class RuleVerdict:
     notes: list[str] = field(default_factory=list)
 
 
-def a2_of_minus_D(inst: OptInstance, k, tol: float = 1e-9) -> Optional[Polyhedron]:
+def a2_of_minus_D(inst: OptInstance, k) -> Optional[Polyhedron]:
     """A2(-D, zbar, k); None (empty) when k leaves the tangent cone."""
     mD = inst.minus_D()
-    T = tangent_cone(mD, inst.zbar, tol)
-    if not T.contains(k, tol):
+    if not tangent_cone(mD, inst.zbar).contains(k):
         return None
-    return second_order_sets(mD, inst.zbar, k, tol).A2
+    return second_order_sets(mD, inst.zbar, k).A2
 
 
 @dataclass
@@ -445,24 +418,34 @@ class _TripleSets:
                 for T, c in zip((self.TF2, self.TG2, self.TH2), cs)]
 
 
-def _triple_sets(inst: OptInstance, trip: CriticalTriple,
-                 tol: float) -> _TripleSets:
+def _triple_sets(inst: OptInstance, trip: CriticalTriple) -> _TripleSets:
     zero = np.zeros(inst.r)
     return _TripleSets(
-        S2=second_order_sets(inst.S, inst.xbar, trip.u, tol),
-        A2=a2_of_minus_D(inst, trip.k, tol),
+        S2=second_order_sets(inst.S, inst.xbar, trip.u),
+        A2=a2_of_minus_D(inst, trip.k),
         TF2=_joint_second_order_graph(inst.F_plus(), inst.xbar, inst.ybar,
-                                      trip.u, trip.v, tol),
+                                      trip.u, trip.v),
         TG2=_joint_second_order_graph(inst.G_plus(), inst.xbar, inst.zbar,
-                                      trip.u, trip.k, tol),
-        TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero,
-                                      tol))
+                                      trip.u, trip.k),
+        TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero))
+
+
+def _slice_points(slicers: list[_Slicer], xs: np.ndarray,
+                  rng: np.random.Generator) -> list[list[np.ndarray]]:
+    """Per x of xs at which no slice is known empty, each slicer's points
+    at x (`_Slicer.points`), drawn from rng in slicer order."""
+    out = []
+    for x in xs:
+        bs = [s.rhs(x) for s in slicers]
+        if all(b is not None for b in bs):
+            out.append([s.points(b, rng) for s, b in zip(slicers, bs)])
+    return out
 
 
 def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
                           mult: Multipliers, n_samples: int = 32,
-                          rng: Optional[np.random.Generator] = None,
-                          tol: float = 1e-9) -> RuleVerdict:
+                          rng: Optional[np.random.Generator] = None
+                          ) -> RuleVerdict:
     """Verify the second-order rule at sampled second-order directions.
 
     The right-hand side sup over A2(-D, zbar, k) of <k*, d> is an exact
@@ -474,14 +457,14 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     never solves it.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    sets = _triple_sets(inst, trip, tol)
+    sets = _triple_sets(inst, trip)
     notes: list[str] = []
     if not mult.nonzero():
         raise OptError("multiplier invariant: (v*, k*, w*) = 0")
-    if not linsolve.in_cone_of(dual_cone_generators(inst.Q), mult.v_star, tol):
+    if not linsolve.in_cone_of(dual_cone_generators(inst.Q), mult.v_star):
         raise OptError("multiplier invariant: v* outside the dual cone of Q")
-    Ngen = normal_cone_generators(inst.minus_D(), inst.zbar, tol)
-    if not linsolve.in_cone_of(Ngen, mult.k_star, tol):
+    Ngen = normal_cone_generators(inst.minus_D(), inst.zbar)
+    if not linsolve.in_cone_of(Ngen, mult.k_star):
         raise OptError("multiplier invariant: k* outside N(-D, zbar)")
     if abs(mult.v_star @ trip.v) > 1e-7 or abs(mult.k_star @ trip.k) > 1e-7:
         raise OptError("multiplier invariant: orthogonality fails")
@@ -503,7 +486,7 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     worst, arg = np.inf, None
     checked = 0
     for x in xs:
-        if IT2.m and not (IT2.A @ x < -tol).all():
+        if IT2.m and not (IT2.A @ x < -POLY_TOL).all():
             continue
         (fy, ay), (gz, az), (hw, aw) = (s.minimum(x) for s in slicers)
         lhs = fy + gz + hw
@@ -516,7 +499,7 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     if checked == 0:
         notes.append("no admissible sample: inequality vacuous at resolution")
         return RuleVerdict(True, np.inf, rhs, n_samples=0, notes=notes)
-    return RuleVerdict(bool(worst >= -tol), float(worst), float(rhs),
+    return RuleVerdict(bool(worst >= -POLY_TOL), float(worst), float(rhs),
                        argmin=arg, n_samples=checked, notes=notes)
 
 
@@ -586,7 +569,7 @@ def _rule_lp(inst: OptInstance, A2: Optional[Polyhedron], system,
 
 
 def exact_rule_margin(inst: OptInstance, trip: CriticalTriple,
-                      mult: Multipliers, tol: float = 1e-9) -> float:
+                      mult: Multipliers) -> float:
     """Exact worst-case margin of the rule over the closed second-order
     set of S, via one joint linear program in (x, y, z, w).
 
@@ -596,14 +579,14 @@ def exact_rule_margin(inst: OptInstance, trip: CriticalTriple,
     The program is boxed, so a left-hand side unbounded below shows as
     a large negative margin.
     """
-    sets = _triple_sets(inst, trip, tol)
+    sets = _triple_sets(inst, trip)
     return _rule_lp(inst, sets.A2, _joint_rule_system(inst, sets), mult)[0]
 
 
 def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                      n_samples: int = 16,
-                     rng: Optional[np.random.Generator] = None,
-                     tol: float = 1e-9) -> Optional[Multipliers]:
+                     rng: Optional[np.random.Generator] = None
+                     ) -> Optional[Multipliers]:
     """Search for multipliers by linear feasibility.
 
     Parameterization: v* = sum of dual-cone generators of Q with weights
@@ -620,7 +603,7 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     GQ = dual_cone_generators(inst.Q)                    # rows
-    GN = normal_cone_generators(inst.minus_D(), inst.zbar, tol)
+    GN = normal_cone_generators(inst.minus_D(), inst.zbar)
     nq, nn = GQ.shape[0], GN.shape[0]
     r = inst.r
     nvar = nq + nn + r
@@ -636,7 +619,7 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     eqs_b = np.array([0.0, 0.0, 1.0])
 
     # sampled rule data: lhs - <k*, d> >= 0 at tuples (y, z, w, d)
-    sets = _triple_sets(inst, trip, tol)
+    sets = _triple_sets(inst, trip)
     xs = sample_cone_points(sets.S2.IT2, n_samples, rng)
     if sets.A2 is not None:
         # 0 always lies in the second-order cone and realizes the rhs sup
@@ -648,17 +631,8 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
         ds = np.zeros((1, inst.q))
     slicers = sets.slicers(inst.n, (np.zeros(inst.p), np.zeros(inst.q),
                                     np.zeros(inst.r)))
-    tuples: list[tuple] = []
-    for x in xs:
-        bs = [s.rhs(x) for s in slicers]
-        if any(b is None for b in bs):
-            continue
-        ys, zs, ws = (s.points(b, rng) for s, b in zip(slicers, bs))
-        for y in ys:
-            for z in zs:
-                for w in ws:
-                    for d in ds:
-                        tuples.append((y, z, w, d))
+    tuples = [tup for pts in _slice_points(slicers, xs, rng)
+              for tup in product(*pts, ds)]
     system = _joint_rule_system(inst, sets)
 
     def rule_row(sigma, y, z, w, d):
@@ -690,10 +664,10 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                 v_star=sol[:nq] @ GQ if nq else np.zeros(inst.p),
                 k_star=sol[nq:nq + nn] @ GN if nn else np.zeros(inst.q),
                 w_star=sigma * sol[nq + nn:])
-            if not mult.nonzero(tol):
+            if not mult.nonzero(POLY_TOL):
                 break
             margin, cut = _rule_lp(inst, sets.A2, system, mult)
-            if margin >= -1e-9:
+            if margin >= -POLY_TOL:
                 candidates.append((float(sol[:nq].sum()), mult))
                 break
             if cut is None:
@@ -720,9 +694,8 @@ class CQVerdict:
         return self.holds
 
 
-def check_cq(inst: OptInstance, trip: CriticalTriple, n_samples: int = 32,
-             rng: Optional[np.random.Generator] = None,
-             tol: float = 1e-9) -> CQVerdict:
+def check_cq(inst: OptInstance, trip: CriticalTriple,
+             rng: Optional[np.random.Generator] = None) -> CQVerdict:
     """Positive-spanning test for the second-order constraint qualification.
 
     Collects sampled generators of cone((D2G+ - A2(-D, zbar, k),
@@ -731,32 +704,25 @@ def check_cq(inst: OptInstance, trip: CriticalTriple, n_samples: int = 32,
     rank check fails fast when the generators do not even span linearly.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    sets = _triple_sets(inst, trip, tol)
-    xs = sample_cone_points(sets.S2.IT2, n_samples, rng)
-    ds = sample_cone_points(sets.A2, max(4, n_samples // 4), rng) \
+    sets = _triple_sets(inst, trip)
+    xs = sample_cone_points(sets.S2.IT2, 32, rng)
+    ds = sample_cone_points(sets.A2, 8, rng) \
         if sets.A2 is not None else np.zeros((1, inst.q))
     if ds.shape[0] == 0:
         ds = np.zeros((1, inst.q))
-    sz = _Slicer(sets.TG2, inst.n, np.zeros(inst.q))
-    sw = _Slicer(sets.TH2, inst.n, np.zeros(inst.r))
-    gens: list[np.ndarray] = []
-    for x in xs:
-        bz, bw = sz.rhs(x), sw.rhs(x)
-        if bz is None or bw is None:
-            continue
-        zs, ws = sz.points(bz, rng), sw.points(bw, rng)
-        for z in zs:
-            for w in ws:
-                for d in ds:
-                    gens.append(np.concatenate([z - d, w]))
+    slicers = [_Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
+               _Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
+    gens = [np.concatenate([z - d, w])
+            for zs, ws in _slice_points(slicers, xs, rng)
+            for z, w, d in product(zs, ws, ds)]
     big = cone_hull_shifted(inst.D, inst.zbar)
-    for pt in sample_cone_points(big, max(8, n_samples // 2), rng):
+    for pt in sample_cone_points(big, 16, rng):
         gens.append(np.concatenate([pt, np.zeros(inst.r)]))
     needed = inst.q + inst.r
     if not gens:
         return CQVerdict(False, 0, needed)
     Gm = np.array(gens)
-    rank = int(np.linalg.matrix_rank(Gm, tol=1e-9))
+    rank = int(np.linalg.matrix_rank(Gm, tol=POLY_TOL))
     if rank < needed:
         return CQVerdict(False, rank, needed)
     # e in cone(Gm) as `linsolve.in_cone_of` asks it, one member per axis
@@ -789,9 +755,7 @@ class Claim2Report:
 
 
 def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float,
-                 n_samples: int = 8, levels: int = 12,
-                 rng: Optional[np.random.Generator] = None,
-                 tol: float = 1e-9) -> Claim2Report:
+                 rng: Optional[np.random.Generator] = None) -> Claim2Report:
     """Follow the lower-estimate construction for the feasible set.
 
     `Hext` supplies delta(0, Hext, x) for points x of a discretized
@@ -803,13 +767,14 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
     perturbed points in H^{-1}(0) cap S within the proof's bound
     mu(theta/2 gamma^2 |w|) + gamma^3 are produced at each gamma level,
     and membership of x in T2(Omega, xbar, u) is confirmed by the
-    sampled-limit test.
+    sampled-limit test.  At most 8 points x are sampled.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     rep = Claim2Report()
+    levels = 12         # gamma = 2^-1 .. 2^-12
 
     # gate 1: extension bound on the discretized neighborhood
-    ok_ext, ok_zero = Hext.audit(inst.H, theta, tol)
+    ok_ext, ok_zero = Hext.audit(inst.H, theta)
     rep.gate.append(("delta <= theta * d(0, H(x))", ok_ext))
     rep.gate.append(("Hext agrees with H at level 0", ok_zero))
     # gate 2: mu(t)/t bounded for small t
@@ -822,7 +787,7 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
         raise OptError("claim-2 gate failed: "
                        + ", ".join(n for n, ok in rep.gate if not ok))
 
-    sets = _triple_sets(inst, trip, tol)
+    sets = _triple_sets(inst, trip)
     IT2, A2mD = sets.S2.IT2, sets.A2     # A2(-D) and IT2(-D) share rows
     Omega = inst.feasible_set()
     # H^{-1}(0) cap S as a polyhedron in x
@@ -845,7 +810,7 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
         np.hstack([TG2.A[:, :n], TG2.A[:, n:]]),
         np.hstack([np.zeros((A2mD.m, n)), A2mD.A]),
         np.hstack([TH2.A[:, :n], np.zeros((TH2.m, q))]),
-    ]), np.concatenate([IT2.b, TG2.b, A2mD.b - 1e-9, TH2.b]))
+    ]), np.concatenate([IT2.b, TG2.b, A2mD.b - POLY_TOL, TH2.b]))
     # the region is a cone but may have empty interior (equality-like row
     # pairs), so rejection sampling is hopeless: take LP vertices of an
     # eps-tightened, boxed copy under random objectives and rescale
@@ -855,23 +820,24 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
     A_all = np.vstack([joint.A, np.eye(nv), -np.eye(nv)])
     b_all = np.concatenate([joint.b - 1e-6 * strict_rows, np.ones(2 * nv)])
     samples = []
-    for _ in range(n_samples):
+    for _ in range(8):
         res = linsolve.solve_lp(rng.normal(size=nv), A_ub=A_all, b_ub=b_all)
         if res.status == 0:
             pt = np.asarray(res.x)
             nrm = np.abs(pt).max(initial=0.0)
-            if nrm > tol:
+            if nrm > POLY_TOL:
                 samples.append(pt / nrm)
     if not samples:
         rep.vacuous = True
         return rep
+    sg, sh = _Slicer(TG2, n), _Slicer(TH2, n)
     for xz in samples:
         x = xz[:n]
-        if IT2.m and not (IT2.A @ x < -tol).all():
+        if IT2.m and not (IT2.A @ x < -POLY_TOL).all():
             rep.skipped.append("sample left the strict second-order set")
             continue
-        GZ, HW = _slice_cone(TG2, x), _slice_cone(TH2, x)
-        if HW is None or not HW.contains(np.zeros(inst.r), tol):
+        GZ, HW = sg.at(x), sh.at(x)
+        if HW is None or not HW.contains(np.zeros(inst.r)):
             rep.skipped.append("0 not in the second-order H-derivative")
             continue
         if GZ is None:
@@ -879,7 +845,7 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
             continue
         meet = linsolve.feasible_point(
             inst.q, np.vstack([GZ.A, A2mD.A]),
-            np.concatenate([GZ.b, A2mD.b - 1e-9]))
+            np.concatenate([GZ.b, A2mD.b - POLY_TOL]))
         if not meet.feasible:
             rep.skipped.append("derivative misses the strict -D set")
             continue
@@ -891,7 +857,7 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
             wnorm = dH / (0.5 * g * g)
             bound = mu(theta * 0.5 * g * g * wnorm) + g ** 3
             dist = Hinv.linf_distance(p)
-            if not dist <= bound + tol:
+            if not dist <= bound + POLY_TOL:
                 ok_all = False
                 break
         if not ok_all:
@@ -920,9 +886,9 @@ class BallExtension:
     def delta(self, x) -> float:
         return self.H.dist_to_value(np.zeros(self.H.n_out), x)
 
-    def audit(self, H: PolyMapSpec, theta: float, tol: float = 1e-9):
-        ok_ext = all(self.delta(x) <= theta * H.dist_to_value(
-            np.zeros(H.n_out), x) + tol for x in self.samples)
-        ok_zero = all(abs(self.delta(x) - H.dist_to_value(
-            np.zeros(H.n_out), x)) <= tol for x in self.samples)
+    def audit(self, H: PolyMapSpec, theta: float):
+        pairs = [(self.delta(x), H.dist_to_value(np.zeros(H.n_out), x))
+                 for x in self.samples]
+        ok_ext = all(d <= theta * h + POLY_TOL for d, h in pairs)
+        ok_zero = all(abs(d - h) <= POLY_TOL for d, h in pairs)
         return ok_ext, ok_zero

@@ -12,6 +12,11 @@ import numpy as np
 
 INF = float("inf")
 
+# The one tolerance of the polyhedral layer (linsolve, polyhedra, optcond):
+# memberships, active rows and strict interiors on unit-norm rows.  It is
+# here, not in polyhedra, because polyhedra imports linsolve.
+POLY_TOL = 1e-9
+
 
 class RegkitError(Exception):
     """Base of every regkit error; the CLI turns it into exit code 2."""

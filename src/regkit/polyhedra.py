@@ -2,8 +2,9 @@
 
 A polyhedron is {x : A x <= b} with rows normalized to unit Euclidean
 norm at construction.  All cone calculus is exact linear algebra on the
-active rows; the sampled-limit oracles re-derive memberships from the
-defining limits at gamma_n = 2^-n and exist purely for cross-checking.
+active rows at `policy.POLY_TOL`; the sampled-limit oracles re-derive
+memberships from the defining limits at gamma_n = 2^-n, at their own
+tolerance, and exist purely for cross-checking.
 
 Strict variants (the interior second-order set IT2) reuse the same matrix with a
 strictness flag; membership then requires A x < 0 componentwise.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linsolve
-from .policy import RegkitError
+from .policy import POLY_TOL, RegkitError
 
 
 class PolyhedronError(RegkitError, ValueError):
@@ -52,7 +53,7 @@ class Polyhedron:
     def m(self) -> int:
         return self.A.shape[0]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = POLY_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         if self.m == 0:
             return True
@@ -61,26 +62,25 @@ class Polyhedron:
             return bool((res < -tol).all())
         return bool((res <= tol).all())
 
-    def active_rows(self, x, tol: float = 1e-9) -> np.ndarray:
+    def active_rows(self, x) -> np.ndarray:
         if self.m == 0:
             return np.zeros(0, dtype=int)
         res = self.A @ np.asarray(x, dtype=float) - self.b
-        return np.nonzero(np.abs(res) <= tol)[0]
+        return np.nonzero(np.abs(res) <= POLY_TOL)[0]
 
-    def is_cone(self, tol: float = 1e-12) -> bool:
-        return self.m == 0 or np.abs(self.b).max(initial=0.0) <= tol
+    def is_cone(self) -> bool:
+        return self.m == 0 or np.abs(self.b).max(initial=0.0) <= 1e-12
 
-    def is_empty(self, tol: float = 1e-9) -> bool:
+    def is_empty(self) -> bool:
         if self.strict:
-            return linsolve.strict_interior_point(
-                self.dim, self.A, self.b, tol=tol) is None
+            return self.interior_point() is None
         return not linsolve.feasible_point(self.dim, self.A, self.b).feasible
 
-    def interior_point(self, tol: float = 1e-9):
-        return linsolve.strict_interior_point(self.dim, self.A, self.b, tol=tol)
+    def interior_point(self):
+        return linsolve.strict_interior_point(self.dim, self.A, self.b)
 
-    def has_nonempty_interior(self, tol: float = 1e-9) -> bool:
-        return self.interior_point(tol) is not None
+    def has_nonempty_interior(self) -> bool:
+        return self.interior_point() is not None
 
     def linf_distance(self, p) -> float:
         """sup-norm distance from p to the polyhedron; +inf when empty."""
@@ -109,19 +109,19 @@ class Polyhedron:
 
 # -- first-order cones ------------------------------------------------------
 
-def tangent_cone(P: Polyhedron, xbar, tol: float = 1e-9) -> Polyhedron:
+def tangent_cone(P: Polyhedron, xbar) -> Polyhedron:
     """{d : A_I d <= 0} with I the active rows at xbar."""
-    if not P.contains(xbar, tol):
+    if not P.contains(xbar):
         raise PolyhedronError("base point outside the polyhedron")
-    I = P.active_rows(xbar, tol)
+    I = P.active_rows(xbar)
     return Polyhedron(P.A[I], np.zeros(I.size))
 
 
-def normal_cone_generators(P: Polyhedron, xbar, tol: float = 1e-9) -> np.ndarray:
+def normal_cone_generators(P: Polyhedron, xbar) -> np.ndarray:
     """Generators (rows) of the normal cone: the active constraint rows."""
-    if not P.contains(xbar, tol):
+    if not P.contains(xbar):
         raise PolyhedronError("base point outside the polyhedron")
-    I = P.active_rows(xbar, tol)
+    I = P.active_rows(xbar)
     return P.A[I].copy()
 
 
@@ -134,12 +134,12 @@ class SecondOrderSets:
     IT2: Polyhedron         # strict variant
 
 
-def second_order_sets(P: Polyhedron, xbar, u, tol: float = 1e-9) -> SecondOrderSets:
+def second_order_sets(P: Polyhedron, xbar, u) -> SecondOrderSets:
     """T2 = A2 = tangent cone of the tangent cone, taken at direction u."""
-    T = tangent_cone(P, xbar, tol)
-    if not T.contains(u, tol):
+    T = tangent_cone(P, xbar)
+    if not T.contains(u):
         raise PolyhedronError("direction outside the tangent cone")
-    T2 = tangent_cone(T, u, tol)
+    T2 = tangent_cone(T, u)
     return SecondOrderSets(T2=T2, A2=Polyhedron(T2.A.copy(), T2.b.copy()),
                            IT2=Polyhedron(T2.A.copy(), T2.b.copy(), strict=True))
 
@@ -193,7 +193,7 @@ def sampled_second_order_membership(P: Polyhedron, xbar, u, w,
 
 # -- projection and sums ----------------------------------------------------
 
-def _dedupe(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):
+def _dedupe(A: np.ndarray, b: np.ndarray):
     if A.shape[0] == 0:
         return A, b
     norms = np.linalg.norm(A, axis=1)
@@ -203,14 +203,16 @@ def _dedupe(A: np.ndarray, b: np.ndarray, tol: float = 1e-9):
     if A.shape[0] == 0:
         return A, b
     M = np.hstack([A / norms[:, None], (b / norms)[:, None]])
-    key = np.round(M / tol).astype(np.int64)
+    key = np.round(M / POLY_TOL).astype(np.int64)
     _, idx = np.unique(key, axis=0, return_index=True)
     idx = np.sort(idx)
     return A[idx], b[idx]
 
 
-def fourier_motzkin(A: np.ndarray, b: np.ndarray, eliminate: list[int],
-                    max_rows: int = 20000):
+FM_ROW_CAP = 20_000     # each elimination can square the rows: bounds memory
+
+
+def fourier_motzkin(A: np.ndarray, b: np.ndarray, eliminate: list[int]):
     """Project {x : A x <= b} onto the coordinates not in `eliminate`.
 
     Classic pairwise elimination with duplicate pruning; intended for the
@@ -236,7 +238,7 @@ def fourier_motzkin(A: np.ndarray, b: np.ndarray, eliminate: list[int],
         b = np.concatenate(rows_b) if rows_b else np.zeros(0)
         A = np.delete(A, j, axis=1)
         A, b = _dedupe(A, b)
-        if A.shape[0] > max_rows:
+        if A.shape[0] > FM_ROW_CAP:
             raise PolyhedronError("projection exceeded the row budget")
     return A, b
 
@@ -295,8 +297,8 @@ def sample_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarra
     return g / norms
 
 
-def sample_cone_points(C: Polyhedron, count: int, rng: np.random.Generator,
-                       tol: float = 1e-9) -> np.ndarray:
+def sample_cone_points(C: Polyhedron, count: int,
+                       rng: np.random.Generator) -> np.ndarray:
     """Points of a polyhedral cone: rejection plus projection fallback.
 
     Rejection-samples unit directions; if too few land inside, mixes in
@@ -306,7 +308,7 @@ def sample_cone_points(C: Polyhedron, count: int, rng: np.random.Generator,
     if C.m == 0:
         return dirs[:count]
     res = dirs @ C.A.T
-    inside = (res < -tol).all(axis=1) if C.strict else (res <= tol).all(axis=1)
+    inside = (res < -POLY_TOL if C.strict else res <= POLY_TOL).all(axis=1)
     picked = dirs[inside][:count]
     if picked.shape[0] >= count:
         return picked
@@ -315,7 +317,7 @@ def sample_cone_points(C: Polyhedron, count: int, rng: np.random.Generator,
     base = ip if ip is not None else (
         linsolve.feasible_point(C.dim, C.A, np.zeros(C.m)).point
         if not C.strict else None)
-    if base is not None and np.abs(base).max(initial=0.0) > tol:
+    if base is not None and np.abs(base).max(initial=0.0) > POLY_TOL:
         scales = rng.uniform(0.1, 2.0, size=count)
         extra = [s * base for s in scales]
     pool = list(picked) + list(extra)

@@ -66,10 +66,22 @@ def _triple_cones(size, seed):
                           generate_instance("polyhedral-opt", size, seed)).opt
     rng = np.random.default_rng(seed)
     for trip in critical_directions(inst, n_dirs=16, rng=rng):
-        sets = optcond._triple_sets(inst, trip, 1e-9)
+        sets = optcond._triple_sets(inst, trip)
         for T, d in ((sets.TF2, inst.p), (sets.TG2, inst.q),
                      (sets.TH2, inst.r)):
             yield inst, sets, T, d, rng
+
+
+def _slice(T, n, x):
+    """{e : (x, e) in T} straight from T's rows: the rows with an e-part,
+    or None when T is None or a row without one reads 0 <= rhs < -1e-9."""
+    if T is None:
+        return None
+    rhs = T.b - T.A[:, :n] @ x
+    has_e = np.abs(T.A[:, n:]).max(axis=1) > 1e-12
+    if (rhs[~has_e] < -1e-9).any():
+        return None
+    return Polyhedron(T.A[has_e, n:], rhs[has_e])
 
 
 def test_slicer_rhs_is_the_normalized_slice_b():
@@ -85,12 +97,13 @@ def test_slicer_rhs_is_the_normalized_slice_b():
     for T, n, xs in cases:
         s = optcond._Slicer(T, n, None if T is None else np.ones(T.dim - n))
         for x in xs:
-            P, b = optcond._slice_cone(T, x), s.rhs(x)
-            assert (P is None) == (b is None)
+            P, b, at = _slice(T, n, x), s.rhs(x), s.at(x)
+            assert (P is None) == (b is None) == (at is None)
             if P is None:
                 nones += 1
             else:
                 assert np.array_equal(b, P.b) and np.array_equal(s.cone.A, P.A)
+                assert np.array_equal(at.A, P.A) and np.array_equal(at.b, P.b)
                 values += 1
     assert nones > 0 and values > 0
 
@@ -105,7 +118,7 @@ def test_slice_families_match_one_member_solves(size, seed):
         for obj in (c, np.zeros(d)):
             s = optcond._Slicer(T, inst.n, obj)
             for x in sample_cone_points(sets.S2.IT2, 16, rng):
-                P = optcond._slice_cone(T, x)
+                P = _slice(T, inst.n, x)
                 if P is None:
                     continue
                 res, ref = s.family.solve(s.rhs(x)), solve_lp(obj, P.A, P.b)
@@ -167,23 +180,32 @@ def test_off_graph_base_rejected():
 
 
 def test_critical_directions_verified_on_demo():
-    inst = _demo()
-    trips = critical_directions(inst, n_dirs=32,
-                                rng=np.random.default_rng(0))
-    assert trips
-    Fp, Gp = inst.F_plus(), inst.G_plus()
-    TH = tangent_cone(inst.H.graph,
-                      np.concatenate([inst.xbar, np.zeros(inst.r)]))
-    TV = tangent_cone(Fp.graph, np.concatenate([inst.xbar, inst.ybar]))
-    TK = tangent_cone(Gp.graph, np.concatenate([inst.xbar, inst.zbar]))
-    big = optcond.cone_hull_shifted(inst.D, inst.zbar)
-    for trip in trips:
-        # re-verify every membership from scratch, on the graphs' tangent cones
-        assert TH.contains(np.concatenate([trip.u, np.zeros(inst.r)]))
-        assert TV.contains(np.concatenate([trip.u, trip.v]))
-        assert inst.Q.contains(-trip.v)
-        assert TK.contains(np.concatenate([trip.u, trip.k]))
-        assert big.contains(-trip.k)
+    # on the demo and on generated problems of sizes 2-6
+    insts = [_demo()] + [
+        parse_instance(generate_instance("polyhedral-opt", size, seed)).opt
+        for size in range(2, 7) for seed in (0, 1, 2)]
+    counts = []
+    for inst in insts:
+        trips = critical_directions(inst, n_dirs=32,
+                                    rng=np.random.default_rng(0))
+        Fp, Gp = inst.F_plus(), inst.G_plus()
+        TH = tangent_cone(inst.H.graph,
+                          np.concatenate([inst.xbar, np.zeros(inst.r)]))
+        TV = tangent_cone(Fp.graph, np.concatenate([inst.xbar, inst.ybar]))
+        TK = tangent_cone(Gp.graph, np.concatenate([inst.xbar, inst.zbar]))
+        big = optcond.cone_hull_shifted(inst.D, inst.zbar)
+        for trip in trips:
+            # re-verify every membership from scratch, on the graphs'
+            # tangent cones, at 1e-9
+            assert TH.contains(np.concatenate([trip.u, np.zeros(inst.r)]))
+            assert TV.contains(np.concatenate([trip.u, trip.v]))
+            assert inst.Q.contains(-trip.v)
+            # -v lies on a facet of Q
+            assert (np.abs(inst.Q.A @ -trip.v - inst.Q.b) <= 1e-9).any()
+            assert TK.contains(np.concatenate([trip.u, trip.k]))
+            assert big.contains(-trip.k)
+        counts.append(len(trips))
+    assert all(counts), counts
 
 
 def test_multipliers_on_demo():
@@ -286,6 +308,27 @@ def test_claim2_on_demo():
                        rng=np.random.default_rng(5))
     assert rep.gate_ok
     assert rep.holds or rep.vacuous
+
+
+def test_ball_extension_audit_against_direct_distances():
+    # H(x) = {x1} and the extension's own map E(x) = {2 x1}, so that
+    # delta(x) = d(0, E(x)) = 2|x1| and d(0, H(x)) = |x1|: E differs from H
+    # at level 0 wherever x1 != 0
+    def line(slope):
+        A = np.array([[-slope, 0.0, 1.0], [slope, 0.0, -1.0]])
+        return PolyMapSpec(Polyhedron(A, np.zeros(2)), 2, 1)
+
+    H = line(1.0)
+    samples = np.random.default_rng(0).normal(size=(6, 2))
+    delta, dH = 2.0 * np.abs(samples[:, 0]), np.abs(samples[:, 0])
+    ext = BallExtension(line(2.0), samples)
+    for theta in (1.0, 3.0):
+        direct = (bool((delta <= theta * dH + 1e-9).all()),
+                  bool((np.abs(delta - dH) <= 1e-9).all()))
+        assert ext.audit(H, theta) == direct
+    assert ext.audit(H, 1.0) == (False, False)
+    assert ext.audit(H, 3.0) == (True, False)
+    assert BallExtension(H, samples).audit(H, 1.0) == (True, True)
 
 
 def test_claim2_gate_failure_raises():
