@@ -7,7 +7,11 @@ changes the row bounds and re-runs the dual simplex from the previous
 member's optimal basis, which a change of b leaves dual feasible
 (parametric right-hand sides: Bertsimas & Tsitsiklis, Introduction to
 Linear Optimization, 1997, ch. 5).  After a member that is not optimal
-the next one starts cold.  `solve_lp` is a family of one.
+the next one starts cold.  So does a member whose c, matrix or right-hand
+side holds a nonzero entry below 1e-6 in magnitude: near HiGHS's
+feasibility tolerances of 1e-7 a warm and a cold solve can give different
+statuses or optima, and a cold one is what `solve_lp` returns.  `solve_lp`
+is a family of one.
 
 HiGHS is reached through scipy's private `scipy.optimize._highspy._core`,
 imported on the first solve, with the model, options, status codes and
@@ -43,6 +47,10 @@ _STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
            "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
 # scipy's re-check of an "optimal" point: sqrt(tol) * 10 at tol = 1e-9
 _FEAS_TOL = np.sqrt(1e-9) * 10
+# ten times HiGHS's primal and dual feasibility tolerances (1e-7): a member
+# whose data holds a nonzero entry below this is solved cold, since there a
+# warm basis and a cold presolve can decide the member differently
+_FINE = 1e-6
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +123,11 @@ def _rhs(b, m, name):
     return b
 
 
+def _fine(values) -> bool:
+    """Does a list of floats hold a nonzero one below `_FINE` in magnitude?"""
+    return any(0.0 < abs(v) < _FINE for v in values)
+
+
 def _bound_pair(bounds):
     """One (lo, hi) pair for every variable; None is unbounded."""
     try:
@@ -162,9 +175,11 @@ class LPFamily:
         per_col = nz.sum(axis=1)
         mat.start_ = np.concatenate([[0], np.cumsum(per_col)]).astype(np.int32)
         mat.index_ = np.nonzero(nz)[1].astype(np.int32)
-        mat.value_ = At[nz]
+        mat.value_ = values = At[nz]
 
         self._highs, self._error = core._Highs(), core.HighsStatus.kError
+        # a family whose c or matrix is fine-grained starts every member cold
+        self._cold = _fine(c.tolist()) or _fine(values.tolist())
         # scipy's re-check limits on x, on the slack of each ub row and on
         # the residual of each eq row, in that order
         tol = _FEAS_TOL
@@ -188,8 +203,11 @@ class LPFamily:
         highs, model, ran = self._highs, self._refused, False
         upper = np.concatenate([b_ub, b_eq])
         if model is None:
+            rows = upper.tolist()
+            if self._cold or _fine(rows):
+                highs.clearSolver()
             lower = [-np.inf] * self._m_ub + b_eq.tolist()
-            for i, bounds in enumerate(zip(lower, upper.tolist())):
+            for i, bounds in enumerate(zip(lower, rows)):
                 highs.changeRowBounds(i, *bounds)
             ran = highs.run() != self._error
             model = highs.getModelStatus()

@@ -243,6 +243,43 @@ def test_family_members_match_one_member_solves(family):
         assert abs(c @ x - res.fun) <= 1e-6 * max(1.0, abs(res.fun))
 
 
+def test_fine_grained_members_start_cold():
+    # families the hypothesis test above once drew, where the second
+    # member, warm from the first, disagreed with a one-member solve;
+    # each holds an entry near HiGHS's 1e-7 tolerances, in c, in the
+    # matrix or in the second member's right-hand side
+    t = 2.0 ** -24
+    families = [
+        # unbounded: x0 -> -inf at cost 1.19e-7 (warm: optimal at 0)
+        ([-2 * t, 0.0], [[0, 0], [-2, 0], [0, 0]], None, None,
+         [([0, -2, 0], None), ([0, 0, 0], None)]),
+        # optimum 0.2811 (warm: 0, at x0 = 4e-8 just outside row 0)
+        ([0, 0, 1, 0], [[1, 0, 0, 1], [-1, 0, 0, -1]], [[5, 0, 1e-7, 0]],
+         (0, None), [([0, 0], [0]), ([3.43774482e-8] * 2, [2e-7])]),
+        # x3 + x4 <= t and x4 >= t (warm: optimal; cold: infeasible)
+        ([0.0] * 4, [[0] * 4, [0] * 4, [0, 0, 1, 1], [0, 0, 0, -2], [0] * 4],
+         None, (0, None), [([0] * 5, None), ([0, 0, t, -2 * t, 0], None)]),
+    ]
+    for c, A_ub, A_eq, bounds, members in families:
+        fam = LPFamily(c, A_ub=A_ub, A_eq=A_eq, bounds=bounds)
+        for b_ub, b_eq in members:
+            res = fam.solve(b_ub, b_eq)
+            ref = solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
+            assert (res.status, res.fun, res.message) \
+                == (ref.status, ref.fun, ref.message)
+            assert (res.x is None and ref.x is None) \
+                or np.array_equal(res.x, ref.x)
+    # a coarse member starts from the previous member's basis, which is
+    # optimal for it: no simplex iteration; a fine-grained one starts cold
+    A_ub = [[-1.0, 0.5], [0.5, -1.0], [-1.0, -1.0]]
+    for b_ub, iterations in (([-1.5, -2.5, -1.0], 0),
+                             ([-1.5, -2.5e-7, -1.0], 3)):
+        fam = LPFamily([1.0, 1.0], A_ub=A_ub)
+        assert fam.solve([-1.0, -2.0, -1.0]).status == 0
+        assert fam.solve(b_ub).status == 0
+        assert fam._highs.getInfo().simplex_iteration_count == iterations
+
+
 def test_family_rejects_bad_right_hand_sides():
     fam = LPFamily([1.0, 1.0], A_ub=-np.eye(2), A_eq=[[1.0, -1.0]])
     for b_ub, b_eq in (([0.0, np.nan], [0.0]), ([0.0, 0.0], [np.inf]),
