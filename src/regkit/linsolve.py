@@ -8,16 +8,31 @@ member's optimal basis, which a change of b leaves dual feasible
 (parametric right-hand sides: Bertsimas & Tsitsiklis, Introduction to
 Linear Optimization, 1997, ch. 5).  After a member that is not optimal
 the next one starts cold.  So does a member whose c, matrix or right-hand
-side holds a nonzero entry below 1e-6 in magnitude: near HiGHS's
+side holds a nonzero entry below `_FINE` = 1e-6 in magnitude: near HiGHS's
 feasibility tolerances of 1e-7 a warm and a cold solve can give different
 statuses or optima, and a cold one is what `solve_lp` returns.  `solve_lp`
 is a family of one.
 
+An interval family has one free variable, a cost c that is not
+fine-grained and below HiGHS's infinite cost, no equality rows and rows
++-x <= b_i only.  A member minimizes c x over [L, U], L the largest -b_i
+of a -1 row and U the smallest b_i of a +1 row, and is answered in closed
+form, as HiGHS answers it: infeasible when L > U; else L for c > 0 and U
+for c < 0, unbounded when that end is infinite, and for c = 0 the end
+nearer 0, L on a tie, or +0.0 with no rows; a zero optimum is -0.0.
+HiGHS still decides every member within `_FINE` of a tolerance, where it
+reads the data by its tolerances, not exactly: b fine-grained or at
+HiGHS's infinite bound, 0 < L - U <= `_FINE`, a bound within `_FINE` of
+the tightest on its side, or c = 0 with |L| and |U| within `_FINE`.  The
+family builds its HiGHS model for the first such member and solves all
+of them cold.
+
 HiGHS is reached through scipy's private `scipy.optimize._highspy._core`,
 imported on the first solve, with the model, options, status codes and
 feasibility re-check of scipy's LP function with method "highs".
-`tests/test_linsolve.py` compares `solve_lp` with that function and each
-family member with a one-member solve, as a guard against scipy drift.
+`tests/test_linsolve.py` compares `solve_lp` and interval members with that
+function, and each family member with a one-member solve, as a guard
+against scipy drift.
 """
 from __future__ import annotations
 
@@ -151,13 +166,23 @@ class LPFamily:
         c = _vector(c, "c")
         if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
             raise LinSolveError("c must be a non-empty finite vector")
-        n = c.size
-        A_ub, A_eq = _matrix(A_ub, n, "ub"), _matrix(A_eq, n, "eq")
+        A_ub, A_eq = _matrix(A_ub, c.size, "ub"), _matrix(A_eq, c.size, "eq")
         self._lo, self._hi = _bound_pair(bounds)
         self._m_ub, self._m_eq = A_ub.shape[0], A_eq.shape[0]
-        m = self._m_ub + self._m_eq
+        _, options, self._statuses = _highs()
+        self._c, self._A, self._highs = c, np.vstack([A_ub, A_eq]), None
+        self._signs, self._inf = None, options.infinite_bound
+        if c.size == 1 and not self._m_eq and -self._lo == self._hi == np.inf \
+                and not _fine(c.tolist()) and abs(c[0]) < options.infinite_cost \
+                and (np.abs(A_ub) == 1).all():
+            self._signs = A_ub[:, 0].tolist()     # an interval family
+        else:
+            self._build()
 
-        core, options, self._statuses = _highs()
+    def _build(self):
+        """The family's HiGHS model and scipy's re-check limits for it."""
+        core, options, _ = _highs()
+        c, n, m = self._c, self._c.size, self._A.shape[0]
         lp = core.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_ = c
@@ -167,7 +192,7 @@ class LPFamily:
         lp.row_upper_ = np.full(m, np.inf)
         # column-wise storage of [A_ub; A_eq] without its zeros, entries of a
         # column in row order, as scipy's compressed sparse column format has it
-        At = np.vstack([A_ub, A_eq]).T
+        At = self._A.T
         nz = At != 0
         mat = lp.a_matrix_
         mat.format_ = core.MatrixFormat.kColwise
@@ -178,8 +203,11 @@ class LPFamily:
         mat.value_ = values = At[nz]
 
         self._highs, self._error = core._Highs(), core.HighsStatus.kError
-        # a family whose c or matrix is fine-grained starts every member cold
-        self._cold = _fine(c.tolist()) or _fine(values.tolist())
+        # a family whose c or matrix is fine-grained starts every member cold;
+        # so does an interval family, whose HiGHS members are all within
+        # _FINE of a tolerance
+        self._cold = self._signs is not None or _fine(c.tolist()) \
+            or _fine(values.tolist())
         # scipy's re-check limits on x, on the slack of each ub row and on
         # the residual of each eq row, in that order
         tol = _FEAS_TOL
@@ -194,12 +222,48 @@ class LPFamily:
         elif self._highs.passModel(lp) == self._error:
             self._refused = core.HighsModelStatus.kModelError
 
+    def _interval(self, b) -> Optional[LPResult]:
+        """An interval family's member with right-hand sides b in closed
+        form; None when HiGHS decides it (see the module docstring)."""
+        if _fine(b) or max(map(abs, b), default=0.0) >= self._inf:
+            return None
+        up = [v for s, v in zip(self._signs, b) if s > 0]
+        down = [-v for s, v in zip(self._signs, b) if s < 0]
+        hi, lo = min(up, default=np.inf), max(down, default=-np.inf)
+        if any(0.0 < v - hi <= _FINE for v in up) or 0.0 < lo - hi <= _FINE \
+                or any(0.0 < lo - v <= _FINE for v in down):
+            return None
+        enum = _highs()[0].HighsModelStatus
+        c, x = float(self._c[0]), None
+        if lo > hi:
+            model = enum.kInfeasible
+        elif not c and 0.0 < abs(abs(lo) - abs(hi)) <= _FINE:
+            return None
+        elif c and abs(lo if c > 0 else hi) == np.inf:
+            model = enum.kUnbounded
+        else:
+            # c = 0: the end nearer 0, lo on a tie; a zero end is -0.0, as
+            # HiGHS returns it, and with no rows x is +0.0
+            x = (lo if c > 0 else hi) if c else min(lo, hi, key=abs)
+            model, x = enum.kOptimal, (x or -0.0) if b else 0.0
+        status, message = self._statuses[model]
+        if x is None:
+            return LPResult(status, None, None, message)
+        # + 0.0: HiGHS's objective at x = -0.0 is +0.0
+        return LPResult(status, np.array([x]), c * x + 0.0, message)
+
     def solve(self, b_ub=None, b_eq=None) -> LPResult:
         """The member with right-hand sides (b_ub, b_eq): an `LPResult`
         whose status codes, x and objective are those of scipy's LP
         function with method "highs" on the same program."""
         b_ub = _rhs(b_ub, self._m_ub, "ub")
         b_eq = _rhs(b_eq, self._m_eq, "eq")
+        if self._signs is not None:
+            res = self._interval(b_ub.tolist())
+            if res is not None:
+                return res
+        if self._highs is None:
+            self._build()
         highs, model, ran = self._highs, self._refused, False
         upper = np.concatenate([b_ub, b_eq])
         if model is None:

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from regkit import linsolve
-from regkit.linsolve import (LPFamily, LinSolveError, feasible_point,
+from regkit.linsolve import (_FINE, LPFamily, LinSolveError, feasible_point,
                              in_cone_of, max_support, solve_lp,
                              strict_interior_point)
 
@@ -259,6 +259,10 @@ def test_fine_grained_members_start_cold():
         # x3 + x4 <= t and x4 >= t (warm: optimal; cold: infeasible)
         ([0.0] * 4, [[0] * 4, [0] * 4, [0, 0, 1, 1], [0, 0, 0, -2], [0] * 4],
          None, (0, None), [([0] * 5, None), ([0, 0, t, -2 * t, 0], None)]),
+        # one column, x <= b0 and x <= b1 within _FINE of each other: HiGHS
+        # decides both members, cold (warm: x = -1, not -0.99999995)
+        ([-1.0], [[1], [1]], None, None,
+         [([3.0000002, 3.0], None), ([-0.99999995, -1.0], None)]),
     ]
     for c, A_ub, A_eq, bounds, members in families:
         fam = LPFamily(c, A_ub=A_ub, A_eq=A_eq, bounds=bounds)
@@ -302,3 +306,126 @@ def test_status_table_is_keyed_by_every_model_status():
         status, message = statuses[model]
         assert status == linsolve._STATUS.get(name, 4)
         assert message.startswith(f"HiGHS model status {int(model)}: ")
+
+
+def _is_linprog(res, c, A_ub, b_ub):
+    """res is linprog(method="highs") on min cT x s.t. A_ub x <= b_ub, x
+    free: the same status, x bytes (the sign of a zero included) and
+    objective."""
+    ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None),
+                  method="highs")
+    assert res.status == ref.status, (res.message, ref.message)
+    if ref.x is None:
+        assert res.x is None and res.fun is None
+    else:
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+
+
+_gap = st.sampled_from([1e-7, _FINE]).flatmap(lambda g: st.floats(g / 2, 2 * g))
+_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _interval_families(draw):
+    """A family min c x s.t. +-x <= b_i (0-4 rows) and its members.
+
+    c is a signed zero, a gap (below and above _FINE) or coarse.  Each
+    member puts its bounds at a point t plus an offset: 0, +-g, a, a +- g
+    or coarse, with g within 2x of 1e-7 or of _FINE and a >= 0; so it
+    draws bounds of one side within g of each other, intervals empty by
+    g and, at t = 0, |L| within g of |U|.  A bound may be a signed zero.
+    """
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), max_size=4))
+    c = draw(_zero | _gap | st.integers(-3, 3).map(float)
+             | st.floats(-5.0, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(_zero | st.integers(-3, 3).map(float) | st.floats(-5.0, 5.0))
+        g, a = draw(_gap), draw(st.floats(0.0, 3.0))
+        off = st.sampled_from([0.0, g, -g, a, a + g, a - g]) \
+            | st.floats(-3.0, 3.0)
+        members.append([draw(_zero | off.map(lambda o, s=s: s * t + o))
+                        for s in signs])
+    return c, np.array(signs).reshape(-1, 1), members
+
+
+def test_interval_members_match_linprog():
+    # every member of an interval family, in closed form or on HiGHS, is
+    # linprog's answer; both paths must be taken, so the test is not vacuous
+    paths = {"closed": 0, "highs": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_interval_families())
+    def check(family):
+        c, A_ub, members = family
+        fam = LPFamily([c], A_ub=A_ub)
+        for b_ub in members:
+            closed = fam._signs is not None and fam._interval(b_ub)
+            paths["closed" if closed else "highs"] += 1
+            res = fam.solve(b_ub)
+            assert not closed or res == closed
+            _is_linprog(res, [c], A_ub if b_ub else None, b_ub or None)
+
+    check()
+    assert paths["closed"] > 0 and paths["highs"] > 0
+
+
+@pytest.mark.parametrize("c,signs,b_ub,status,x,closed", [
+    # closed form: empty; c > 0 takes L, c < 0 takes U, unbounded past an
+    # infinite end; c = 0 takes the end nearer 0, L on a tie, the one
+    # finite end, or +0.0 with no rows; a zero end is -0.0
+    (1.0, [1, -1], [1.0, -2.0], 2, None, True),
+    (2.0, [-1, 1, -1], [3.0, 5.0, 4.0], 0, -3.0, True),
+    (-0.5, [1, -1, 1], [5.0, 3.0, 4.0], 0, 4.0, True),
+    (1.0, [1], [3.0], 3, None, True),
+    (-1.0, [-1], [3.0], 3, None, True),
+    (1.0, [], [], 3, None, True),
+    (0.0, [1, -1], [3.0, -1.0], 0, 1.0, True),
+    (0.0, [1, -1], [3.0, 3.0], 0, -3.0, True),
+    (0.0, [-1], [-3.0], 0, 3.0, True),
+    (0.0, [], [], 0, 0.0, True),
+    (2.5, [1, -1], [0.0, 0.0], 0, -0.0, True),
+    (-1.0, [1], [-0.0], 0, -0.0, True),
+    (-1.0, [1, -1], [2 + 5e-8, -2.0], 0, 2 + 5e-8, True),
+    # HiGHS decides within _FINE of a tolerance, not by exact arithmetic:
+    # c = 0 with |L| near |U|; empty by 5e-8, yet "optimal"; a bound 5e-8
+    # looser than the tightest, which HiGHS returns; a cost of -1e-7 it
+    # reads as 0 (so "optimal", not unbounded); a fine-grained bound; a
+    # bound HiGHS reads as infinite
+    (0.0, [1, -1], [2 + 5e-8, -2.0], 0, 2.0, False),
+    (1.0, [1, -1], [2.0, -2 - 5e-8], 0, 2 + 5e-8, False),
+    (-1.0, [1, 1, 1], [5 + 5e-8, 5.0, 5.0], 0, 5 + 5e-8, False),
+    (1.0, [-1, -1], [5 + 5e-8, 5.0], 0, -5 - 5e-8, False),
+    (-1e-7, [-1], [2.0], 0, -2.0, False),
+    (1.0, [-1, 1], [5e-7, 1.0], 0, -5e-7, False),
+    (-1.0, [1], [1e20], 3, None, False),
+])
+def test_interval_rules(c, signs, b_ub, status, x, closed):
+    A_ub = np.array(signs, dtype=float).reshape(-1, 1)
+    fam = LPFamily([c], A_ub=A_ub)
+    res = fam.solve(b_ub)
+    assert res.status == status
+    assert (None if res.x is None else res.x.tobytes()) == \
+        (None if x is None else np.array([x]).tobytes())
+    assert (fam._highs is None) == closed     # the model only when needed
+    _is_linprog(res, [c], A_ub if signs else None, b_ub or None)
+
+
+def test_interval_family_builds_its_model_once_on_first_need():
+    # x <= b0, x >= -b1, x >= -b2
+    A_ub, c = np.array([[1.0], [-1.0], [-1.0]]), [1.0]
+    fam = LPFamily(c, A_ub=A_ub)
+    for b_ub in ([3.0, 1.0, 2.0], [0.0, 0.0, 4.0], [1.0, -2.0, 5.0],
+                 [-1.0, 2.0, 1.5]):
+        _is_linprog(fam.solve(b_ub), c, A_ub, b_ub)
+    assert fam._highs is None
+    # a fine-grained member, then a closed-form one; a member empty by 5e-8
+    # and one with two lower bounds 5e-8 apart, each followed by one in
+    # closed form: one model, built for the first
+    model = None
+    for b_ub in ([3.0, 5e-7, 2.0], [3.0, 1.0, 2.0], [1.0, -1.0 - 5e-8, 0.0],
+                 [2.0, 2.0, 1.0], [2.0, 1.0, 1.0 + 5e-8], [3.0, 1.0, 2.0]):
+        _is_linprog(fam.solve(b_ub), c, A_ub, b_ub)
+        model = model or fam._highs
+        assert model is not None and fam._highs is model

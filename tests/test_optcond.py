@@ -1,6 +1,7 @@
 """Second-order optimality machinery on polyhedral problem data."""
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from regkit import optcond
 from regkit.instances import demo_polyopt_raw, generate_instance, parse_instance
@@ -10,7 +11,7 @@ from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
                             critical_directions, exact_rule_margin,
                             find_multipliers, second_order_graph_derivative)
 from regkit import linsolve
-from regkit.linsolve import in_cone_of, solve_lp
+from regkit.linsolve import in_cone_of
 from regkit.polyhedra import Polyhedron, sample_cone_points, tangent_cone
 
 
@@ -108,26 +109,47 @@ def test_slicer_rhs_is_the_normalized_slice_b():
     assert nones > 0 and values > 0
 
 
+def _member_is_linprog(s, T, n, obj, x):
+    """The slicer's family member at x next to linprog on the slice read
+    straight from T's rows; 0 when that slice is None, else 1."""
+    P = _slice(T, n, x)
+    if P is None:
+        return 0
+    res = s.family.solve(s.rhs(x))
+    ref = linprog(obj, A_ub=P.A, b_ub=P.b, bounds=(None, None),
+                  method="highs")
+    assert res.status == ref.status
+    if ref.status == 0:
+        assert res.fun == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert P.contains(res.x, 1e-6)
+    return 1
+
+
 @pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 1)])
 def test_slice_families_match_one_member_solves(size, seed):
     # size 0 is the demo; every slice of a triple's derivative cones is a
-    # member of one family, solved warm, and must equal a fresh solve
+    # member of one family, solved warm or in closed form, and must equal
+    # linprog's solve of that one member
     members = 0
     for inst, sets, T, d, rng in _triple_cones(size, seed):
         c = rng.normal(size=d)
         for obj in (c, np.zeros(d)):
             s = optcond._Slicer(T, inst.n, obj)
             for x in sample_cone_points(sets.S2.IT2, 16, rng):
-                P = _slice(T, inst.n, x)
-                if P is None:
-                    continue
-                res, ref = s.family.solve(s.rhs(x)), solve_lp(obj, P.A, P.b)
-                assert res.status == ref.status
-                if ref.status == 0:
-                    assert res.fun == pytest.approx(ref.fun, rel=1e-9,
-                                                    abs=1e-9)
-                    assert P.contains(res.x, 1e-6)
-                members += 1
+                members += _member_is_linprog(s, T, inst.n, obj, x)
+    assert members > 0
+    # those cones have one e column; a cone with two keeps the slicer's
+    # HiGHS path in the test: |x_i| <= e_i, e1 + e2 <= 3 (x1 + x2), x1 >= 0
+    T = Polyhedron(np.array([[1.0, 0.0, -1.0, 0.0], [-1.0, 0.0, -1.0, 0.0],
+                             [0.0, 1.0, 0.0, -1.0], [0.0, -1.0, 0.0, -1.0],
+                             [-3.0, -3.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]]),
+                   np.zeros(6))
+    rng, members = np.random.default_rng(seed), 0
+    for obj in (rng.normal(size=2), np.zeros(2)):
+        s = optcond._Slicer(T, 2, obj)
+        assert s.family._highs is not None
+        for x in rng.normal(size=(16, 2)):
+            members += _member_is_linprog(s, T, 2, obj, x)
     assert members > 0
 
 
