@@ -150,7 +150,8 @@ def cmd_regcheck(args) -> int:
             rep.add(f"regcheck/{v.name}", v.holds, witness=v.counterexample,
                     detail=f"lhs={v.lhs} rhs={v.rhs}")
         rep.add("regcheck/agreement", audit.agree)
-        fit = conventional.estimate_best_modulus(inst.plain, inst.W)
+        fit = conventional.estimate_best_modulus(inst.plain, inst.W,
+                                                 policy=inst.policy)
         rep.add("regcheck/modulus-fit", fit.lam_star < float("inf"),
                 margin=fit.lam_star, witness=fit.achieved_at)
         return _emit(rep, args)
@@ -293,7 +294,8 @@ def _check_t61(inst, rep):
 def _check_modulus_fit(inst, rep):
     if inst.plain is None:
         raise InstanceError("/map", "modulus_fit needs a plain map")
-    fit = conventional.estimate_best_modulus(inst.plain, inst.W)
+    fit = conventional.estimate_best_modulus(inst.plain, inst.W,
+                                             policy=inst.policy)
     tight = conventional.modulus_is_tight(inst.plain, inst.W, fit,
                                           policy=inst.policy)
     rep.add("modulus/tight", tight, margin=fit.lam_star,

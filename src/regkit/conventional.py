@@ -13,10 +13,15 @@ against each other on a validation set W of (x, y) pairs:
 On finite spaces, with nondecreasing mu, the three are equivalent
 pointwise; the audit verifies the equivalence by direct computation
 rather than assuming it.
+
+A query gathers its distances once, in W order (`_Pairs`), and mu of them
+once; each property is then decided with masks, and reports the first
+failing pair of W, as a loop over W would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -28,11 +33,28 @@ from .svmap import PlainSetValuedMap
 
 @dataclass
 class RegularityQuery:
-    """A plain mapping, a validation set W, and the modulus to test."""
+    """A plain mapping, a validation set W, and the modulus to test.
+
+    The pairs' distances are gathered on first use, and so is mu of
+    them; a query is read, never changed.
+    """
 
     F: PlainSetValuedMap
     W: list[tuple[int, int]]
     mu: Callable[[float], float]
+
+    @cached_property
+    def pairs(self) -> "_Pairs":
+        return _Pairs(self.F, self.W)
+
+    @cached_property
+    def mus(self) -> tuple[np.ndarray, np.ndarray]:
+        """mu(d(y, F(x))) for each pair of W, and mu at each pairs.flat."""
+        P = self.pairs
+        d = np.concatenate([P.dimg, P.flat])
+        v = self.mu.each(d) if isinstance(self.mu, FunctionalModulus) else \
+            np.array([_mu_inf(self.mu, s) for s in d.tolist()], dtype=float)
+        return v[:len(P.dimg)], v[len(P.dimg):]
 
 
 @dataclass
@@ -53,17 +75,73 @@ def _mu_inf(mu, t: float) -> float:
     return mu(t)
 
 
+_BLOCK = 1 << 20  # distances in one block of a gather
+
+
+def _blocks(F: PlainSetValuedMap, n: int) -> list[slice]:
+    """Slices of W whose pairs reach at most _BLOCK points of X or of Y
+    (one slice when W is empty)."""
+    step = max(1, _BLOCK // max(F.X.n, F.Y.n, 1))
+    return [slice(s, s + step) for s in range(0, max(n, 1), step)]
+
+
+def _spread(sets: list[np.ndarray], keys: list[int]) -> tuple:
+    """(k, j) for each j of sets[keys[k]], in (k, j) order."""
+    runs = [sets[a] for a in keys]
+    return (np.arange(len(runs)).repeat([len(v) for v in runs]),
+            np.concatenate([np.empty(0, int), *runs]))
+
+
+class _Pairs:
+    """The distances of W's pairs (x, y), gathered once, in W order.
+
+    flat holds d(y, y') for each y' in F(x), in (pair, y') order, with its
+    pair index fpair and its y' fyp; dimg = d(y, F(x)) is its minimum per
+    pair, and dpre = d(x, F^{-1}(y)) the same over F^{-1}(y), both +inf on
+    an empty set.  As in the per-pair definitions, d(y, .) is read off row
+    y and d(x, .) off row x.  Preimage distances are gathered one block of
+    W at a time, so memory is O(|W| + sum over W of |F(x)| + _BLOCK).
+    """
+
+    def __init__(self, F: PlainSetValuedMap, W: Iterable[tuple[int, int]]):
+        self.W = list(W)
+        xs, ys = [a for a, _ in self.W], [b for _, b in self.W]
+        for idx, S in ((xs, F.X), (ys, F.Y)):  # PointIndexError, as dist_row's
+            if idx:
+                S._check(min(idx))
+                S._check(max(idx))
+        self.x, y = np.array(xs, dtype=int), np.array(ys, dtype=int)
+        (self.dimg, self.dpre), parts = np.full((2, len(xs)), INF), []
+        for b in _blocks(F, len(xs)):
+            k, yp = _spread(F._images, xs[b])
+            parts.append((F.Y.dist_at(y[b][k], yp), k + b.start, yp))
+            np.minimum.at(self.dimg, parts[-1][1], parts[-1][0])
+            k, xp = _spread(F._preimages, ys[b])
+            np.minimum.at(self.dpre, k + b.start, F.X.dist_at(self.x[b][k], xp))
+        self.flat, self.fpair, self.fyp = map(np.concatenate, zip(*parts))
+
+
+def _first(fail: np.ndarray, t: np.ndarray, mu) -> Optional[int]:
+    """Index of the first failing entry, or None.  mu first meets each
+    t < 0 before it, so that a FunctionalModulus raises where the per-pair
+    loop did."""
+    for i in (fail | (t < 0)).nonzero()[0].tolist():
+        if t[i] < 0:
+            mu(float(t[i]))
+        if fail[i]:
+            return i
+    return None
+
+
 def check_metric_regularity(q: RegularityQuery,
                             policy: NumericPolicy = DEFAULT_POLICY) -> PropertyVerdict:
     """d(x, F^{-1}(y)) <= mu(d(y, F(x))) for every (x, y) in W."""
-    for (x, y) in q.W:
-        lhs = q.F.dist_to_preimage(x, y)
-        rhs = _mu_inf(q.mu, q.F.dist_to_image(y, x))
-        if rhs == INF:
-            continue
-        if not policy.le(lhs, rhs):
-            return PropertyVerdict("metric-regularity", False, (x, y), lhs, rhs)
-    return PropertyVerdict("metric-regularity", True)
+    P = q.pairs
+    i = _first(~(P.dpre <= q.mus[0] + policy.tol_strict), P.dimg, q.mu)  # policy.le
+    if i is None:
+        return PropertyVerdict("metric-regularity", True)
+    return PropertyVerdict("metric-regularity", False, tuple(P.W[i]), float(P.dpre[i]),
+                           _mu_inf(q.mu, float(P.dimg[i])))
 
 
 def check_openness(q: RegularityQuery,
@@ -74,25 +152,24 @@ def check_openness(q: RegularityQuery,
     one value beyond the diameter, which suffices on a finite space.
     y is in F(B(x, t)) iff d(x, F^{-1}(y)) < t, so only the smallest
     candidate above mu(d(y, F(x))) can fail; it is the one compared, and
-    the one reported as rhs.  The candidates above it are picked with one
-    `policy.lt_each` mask over x's distance row.
+    the one reported as rhs.  The candidates above it are picked with
+    `policy.lt_each`, one mask per block of x rows.
     """
-    diam = q.F.X.diameter()
-    for (x, y) in q.W:
-        md = _mu_inf(q.mu, q.F.dist_to_image(y, x))
-        if md == INF:
-            continue
-        lhs = q.F.dist_to_preimage(x, y)
-        # strictness of "t > mu(...)" goes through the policy; ball
-        # membership stays exactly strict because lhs and the candidate
-        # radii are drawn from the same distance row, so a tie means the
-        # witness sits on the boundary of the open ball and is excluded
-        cands = np.append(q.F.X.dist_row(x), md + diam + 1.0)
-        cands = cands[policy.lt_each(md, cands)]
-        if cands.size and not lhs < cands.min():
-            return PropertyVerdict("openness", False, (x, y), lhs,
-                                   float(cands.min()))
-    return PropertyVerdict("openness", True)
+    P, md, X = q.pairs, q.mus[0], q.F.X
+    far = md + X.diameter() + 1.0
+    r = np.empty(len(md))  # the deciding radius; NaN where no candidate is above md
+    for b in _blocks(q.F, len(md)):
+        c = np.concatenate([X.dist_at(P.x[b, None], np.arange(X.n)), far[b, None]], axis=1)
+        r[b] = np.fmin.reduce(c, axis=1, where=policy.lt_each(md[b, None], c), initial=np.nan)
+    # strictness of "t > mu(...)" goes through the policy; ball membership
+    # stays exactly strict because lhs and the candidate radii are drawn
+    # from the same distance rows, so a tie means the witness sits on the
+    # boundary of the open ball and is excluded
+    i = _first(P.dpre >= r, P.dimg, q.mu)  # not lhs < r, and never at NaN
+    if i is None:
+        return PropertyVerdict("openness", True)
+    return PropertyVerdict("openness", False, tuple(P.W[i]), float(P.dpre[i]),
+                           float(r[i]))
 
 
 def check_holder_inverse(q: RegularityQuery,
@@ -103,16 +180,13 @@ def check_holder_inverse(q: RegularityQuery,
     rephrased as: F^{-1} as a map Y => X satisfies
     d(x, F^{-1}(y)) <= mu(d(y, y')) whenever y' in F(x).
     """
-    for (x, y) in q.W:
-        lhs = q.F.dist_to_preimage(x, y)
-        yrow = q.F.Y.dist_row(y)
-        for yp in q.F.image(x).tolist():
-            rhs = _mu_inf(q.mu, float(yrow[yp]))
-            if rhs == INF:
-                continue
-            if not policy.le(lhs, rhs):
-                return PropertyVerdict("holder-inverse", False, (x, y, yp), lhs, rhs)
-    return PropertyVerdict("holder-inverse", True)
+    P = q.pairs
+    f = _first(~(P.dpre[P.fpair] <= q.mus[1] + policy.tol_strict), P.flat, q.mu)
+    if f is None:
+        return PropertyVerdict("holder-inverse", True)
+    i = P.fpair[f]
+    return PropertyVerdict("holder-inverse", False, (*P.W[i], int(P.fyp[f])),
+                           float(P.dpre[i]), _mu_inf(q.mu, float(P.flat[f])))
 
 
 @dataclass
@@ -215,23 +289,23 @@ def estimate_best_modulus(F: PlainSetValuedMap, W: Iterable[tuple[int, int]],
 
     lam* is the max of the ratios over pairs with 0 < d(y, F(x)) < inf;
     pairs with d(y, F(x)) = 0 must have x in F^{-1}(y) (else no power
-    modulus works and lam* = +inf).
+    modulus works and lam* = +inf).  The ratios are scalar arithmetic, as
+    np.power may differ from ** in the last bit; the first pair of W at
+    the largest ratio is the one reported.
     """
-    lam, arg, n = 0.0, None, 0
-    for (x, y) in W:
-        t = F.dist_to_image(y, x)
-        lhs = F.dist_to_preimage(x, y)
-        if t == INF:
-            continue
-        n += 1
-        if t <= policy.tol_strict:
-            if lhs > policy.tol_strict:
-                return ModulusFit(k, INF, (x, y), n)
-            continue
-        ratio = lhs / t ** k
-        if ratio > lam:
-            lam, arg = float(ratio), (x, y)
-    return ModulusFit(k, lam, arg, n)
+    P, tol = _Pairs(F, W), policy.tol_strict
+    t, lhs = P.dimg, P.dpre
+    fin = t != INF
+    bad = np.flatnonzero(fin & (t <= tol) & (lhs > tol))
+    stop = int(bad[0]) if bad.size else len(t)  # the first bad pair ends the scan
+    pos = np.flatnonzero(fin[:stop] & (t[:stop] > tol))
+    ratio = np.array([a / b ** k for a, b in zip(lhs[pos].tolist(), t[pos].tolist())])
+    if bad.size:
+        return ModulusFit(k, INF, tuple(P.W[stop]), int(fin[:stop + 1].sum()))
+    j = int(ratio.argmax()) if ratio.size else 0
+    if not ratio.size or not ratio[j] > 0.0:
+        return ModulusFit(k, 0.0, None, int(fin.sum()))
+    return ModulusFit(k, float(ratio[j]), tuple(P.W[pos[j]]), int(fin.sum()))
 
 
 def modulus_is_tight(F: PlainSetValuedMap, W: list[tuple[int, int]],
@@ -253,7 +327,7 @@ def modulus_is_tight(F: PlainSetValuedMap, W: list[tuple[int, int]],
         return ok_at
     strict = NumericPolicy(tol_strict=0.0, triangle_tol=policy.triangle_tol,
                            horizon=policy.horizon)
-    qb = RegularityQuery(F, W, FunctionalModulus.power(
-        fit.lam_star * (1.0 - 1e-9), fit.k))
+    qb = RegularityQuery(F, W, FunctionalModulus.power(fit.lam_star * (1.0 - 1e-9), fit.k))
+    qb.pairs = qa.pairs  # the same pairs under another modulus
     fails_below = not check_metric_regularity(qb, strict).holds
     return ok_at and fails_below

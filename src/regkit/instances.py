@@ -173,7 +173,7 @@ def _map(sec, at, X, Y, policy) -> tuple:
         raise InstanceError(at + "/ladder", "missing for triple graph")
     triples = _get(sec, "graph", at, _rows, (X.n, len(ladder), Y.n)).astype(int)
     return ladder, None, _make(
-        at + "/graph", ParamSetValuedMap, X, Y, ladder, graph=triples.tolist(),
+        at + "/graph", ParamSetValuedMap, X, Y, ladder, graph=triples,
         monotone=_get(sec, "monotone", at, _is, bool, default=False), policy=policy)
 
 

@@ -28,15 +28,17 @@ class PointIndexError(RegkitError, IndexError):
     pass
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+def _pairwise(a: np.ndarray, b: np.ndarray, metric: str, pairs=None) -> np.ndarray:
     """Distances from each row of a (rows) to each row of b (columns),
     one coordinate column at a time; columns are summed in numpy's pairwise
-    order, so each entry equals the (n, m, d) tensor reduction bit for bit."""
+    order, so each entry equals the (n, m, d) tensor reduction bit for bit.
+    With pairs = (i, j), only the entries [i[k], j[k]], by the same steps."""
     if metric not in NORM_METRICS:
         raise MetricError(f"unknown metric {metric!r}")
 
     def col(k: int) -> np.ndarray:
-        c = np.subtract.outer(a[:, k], b[:, k])
+        c = np.subtract.outer(a[:, k], b[:, k]) if pairs is None \
+            else a[pairs[0], k] - b[pairs[1], k]
         return np.square(c, out=c) if metric == "euclidean" else np.abs(c, out=c)
 
     if metric == "chebyshev":
@@ -161,6 +163,13 @@ class FiniteMetricSpace:
             return self._dmat[i]
         return _pairwise(self.coords[i:i + 1], self.coords, self.metric)[0]
 
+    def dist_at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """dist_row(i)[j] at each entry of the broadcast of i and j, whose
+        indices must be in range."""
+        if self._dmat is not None:
+            return self._dmat[i, j]
+        return _pairwise(self.coords, self.coords, self.metric, (i, j))
+
     def dist_cols(self, idx: np.ndarray) -> np.ndarray:
         """Distances from every point (rows) to each point of idx (columns)."""
         if self._dmat is not None:
@@ -175,6 +184,11 @@ class FiniteMetricSpace:
     def _check(self, i: int):
         if not (0 <= int(i) < self._n):
             raise PointIndexError(f"point index {i} out of range [0,{self._n})")
+
+    def _check_each(self, idx: np.ndarray):
+        """_check at each index of an int array."""
+        if idx.size and not 0 <= idx.min() <= idx.max() < self._n:
+            self._check(idx[(idx < 0) | (idx >= self._n)][0])
 
     @classmethod
     def from_grid(cls, values: Sequence[float], metric: str = "euclidean",

@@ -7,6 +7,7 @@ upper semicontinuous by construction; mu(+inf) = +inf.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,6 +54,22 @@ class FunctionalModulus:
             object.__setattr__(self, "breakpoints", bps)
             if self.interp not in ("step", "linear"):
                 raise ModulusError(f"bad interp {self.interp!r}")
+            # mu as pieces a + b (t - c) / d, piece k for the t with k
+            # breakpoints at or below them.  Piece 0 is 0 (step) or the ramp
+            # v0 t / t0 from (0, 0) (linear); piece k is v[k-1] (step) or the
+            # interpolation v[k-1] + (v[k] - v[k-1]) (t - t[k-1]) / (t[k] -
+            # t[k-1]) (linear); the last piece is v[-1].  A constant piece has
+            # b = -0.0, which adds -0.0 and so keeps its value.  Built once,
+            # not as fields, so eq and hash read the breakpoints alone.
+            ts, vs, lin = np.array(ts), np.array(vs), self.interp == "linear"
+            abcd = np.array([
+                np.r_[-0.0 if lin and ts[0] > 0 else 0.0, vs],
+                np.r_[vs[0], np.diff(vs), -0.0] if lin else np.full(len(ts) + 1, -0.0),
+                np.r_[0.0, ts],
+                np.r_[ts[0] or 1.0, np.diff(ts), 1.0] if lin else np.ones(len(ts) + 1)])
+            object.__setattr__(self, "_ts", ts)
+            object.__setattr__(self, "_abcd", abcd)  # for each()
+            object.__setattr__(self, "_pieces", abcd.T.tolist())  # for one t
         else:
             raise ModulusError(f"unknown modulus kind {self.kind!r}")
 
@@ -65,20 +82,26 @@ class FunctionalModulus:
             return self.kappa * t
         if self.kind == "power":
             return self.lam * t ** self.k
-        ts = np.array([p[0] for p in self.breakpoints])
-        vs = np.array([p[1] for p in self.breakpoints])
-        if t < ts[0]:
-            # below the first breakpoint: ramp from 0 in linear mode, 0 in step mode
-            if self.interp == "linear" and ts[0] > 0:
-                return float(vs[0] * t / ts[0])
-            return 0.0
-        if t >= ts[-1]:
-            return float(vs[-1])
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        if self.interp == "step":
-            return float(vs[i])
-        t0, t1 = ts[i], ts[i + 1]
-        return float(vs[i] + (vs[i + 1] - vs[i]) * (t - t0) / (t1 - t0))
+        a, b, c, d = self._pieces[bisect_right(self._ts, t)]
+        return float(a + b * (t - c) / d)
+
+    def each(self, t: np.ndarray) -> np.ndarray:
+        """mu at each entry of t, equal to mu(t) bit for bit; NaN where
+        t < 0, which mu rejects.  A power modulus is evaluated entry by
+        entry, since np.power and ** differ in the last bit on some t."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "power":  # the arithmetic of __call__
+            lam, k = self.lam, self.k
+            out = np.array([lam * v ** k if v >= 0 else np.nan for v in t.tolist()])
+        elif self.kind == "linear":
+            out = self.kappa * t
+        else:
+            u = np.where((t >= 0) & (t < INF), t, 0.0)  # t = inf and t < 0 are set below
+            a, b, c, d = self._abcd[:, np.searchsorted(self._ts, u, side="right")]
+            out = a + b * (u - c) / d
+            out[t == INF] = INF
+        out[t < 0] = np.nan
+        return out
 
     @property
     def continuous(self) -> bool:

@@ -41,11 +41,10 @@ class NumericPolicy:
             return True
         return a < b - self.tol_strict
 
-    def lt_each(self, a: float, values: np.ndarray) -> np.ndarray:
-        """lt(a, v) for each v of an array, as a boolean mask."""
-        if a == INF:
-            return np.zeros(np.shape(values), dtype=bool)
-        return (values == INF) | (a < values - self.tol_strict)
+    def lt_each(self, a, values: np.ndarray) -> np.ndarray:
+        """lt(a, v) for each v of an array, as a boolean mask; a may be an
+        array too, broadcast against values."""
+        return np.not_equal(a, INF) & ((values == INF) | (a < values - self.tol_strict))
 
     def le(self, a: float, b: float) -> bool:
         if a == INF:

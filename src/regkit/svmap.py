@@ -2,10 +2,10 @@
 
 Two backings share one query API: an explicit graph of (x, level, y)
 triples, and the embedding of a plain mapping F: X => Y where the t-fibre
-is the (open or closed) t-enlargement of F(x).  An embedded map is stored
-as its onset matrix on[x, y], the first positive ladder index at which
-d(y, F(x)) falls inside the enlargement; every positive-level query reads
-that one matrix, so fine ladders stay cheap.
+is the (open or closed) t-enlargement of F(x).  Both keep the onset matrix
+on[x, y], the first positive ladder index with y in F(x, t).  An embedded
+map is stored as it, so fine ladders stay cheap; a triple graph as sorted
+(x, t, y) and (t, y, x) integer keys, each fibre and inverse one run.
 
 The distance-like quantity delta(y, F, x) = inf{t > 0 | y in F(x, t)} is
 resolved on the ladder: the returned value is the smallest positive
@@ -123,30 +123,34 @@ class ParamSetValuedMap:
         if embedded is not None:
             self.graph = None
             return
-        triples = {(int(a), int(t), int(b)) for a, t, b in (graph or ())}
-        for (a, t, b) in triples:
-            X._check(a)
-            Y._check(b)
-            if not (0 <= t < len(ladder)):
-                raise LadderError(f"level index {t} off ladder")
-        self.graph = triples
-        self._inv: dict[tuple[int, int], list[int]] = {}
-        self._fib: dict[tuple[int, int], list[int]] = {}
-        self._xy_levels: dict[tuple[int, int], list[int]] = {}
-        for (a, t, b) in sorted(triples):
-            self._inv.setdefault((t, b), []).append(a)
-            self._fib.setdefault((a, t), []).append(b)
-            self._xy_levels.setdefault((a, b), []).append(t)
-        if monotone:
-            self._validate_monotone()
-
-    def _validate_monotone(self):
-        nlev = len(self.ladder)
-        for (a, b), lvls in self._xy_levels.items():
-            pos = [t for t in lvls if t > 0]
-            if pos and set(range(min(pos), nlev)) - set(pos):
-                raise ValueError(
-                    f"monotonicity flag violated for pair ({a},{b})")
+        g = np.array(graph if isinstance(graph, np.ndarray) else list(graph or ()),
+                     dtype=np.int64).reshape(-1, 3)
+        nx, L, ny = X.n, len(ladder), Y.n
+        X._check_each(g[:, 0])
+        Y._check_each(g[:, 2])
+        if g.size and not 0 <= g[:, 1].min() <= g[:, 1].max() < L:
+            raise LadderError(f"level index {g[(g[:, 1] < 0) | (g[:, 1] >= L), 1][0]} off ladder")
+        if nx * L * ny >= 2 ** 63:
+            raise LadderError(f"{nx} x {L} x {ny} triples do not fit 64-bit keys")
+        # the distinct triples as sorted (x, t, y) keys and (t, y, x) keys;
+        # _fib and _inv are (ptr, members): F(x, t) is members[ptr[r]:
+        # ptr[r + 1]] for r = x L + t, and F_t^{-1}(y) for r = t |Y| + y
+        xty = np.unique((g[:, 0] * L + g[:, 1]) * ny + g[:, 2])
+        self.graph = np.column_stack([xty // (L * ny), xty // ny % L, xty % ny])
+        self.graph.flags.writeable = False  # fibres are views of it
+        a, t, b = self.graph.T
+        tyx = np.sort((t * ny + b) * nx + a)
+        self._fib = (np.searchsorted(xty, np.arange(nx * L + 1) * ny), b)
+        self._inv = (np.searchsorted(tyx, np.arange(L * ny + 1) * nx), tyx % nx)
+        self._on, pos = np.full((nx, ny), L), t > 0
+        np.minimum.at(self._on, (a[pos], b[pos]), t[pos])
+        self._inv[1].flags.writeable = self._on.flags.writeable = False
+        # monotone: every pair holds each level from its onset up, so the
+        # positive triples number sum(L - on) exactly
+        if monotone and pos.sum() != (L - self._on).sum():
+            held = np.bincount(a[pos] * ny + b[pos], minlength=nx * ny)
+            i = int(((L - self._on).ravel() != held)[a * ny + b].argmax())
+            raise ValueError(f"monotonicity flag violated for pair ({a[i]},{b[i]})")
 
     # -- membership and fibres ------------------------------------------
 
@@ -155,7 +159,9 @@ class ParamSetValuedMap:
             if t_idx == 0:
                 return (x, y) in self._plain.graph
             return bool(t_idx >= self._on[x, y])
-        return (x, t_idx, y) in self.graph
+        ys = self.fibre(x, t_idx)
+        i = ys.searchsorted(y)
+        return bool(i < ys.size and ys[i] == y)
 
     def fibre(self, x: int, t_idx: int) -> np.ndarray:
         """F(x, t) as sorted y indices."""
@@ -163,7 +169,8 @@ class ParamSetValuedMap:
             if t_idx == 0:
                 return self._plain.image(x)
             return np.nonzero(self._on[x] <= t_idx)[0]
-        return np.asarray(self._fib.get((x, t_idx), []), dtype=int)
+        (ptr, ys), r = self._fib, x * len(self.ladder) + t_idx
+        return ys[ptr[r]:ptr[r + 1]]
 
     def inverse_at_level_idx(self, t_idx: int, y: int) -> np.ndarray:
         """F_t^{-1}(y) as sorted x indices, t given by ladder index."""
@@ -171,29 +178,21 @@ class ParamSetValuedMap:
             if t_idx == 0:
                 return self._plain.preimage(y)
             return np.nonzero(self._on[:, y] <= t_idx)[0]
-        return np.asarray(self._inv.get((t_idx, y), []), dtype=int)
+        (ptr, xs), r = self._inv, t_idx * self.Y.n + y
+        return xs[ptr[r]:ptr[r + 1]]
 
     def delta(self, y: int, x: int) -> float:
         """Smallest positive ladder level t with y in F(x, t); +inf if none."""
-        if self._plain is not None:
-            k = self._on[x, y]
-            return float(self.ladder.levels[k]) if k < len(self.ladder) else INF
-        lvls = [t for t in self._xy_levels.get((x, y), []) if t > 0]
-        return float(self.ladder.levels[min(lvls)]) if lvls else INF
+        k = self._on[x, y]
+        return float(self.ladder.levels[k]) if k < len(self.ladder) else INF
 
     def onset_matrix(self) -> np.ndarray:
         """Matrix on[x, y]: the first positive ladder index k with x in
-        F_k^{-1}(y), or len(ladder) if none; an embedded map is stored as it.
+        F_k^{-1}(y), or len(ladder) if none; every map is stored with it.
         For a monotone map (every embedded one) x is in F_k^{-1}(y), k >= 1,
         exactly when k >= on[x, y].
         """
-        if self._plain is not None:
-            return self._on
-        L = len(self.ladder)
-        on = np.full((self.X.n, self.Y.n), L)
-        for (x, y), lvls in self._xy_levels.items():
-            on[x, y] = min((t for t in lvls if t > 0), default=L)
-        return on
+        return self._on
 
     def delta_matrix(self) -> np.ndarray:
         """Matrix Dl[x, y] = delta(y, F, x), read off the onset matrix."""

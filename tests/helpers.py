@@ -23,7 +23,7 @@ import numpy as np
 from regkit.induction import LevelMap, Seq, SequenceSpec
 from regkit.metric import FiniteMetricSpace
 from regkit.moduli import AuxScheme, FunctionalModulus
-from regkit.policy import DEFAULT_POLICY, NumericPolicy
+from regkit.policy import DEFAULT_POLICY, INF, NumericPolicy
 from regkit.svmap import ParamSetValuedMap, PlainSetValuedMap, TLadder
 
 
@@ -352,3 +352,74 @@ def exhaustive_chain_verdict(case: InductionCase,
         if not reach:
             return "failed"
     return "certified"
+
+
+# -- per-pair reference for the plain-map W audits ----------------------------
+
+def _mu_inf(mu, t: float) -> float:
+    return INF if t == INF else mu(t)
+
+
+def ref_metric_regularity(F, W, mu, policy=DEFAULT_POLICY) -> tuple:
+    """(holds, counterexample, lhs, rhs) of d(x, F^{-1}(y)) <= mu(d(y, F(x))),
+    pair by pair through the map's scalar queries."""
+    for (x, y) in W:
+        lhs = F.dist_to_preimage(x, y)
+        rhs = _mu_inf(mu, F.dist_to_image(y, x))
+        if rhs == INF:
+            continue
+        if not policy.le(lhs, rhs):
+            return False, (x, y), lhs, rhs
+    return True, None, 0.0, 0.0
+
+
+def ref_openness(F, W, mu, policy=DEFAULT_POLICY) -> tuple:
+    """(holds, counterexample, lhs, rhs) of openness, deciding each pair at
+    the smallest x-row distance (or md + diam + 1) above md = mu(d(y, F(x)))."""
+    diam = F.X.diameter()
+    for (x, y) in W:
+        md = _mu_inf(mu, F.dist_to_image(y, x))
+        if md == INF:
+            continue
+        lhs = F.dist_to_preimage(x, y)
+        cands = np.append(F.X.dist_row(x), md + diam + 1.0)
+        cands = cands[policy.lt_each(md, cands)]
+        if cands.size and not lhs < cands.min():
+            return False, (x, y), lhs, float(cands.min())
+    return True, None, 0.0, 0.0
+
+
+def ref_holder_inverse(F, W, mu, policy=DEFAULT_POLICY) -> tuple:
+    """(holds, counterexample, lhs, rhs) of d(x, F^{-1}(y)) <= mu(d(y, y'))
+    for each y' in F(x), in image order."""
+    for (x, y) in W:
+        lhs = F.dist_to_preimage(x, y)
+        yrow = F.Y.dist_row(y)
+        for yp in F.image(x).tolist():
+            rhs = _mu_inf(mu, float(yrow[yp]))
+            if rhs == INF:
+                continue
+            if not policy.le(lhs, rhs):
+                return False, (x, y, yp), lhs, rhs
+    return True, None, 0.0, 0.0
+
+
+def ref_best_modulus(F, W, k: float = 1.0, policy=DEFAULT_POLICY) -> tuple:
+    """(k, lam*, achieved_at, n_pairs): the first pair at the largest ratio
+    d(x, F^{-1}(y)) / d(y, F(x))^k, or lam* = inf at the first pair with
+    d(y, F(x)) ~ 0 and x far from F^{-1}(y)."""
+    lam, arg, n = 0.0, None, 0
+    for (x, y) in W:
+        t = F.dist_to_image(y, x)
+        lhs = F.dist_to_preimage(x, y)
+        if t == INF:
+            continue
+        n += 1
+        if t <= policy.tol_strict:
+            if lhs > policy.tol_strict:
+                return k, INF, (x, y), n
+            continue
+        ratio = lhs / t ** k
+        if ratio > lam:
+            lam, arg = float(ratio), (x, y)
+    return k, lam, arg, n

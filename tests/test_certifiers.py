@@ -129,7 +129,7 @@ def test_image_space_set1_violation():
     extra = ci.H + 2 if ci.F.X.n > ci.H + 2 else None
     if extra is None:
         pytest.skip("instance drew no decoy point")
-    graph = set(ci.F.graph) | {(extra, 0, ci.y)}
+    graph = set(map(tuple, ci.F.graph.tolist())) | {(extra, 0, ci.y)}
     F2 = ParamSetValuedMap(ci.F.X, ci.F.Y, ci.F.ladder, graph=graph,
                            monotone=True)
     cert = certifiers.certify_image_space(F2, ci.x, ci.t, ci.y,
@@ -147,7 +147,7 @@ def _random_starts(seed: int, twins: bool = False):
         coords[1] = coords[0]
         F = ParamSetValuedMap(FiniteMetricSpace(metric="euclidean", coords=coords),
                               F.Y, F.ladder, graph=F.graph, monotone=True)
-    trip = sorted(tr for tr in F.graph if tr[1] > 0)
+    trip = F.graph[F.graph[:, 1] > 0].tolist()  # sorted (x, t, y) rows
     for j in rng.choice(len(trip), size=min(4, len(trip)), replace=False):
         x, k, y = trip[int(j)]
         t = float(F.ladder.levels[k])

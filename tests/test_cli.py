@@ -341,3 +341,43 @@ def test_reports_are_deterministic_across_commands(evp_file, tmp_path):
     assert main(["ekeland", evp_file, "--out", str(ac)]) == EXIT_PASS
     assert main(["ekeland", evp_file, "--out", str(bc)]) == EXIT_PASS
     assert ac.read_bytes() == bc.read_bytes()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["regcheck", "--setting", "conventional"],
+     "plain_lipschitz_40_seed3_regcheck_conventional.json"),
+    (["run", "--plan", "t61_audit,modulus_fit"],
+     "plain_lipschitz_40_seed3_run_t61_modulus.json"),
+])
+def test_failing_conventional_reports_match_golden_bytes(argv, golden, tmp_path):
+    # kappa scaled by 0.2: metric regularity, openness and Hölder all fail,
+    # so each witness and each lhs/rhs pair is pinned byte for byte
+    raw = generate_instance("plain-lipschitz", 40, 3)
+    raw["mu"]["kappa"] *= 0.2
+    inst, out = tmp_path / "inst.json", tmp_path / "report.json"
+    save_instance(raw, str(inst))
+    main([argv[0], str(inst), *argv[1:], "--out", str(out)])
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_modulus_fit_reads_the_run_tolerance(tmp_path):
+    # d(y, F(x)) = 1e-9 counts as 0 under tol_strict = 1e-6, and x is at
+    # distance 1 from F^{-1}(y), so no power modulus works: lam* = inf
+    raw = {"version": 1, "policy": {"tol_strict": 1e-6},
+           "X": {"metric": "euclidean", "points": [0.0, 1.0]},
+           "Y": {"metric": "euclidean", "points": [0.0, 1e-9]},
+           "map": {"plain_graph": [[0, 0], [1, 1]]},
+           "mu": {"kind": "linear", "kappa": 1.0}, "W": [[0, 1]]}
+    path, out = tmp_path / "tol.json", tmp_path / "report.json"
+    save_instance(raw, str(path))
+    for argv, row in ((["run", "--plan", "modulus_fit"], "modulus/tight"),
+                      (["regcheck", "--setting", "conventional"],
+                       "regcheck/modulus-fit")):
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == EXIT_FAIL
+        rows = {r["check_id"]: r for r in json.loads(out.read_text())["rows"]}
+        assert rows[row]["verdict"] == "fail" and rows[row]["margin"] == "inf"
+        assert rows[row]["witness"] == [0, 1]

@@ -1,12 +1,14 @@
 """Plain-mapping regularity: three-way equivalence, decrease, best modulus."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from regkit import conventional
-from regkit.moduli import FunctionalModulus
-from regkit.policy import DEFAULT_POLICY, INF
+from regkit.moduli import FunctionalModulus, ModulusError
+from regkit.policy import DEFAULT_POLICY, INF, NumericPolicy
 from regkit.svmap import TLadder, embed_plain
 
 
@@ -170,3 +172,76 @@ def test_param_bridge_matches_embed():
     lad = TLadder(np.linspace(0.0, pc.F.Y.diameter() + 1.0, 9))
     P = embed_plain(pc.F, lad)
     assert set(P.fibre(pc.H, 0).tolist()) == {0}
+
+
+# -- gathered audits against the per-pair reference ---------------------------
+
+def _space(rng, n):
+    """n points on a quarter grid (duplicates allowed): a euclidean space,
+    or a matrix space whose off-diagonal entries move by up to 1e-10 each,
+    so it is asymmetric (and may dip below 0) within triangle_tol."""
+    from regkit.metric import FiniteMetricSpace
+    pts = rng.integers(0, 13, size=n) / 4.0
+    if rng.random() < 0.5:
+        return FiniteMetricSpace.from_grid(pts)
+    m = np.abs(pts[:, None] - pts[None, :]) + rng.uniform(-1e-10, 1e-10, (n, n))
+    np.fill_diagonal(m, 0.0)
+    return FiniteMetricSpace(metric="matrix", dmatrix=m)
+
+
+@st.composite
+def plain_queries(draw):
+    """A random plain map with empty images and preimages, a W of 0-12
+    pairs with repeats, a modulus of each kind or a bare callable, and a
+    tolerance up to one grid step, so distances tie with mu within it."""
+    from regkit.svmap import PlainSetValuedMap
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nx, ny = rng.integers(1, 8, size=2)
+    graph = np.argwhere(rng.random((nx, ny)) < rng.choice([0.15, 0.3, 0.6]))
+    F = PlainSetValuedMap(_space(rng, nx), _space(rng, ny), set(map(tuple, graph.tolist())))
+    n = int(rng.integers(0, 13))
+    W = list(zip(rng.integers(0, nx, n).tolist(), rng.integers(0, ny, n).tolist()))
+    q = st.integers(1, 8).map(lambda k: k / 8.0)
+    mu = draw(st.one_of(
+        q.map(FunctionalModulus.linear),
+        st.builds(FunctionalModulus.power, q, st.sampled_from([0.4, 0.5, 1.0])),
+        st.builds(lambda ts, vs, interp: FunctionalModulus.table(
+            list(zip(sorted(ts), sorted(vs))), interp=interp),
+            st.sets(q, min_size=3, max_size=3), st.lists(q, min_size=3, max_size=3),
+            st.sampled_from(["step", "linear"])),
+        q.map(lambda c: lambda t: c * t)))         # a bare callable
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.25]))
+    return F, W, mu, NumericPolicy(tol_strict=tol)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ModulusError as e:                      # mu at a distance below 0
+        return "raises", str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_queries(), st.sampled_from([1.0, 0.5]), st.sampled_from([1 << 20, 9]))
+def test_gathered_audits_match_the_per_pair_reference(query, k, block):
+    F, W, mu, pol = query
+    q = conventional.RegularityQuery(F, W, mu)     # one query: one gather
+    with mock.patch.object(conventional, "_BLOCK", block):  # 9: 1-9 pairs a block
+        for check, ref in ((conventional.check_metric_regularity, helpers.ref_metric_regularity),
+                           (conventional.check_openness, helpers.ref_openness),
+                           (conventional.check_holder_inverse, helpers.ref_holder_inverse)):
+            v = _outcome(check, q, pol)
+            got = v if isinstance(v, tuple) else (v.holds, v.counterexample, v.lhs, v.rhs)
+            assert got == _outcome(ref, F, W, mu, pol), check.__name__
+        fit = conventional.estimate_best_modulus(F, W, k, pol)
+    assert (fit.k, fit.lam_star, fit.achieved_at, fit.n_pairs) == \
+        helpers.ref_best_modulus(F, W, k, pol)
+
+
+def test_a_pair_outside_the_spaces_is_a_point_index_error():
+    from regkit.metric import PointIndexError
+    F = helpers.random_plain_map(np.random.default_rng(0), nx_max=5, ny_max=5)
+    for W in ([(0, 0), (F.X.n, 0)], [(0, -1)]):
+        with pytest.raises(PointIndexError):
+            conventional.check_openness(
+                conventional.RegularityQuery(F, W, FunctionalModulus.linear(1.0)))

@@ -122,6 +122,17 @@ def test_index_bounds_checked():
         sp.dist_row(3)
 
 
+@pytest.mark.parametrize("n", [300, 2001])  # 2001: above the matrix cache
+@pytest.mark.parametrize("metric", NORM_METRICS)
+def test_dist_at_is_dist_row_bit_for_bit(n, metric):
+    rng = np.random.default_rng(n)
+    sp = FiniteMetricSpace(metric=metric, coords=rng.uniform(-3, 3, (n, 9)))
+    i, j = rng.integers(0, n, size=(2, 40))
+    rows = np.stack([sp.dist_row(a) for a in i])
+    assert rows.tobytes() == sp.dist_at(i[:, None], np.arange(n)).tobytes()
+    assert rows[np.arange(40), j].tobytes() == sp.dist_at(i, j).tobytes()
+
+
 def _bumped_plane_matrix(n: int, seed: int) -> np.ndarray:
     """Euclidean distances of n random plane points, three pairs stretched."""
     rng = np.random.default_rng(seed)

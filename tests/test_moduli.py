@@ -107,3 +107,55 @@ def test_canonical_mu_satisfies_functional_inequality():
         lhs = canonical_mu(sch, tau, 128)
         rhs = sch.m(tau) + canonical_mu(sch, sch.b(tau), 128)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def _table_reference(mu, t: float) -> float:
+    """A table modulus at t >= 0, branch by branch."""
+    ts = [p[0] for p in mu.breakpoints]
+    vs = [p[1] for p in mu.breakpoints]
+    if t == INF:
+        return INF
+    if t < ts[0]:
+        return vs[0] * t / ts[0] if mu.interp == "linear" and ts[0] > 0 else 0.0
+    if t >= ts[-1]:
+        return vs[-1]
+    i = max(j for j in range(len(ts)) if ts[j] <= t)
+    if mu.interp == "step":
+        return vs[i]
+    return vs[i] + (vs[i + 1] - vs[i]) * (t - ts[i]) / (ts[i + 1] - ts[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 320).map(lambda k: k / 64), min_size=1, max_size=5),
+       st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 5.0)), min_size=5, max_size=5),
+       st.sampled_from(["step", "linear"]),
+       st.lists(st.one_of(st.floats(0.0, 8.0), st.just(INF)), max_size=10))
+def test_table_pieces_are_the_branch_formula_bit_for_bit(ts, vs, interp, points):
+    mu = FunctionalModulus.table(list(zip(sorted(ts), sorted(vs))), interp=interp)
+    points = points + [t for t, _ in mu.breakpoints] + [0.0]
+    assert np.array([mu(t) for t in points]).tobytes() == \
+        np.array([_table_reference(mu, t) for t in points]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.builds(FunctionalModulus.linear, st.floats(0.1, 5.0)),
+    st.builds(FunctionalModulus.power, st.floats(0.1, 5.0), st.floats(0.2, 1.0)),
+    st.builds(lambda ts, vs, interp: FunctionalModulus.table(
+        list(zip(sorted(ts), sorted(vs))), interp=interp),
+        st.sets(st.integers(0, 320).map(lambda k: k / 64), min_size=1, max_size=5),
+        st.lists(st.floats(0.0, 5.0), min_size=5, max_size=5),
+        st.sampled_from(["step", "linear"]))),
+    st.lists(st.one_of(st.floats(0.0, 8.0), st.just(INF)), max_size=20))
+def test_each_is_call_bit_for_bit(mu, ts):
+    # breakpoints among the points too, where step and linear switch pieces
+    ts = ts + [t for t, _ in mu.breakpoints]
+    got = mu.each(np.array(ts + [-1.0]))
+    assert got[:-1].tobytes() == np.array([mu(t) for t in ts]).tobytes()
+    assert np.isnan(got[-1])                          # mu(-1) raises
+
+
+def test_table_arrays_leave_eq_and_hash_to_the_breakpoints():
+    a = FunctionalModulus.table([(0.0, 0.0), (1.0, 2.0)], interp="linear")
+    b = FunctionalModulus.table([(0, 0), (1, 2)], interp="linear")
+    assert a == b and hash(a) == hash(b) and "_ts" not in repr(a)

@@ -336,3 +336,103 @@ def test_dist_to_image_matrix_row_count(monkeypatch):
     calls = _counting(monkeypatch, FiniteMetricSpace, "dist_row")
     F.dist_to_image_matrix()
     assert calls[0] <= F.Y.n
+
+
+# -- keyed triple graphs against a set of triples ------------------------------
+
+@st.composite
+def triple_graphs(draw):
+    """(X, Y, ladder, triples as drawn, monotone flag): monotone maps (each
+    pair from a drawn onset up, perhaps at level 0 too), arbitrary maps,
+    level-0-only maps and empty graphs, with repeated triples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nx, ny, L = (int(v) for v in rng.integers(1, 6, size=3))
+    X = FiniteMetricSpace.from_grid(np.arange(nx, dtype=float))
+    Y = FiniteMetricSpace.from_grid(np.arange(ny, dtype=float))
+    lad = TLadder(np.arange(L + 1, dtype=float))
+    kind = draw(st.sampled_from(["monotone", "any", "level0", "empty"]))
+    pairs = [(x, y) for x in range(nx) for y in range(ny)]
+    if kind == "monotone":
+        on = rng.integers(1, L + 2, size=len(pairs))  # L + 1: never
+        trip = [(x, t, y) for (x, y), k in zip(pairs, on) for t in range(k, L + 1)]
+        trip += [(x, 0, y) for x, y in pairs if rng.random() < 0.3]
+    elif kind == "any":
+        trip = [(x, t, y) for x, y in pairs for t in range(L + 1) if rng.random() < 0.4]
+    elif kind == "level0":
+        trip = [(x, 0, y) for x, y in pairs if rng.random() < 0.5]
+    else:
+        trip = []
+    trip += [trip[i] for i in rng.integers(0, len(trip), size=3)] if trip else []
+    rng.shuffle(trip)
+    return X, Y, lad, trip, kind != "level0" and draw(st.booleans())
+
+
+def _first_monotone_break(S: set, L: int):
+    """The first pair, in the order sorted triples first name it, whose
+    positive levels do not run from their least up to the top level."""
+    seen = {}
+    for (x, t, y) in sorted(S):
+        seen.setdefault((x, y), set()).add(t)
+    for (x, y), lv in seen.items():
+        pos = lv - {0}
+        if pos and pos != set(range(min(pos), L)):
+            return x, y
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(triple_graphs(), st.sampled_from([list, set, np.array]))
+def test_keyed_graph_matches_a_set_of_triples(g, form):
+    X, Y, lad, trip, monotone = g
+    S, L = set(trip), len(lad)
+    graph = np.array(trip, dtype=int).reshape(-1, 3) if form is np.array else form(trip)
+    bad = _first_monotone_break(S, L) if monotone else None
+    if bad is not None:
+        with pytest.raises(ValueError, match=rf"violated for pair \({bad[0]},{bad[1]}\)$"):
+            ParamSetValuedMap(X, Y, lad, graph=graph, monotone=True)
+        return
+    F = ParamSetValuedMap(X, Y, lad, graph=graph, monotone=monotone)
+    assert F.graph.tolist() == sorted(map(list, S))
+    onset = np.full((X.n, Y.n), L)
+    for (x, t, y) in S:
+        if t > 0:
+            onset[x, y] = min(onset[x, y], t)
+    assert np.array_equal(F.onset_matrix(), onset)
+    dl = F.delta_matrix()
+    for x in range(X.n):
+        for y in range(Y.n):
+            expect = float(lad.levels[onset[x, y]]) if onset[x, y] < L else INF
+            assert F.delta(y, x) == dl[x, y] == expect
+        for t in range(L):
+            assert F.fibre(x, t).tolist() == sorted(b for (a, k, b) in S if (a, k) == (x, t))
+            for y in range(Y.n):
+                assert F.contains(x, t, y) == ((x, t, y) in S)
+    for t in range(L):
+        for y in range(Y.n):
+            assert F.inverse_at_level_idx(t, y).tolist() == \
+                sorted(a for (a, k, b) in S if (k, b) == (t, y))
+
+
+@pytest.mark.parametrize("extra, err, msg", [
+    ((2, 0, 0), "PointIndexError", "point index 2 out of range"),
+    ((-1, 0, 0), "PointIndexError", "point index -1 out of range"),
+    ((0, 0, 1), "PointIndexError", "point index 1 out of range"),
+    ((0, 3, 0), "LadderError", "level index 3 off ladder"),
+    ((0, -1, 0), "LadderError", "level index -1 off ladder"),
+])
+def test_keyed_graph_rejects_bad_triples(extra, err, msg):
+    X = FiniteMetricSpace.from_grid([0.0, 1.0])
+    Y = FiniteMetricSpace.from_grid([0.0])
+    lad = TLadder(np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(Exception, match=msg) as info:
+        ParamSetValuedMap(X, Y, lad, graph=[(0, 1, 0), extra])
+    assert type(info.value).__name__ == err
+
+
+def test_keyed_graph_refuses_keys_past_64_bits():
+    class Long(TLadder):                       # a ladder too long to exist
+        def __len__(self):
+            return 2 ** 62
+    X, Y = FiniteMetricSpace.from_grid([0.0, 1.0]), FiniteMetricSpace.from_grid([0.0])
+    with pytest.raises(LadderError, match="64-bit keys"):  # 2 x 2**62 x 1 keys
+        ParamSetValuedMap(X, Y, Long(np.array([0.0, 1.0])), graph=[(0, 1, 0)])
