@@ -136,11 +136,16 @@ def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
 # -- orbit criterion (functions b, m, mu) ----------------------------------
 
 def _resolve_mu(scheme: AuxScheme, mu, t: float, horizon: int, tol: float):
-    """Return a callable mu; canonical suffix-sum construction when absent."""
+    """Return a callable mu; canonical suffix-sum construction when absent,
+    computed once per tau."""
     if mu is not None:
         return mu, False
+    memo: dict[float, float] = {}
+
     def canonical(tau: float) -> float:
-        return canonical_mu(scheme, tau, horizon, tol)
+        if tau not in memo:
+            memo[tau] = canonical_mu(scheme, tau, horizon, tol)
+        return memo[tau]
     return canonical, True
 
 

@@ -11,7 +11,9 @@ the next one starts cold.  So does a member whose c, matrix or right-hand
 side holds a nonzero entry below `_FINE` = 1e-6 in magnitude: near HiGHS's
 feasibility tolerances of 1e-7 a warm and a cold solve can give different
 statuses or optima, and a cold one is what `solve_lp` returns.  `solve_lp`
-is a family of one.
+is a family of one.  `LPFamily.solve_many` takes a batch of b_ub rows for
+a family without equality rows, validates it once and gives each member
+as `solve` would, in row order.
 
 An interval family has one free variable, a cost c that is not
 fine-grained and below HiGHS's infinite cost, no equality rows and rows
@@ -25,7 +27,10 @@ reads the data by its tolerances, not exactly: b fine-grained or at
 HiGHS's infinite bound, 0 < L - U <= `_FINE`, a bound within `_FINE` of
 the tightest on its side, or c = 0 with |L| and |U| within `_FINE`.  The
 family builds its HiGHS model for the first such member and solves all
-of them cold.
+of them cold.  The closed form is one array computation over a batch:
+[L, U] for every row by two masked minima, and the rule above as masks;
+the members it leaves to HiGHS are solved one by one.  `solve` is a batch
+of one.
 
 HiGHS is reached through scipy's private `scipy.optimize._highspy._core`,
 imported on the first solve, with the model, options, status codes and
@@ -116,15 +121,15 @@ def _vector(v, name):
 
 
 def _matrix(A, n, name):
-    """A_name as a finite (m, n) matrix; None is a block of no rows."""
+    """A as a finite (m, n) matrix; None is a block of no rows."""
     try:
         A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise LinSolveError(f"A_{name} must be numeric") from exc
+        raise LinSolveError(f"{name} must be numeric") from exc
     if A.ndim != 2 or A.shape[1] != n:
-        raise LinSolveError(f"A_{name} must be a matrix with {n} columns")
+        raise LinSolveError(f"{name} must be a matrix with {n} columns")
     if not np.isfinite(A).all():
-        raise LinSolveError(f"A_{name} must be finite")
+        raise LinSolveError(f"{name} must be finite")
     return A
 
 
@@ -166,16 +171,17 @@ class LPFamily:
         c = _vector(c, "c")
         if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
             raise LinSolveError("c must be a non-empty finite vector")
-        A_ub, A_eq = _matrix(A_ub, c.size, "ub"), _matrix(A_eq, c.size, "eq")
+        A_ub = _matrix(A_ub, c.size, "A_ub")
+        A_eq = _matrix(A_eq, c.size, "A_eq")
         self._lo, self._hi = _bound_pair(bounds)
         self._m_ub, self._m_eq = A_ub.shape[0], A_eq.shape[0]
         _, options, self._statuses = _highs()
         self._c, self._A, self._highs = c, np.vstack([A_ub, A_eq]), None
-        self._signs, self._inf = None, options.infinite_bound
+        self._up, self._inf = None, options.infinite_bound
         if c.size == 1 and not self._m_eq and -self._lo == self._hi == np.inf \
                 and not _fine(c.tolist()) and abs(c[0]) < options.infinite_cost \
                 and (np.abs(A_ub) == 1).all():
-            self._signs = A_ub[:, 0].tolist()     # an interval family
+            self._up = A_ub[:, 0] > 0       # an interval family: +x rows
         else:
             self._build()
 
@@ -206,7 +212,7 @@ class LPFamily:
         # a family whose c or matrix is fine-grained starts every member cold;
         # so does an interval family, whose HiGHS members are all within
         # _FINE of a tolerance
-        self._cold = self._signs is not None or _fine(c.tolist()) \
+        self._cold = self._up is not None or _fine(c.tolist()) \
             or _fine(values.tolist())
         # scipy's re-check limits on x, on the slack of each ub row and on
         # the residual of each eq row, in that order
@@ -222,46 +228,54 @@ class LPFamily:
         elif self._highs.passModel(lp) == self._error:
             self._refused = core.HighsModelStatus.kModelError
 
-    def _interval(self, b) -> Optional[LPResult]:
-        """An interval family's member with right-hand sides b in closed
-        form; None when HiGHS decides it (see the module docstring)."""
-        if _fine(b) or max(map(abs, b), default=0.0) >= self._inf:
-            return None
-        up = [v for s, v in zip(self._signs, b) if s > 0]
-        down = [-v for s, v in zip(self._signs, b) if s < 0]
-        hi, lo = min(up, default=np.inf), max(down, default=-np.inf)
-        if any(0.0 < v - hi <= _FINE for v in up) or 0.0 < lo - hi <= _FINE \
-                or any(0.0 < lo - v <= _FINE for v in down):
-            return None
-        enum = _highs()[0].HighsModelStatus
-        c, x = float(self._c[0]), None
-        if lo > hi:
-            model = enum.kInfeasible
-        elif not c and 0.0 < abs(abs(lo) - abs(hi)) <= _FINE:
-            return None
-        elif c and abs(lo if c > 0 else hi) == np.inf:
-            model = enum.kUnbounded
+    def _interval(self, B: np.ndarray) -> list[Optional[LPResult]]:
+        """An interval family's members with right-hand sides the rows of
+        B, in closed form; None for each member HiGHS decides (see the
+        module docstring)."""
+        up = self._up
+        # [L, U] = [lo, hi]: hi is the least b of a +x row, low that of a
+        # -x row, and lo = -low
+        least = np.minimum.reduce
+        hi = least(np.where(up, B, np.inf), axis=1, initial=np.inf)
+        low = least(np.where(up, np.inf, B), axis=1, initial=np.inf)
+        lo, mag = -low, np.abs(B)
+        # how far each bound lies from the tightest on its side
+        slack = B - np.where(up, hi[:, None], low[:, None])
+        gap = lo - hi
+        to_highs = np.logical_or.reduce(
+            (mag > 0.0) & (mag < _FINE) | (mag >= self._inf)
+            | (slack > 0.0) & (slack <= _FINE), axis=1) \
+            | (gap > 0.0) & (gap <= _FINE)
+        empty, c = lo > hi, float(self._c[0])
+        if c:
+            x = lo if c > 0 else hi
+        elif up.size:
+            # c = 0: the end nearer 0, lo on a tie
+            tie = np.abs(np.abs(lo) - np.abs(hi))
+            to_highs |= ~empty & (tie > 0.0) & (tie <= _FINE)
+            x = np.where(np.abs(hi) < np.abs(lo), hi, lo)
         else:
-            # c = 0: the end nearer 0, lo on a tie; a zero end is -0.0, as
-            # HiGHS returns it, and with no rows x is +0.0
-            x = (lo if c > 0 else hi) if c else min(lo, hi, key=abs)
-            model, x = enum.kOptimal, (x or -0.0) if b else 0.0
-        status, message = self._statuses[model]
-        if x is None:
-            return LPResult(status, None, None, message)
+            x = np.zeros(len(B))        # no rows: +0.0
+        if up.size:                     # a zero end is -0.0, as HiGHS has it
+            x = np.where(x == 0.0, -0.0, x)
+        enum = _highs()[0].HighsModelStatus
+        optimal, infeasible, unbounded = (self._statuses[model] for model in (
+            enum.kOptimal, enum.kInfeasible, enum.kUnbounded))
         # + 0.0: HiGHS's objective at x = -0.0 is +0.0
-        return LPResult(status, np.array([x]), c * x + 0.0, message)
+        X, fun, out = x[:, None], (c * x + 0.0).tolist(), []
+        for i, (h, e, end) in enumerate(zip(to_highs.tolist(), empty.tolist(),
+                                            x.tolist())):
+            if h:
+                out.append(None)
+            elif e or abs(end) == np.inf:
+                status, message = infeasible if e else unbounded
+                out.append(LPResult(status, None, None, message))
+            else:
+                out.append(LPResult(optimal[0], X[i], fun[i], optimal[1]))
+        return out
 
-    def solve(self, b_ub=None, b_eq=None) -> LPResult:
-        """The member with right-hand sides (b_ub, b_eq): an `LPResult`
-        whose status codes, x and objective are those of scipy's LP
-        function with method "highs" on the same program."""
-        b_ub = _rhs(b_ub, self._m_ub, "ub")
-        b_eq = _rhs(b_eq, self._m_eq, "eq")
-        if self._signs is not None:
-            res = self._interval(b_ub.tolist())
-            if res is not None:
-                return res
+    def _member(self, b_ub: np.ndarray, b_eq: np.ndarray) -> LPResult:
+        """One member on HiGHS, warm from the last unless it starts cold."""
         if self._highs is None:
             self._build()
         highs, model, ran = self._highs, self._refused, False
@@ -292,6 +306,27 @@ class LPFamily:
         highs.clearSolver()             # the next member starts cold
         return res
 
+    def solve(self, b_ub=None, b_eq=None) -> LPResult:
+        """The member with right-hand sides (b_ub, b_eq): an `LPResult`
+        whose status codes, x and objective are those of scipy's LP
+        function with method "highs" on the same program."""
+        b_ub = _rhs(b_ub, self._m_ub, "ub")
+        b_eq = _rhs(b_eq, self._m_eq, "eq")
+        res = None if self._up is None else self._interval(b_ub[None, :])[0]
+        return self._member(b_ub, b_eq) if res is None else res
+
+    def solve_many(self, B_ub) -> list[LPResult]:
+        """The members whose b_ub are the rows of B_ub, of a family without
+        equality rows, in row order: each one as `solve` gives it.  An
+        interval family answers all rows at once and solves the members
+        that HiGHS decides one by one, cold."""
+        b_eq = _rhs(None, self._m_eq, "eq")
+        B_ub = _matrix(B_ub, self._m_ub, "B_ub")
+        closed = [None] * len(B_ub) if self._up is None \
+            else self._interval(B_ub)
+        return [self._member(b, b_eq) if res is None else res
+                for res, b in zip(closed, B_ub)]
+
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """minimize cT x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lo <= x <= hi:
@@ -312,7 +347,7 @@ def strict_interior_point(n: int, A_ub, b_ub, A_eq=None, b_eq=None):
     Maximizes the uniform slack s subject to A_ub x + s <= b_ub with rows
     assumed normalized, s capped at 1 to keep the program bounded.
     """
-    A_ub, A_eq = _matrix(A_ub, n, "ub"), _matrix(A_eq, n, "eq")
+    A_ub, A_eq = _matrix(A_ub, n, "A_ub"), _matrix(A_eq, n, "A_eq")
     m = A_ub.shape[0]
     b_ub, b_eq = _rhs(b_ub, m, "ub"), _rhs(b_eq, A_eq.shape[0], "eq")
     c = np.zeros(n + 1)

@@ -16,15 +16,18 @@ without an LP (a direction pair off the tangent cone, a slice row
 Memberships and re-checks are read at `policy.POLY_TOL`.
 
 Everything the rule needs at one critical triple that depends on neither
-the sampled x nor the multipliers (F+, G+, the joint second-order cones
-of their graphs and of gph H, the second-order sets of S and
-A2(-D, zbar, k)) is built once per call by `_triple_sets`.  Every slice
-{e : (x, e) in T} is cut by one `_Slicer` per graph or cone, so a sampled
-x costs the slice's right-hand side and one LP family member, no polyhedron.
+the sampled x nor the multipliers (the joint second-order cones of the
+F+, G+ and H graphs, the second-order sets of S and A2(-D, zbar, k)) is
+built once per triple (u, v, k) and instance by `_triple_sets`, and F+,
+G+ and cl cone(D + zbar) once per instance; `OptInstance` keeps them,
+read-only, for every later call.  Every slice {e : (x, e) in T} is cut by
+one `_Slicer` per graph or cone, so a sampled x costs the slice's
+right-hand side and one LP family member, no polyhedron; a slicer takes
+all sampled x at once and solves their members as one batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from itertools import product
 from typing import Optional
@@ -114,7 +117,8 @@ class _Slicer:
     row without one reads 0 <= rhs < -POLY_TOL, and any other empty slice
     is left to its LP.  The kept rows do not depend on x, so neither does
     the slice's normalized matrix `cone.A`.  `at(x)` normalizes the raw
-    kept rows and rhs once; `rhs(x)` is its b, with no polyhedron built.
+    kept rows and rhs once; `rhs(xs)` gives the b of the slices at many x
+    at once, with no polyhedron built.
     """
 
     def __init__(self, T: Optional[Polyhedron], n: int, c=None):
@@ -129,34 +133,54 @@ class _Slicer:
         if c is not None:
             self.family = linsolve.LPFamily(c, A_ub=self.cone.A)
 
-    def _raw_rhs(self, x) -> Optional[np.ndarray]:
-        if self.cone is None:
-            return None
-        rhs = self._b - self._Ax @ np.asarray(x, dtype=float)
-        return None if (rhs[~self._keep] < -POLY_TOL).any() else rhs[self._keep]
+    def _raw_rhs(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(ok, R) for the points x of xs (T not None): ok marks the x
+        whose slice is not known empty, and R holds, in order, their
+        slices' raw right-hand sides, each x's own product with T's
+        x-part."""
+        raw = np.empty((len(xs), self._b.size))
+        for i, x in enumerate(xs):
+            raw[i] = self._b - self._Ax @ np.asarray(x, dtype=float)
+        ok = ~(raw[:, ~self._keep] < -POLY_TOL).any(axis=1)
+        return ok, raw[ok][:, self._keep]
 
     def at(self, x) -> Optional[Polyhedron]:
-        rhs = self._raw_rhs(x)
-        return None if rhs is None else Polyhedron(self._Ay, rhs)
+        if self.cone is None:
+            return None
+        ok, R = self._raw_rhs([x])
+        return Polyhedron(self._Ay, R[0]) if ok[0] else None
 
-    def rhs(self, x) -> Optional[np.ndarray]:
-        rhs = self._raw_rhs(x)
-        return None if rhs is None else rhs / self._norms
+    def rhs(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(ok, B) for the points x of xs: ok marks the x whose slice is
+        not known empty, and B holds, in order, their slices' b."""
+        if self.cone is None:
+            return np.zeros(len(xs), dtype=bool), np.zeros((0, 0))
+        ok, R = self._raw_rhs(xs)
+        return ok, R / self._norms
 
-    def minimum(self, x) -> tuple:
-        """inf <c, e> over the slice at x and a minimizer: (+inf, None)
-        over the empty set, (-inf, None) when unbounded."""
-        b = self.rhs(x)
-        return (np.inf, None) if b is None else self.family.solve(b).minimum()
+    def minimum(self, xs) -> tuple[np.ndarray, list]:
+        """inf <c, e> over the slice at each x of xs and a minimizer:
+        (+inf, None) over the empty set, (-inf, None) when unbounded."""
+        vals, args = np.full(len(xs), np.inf), [None] * len(xs)
+        ok, B = self.rhs(xs)
+        for i, res in zip(np.flatnonzero(ok).tolist(),
+                          self.family.solve_many(B) if ok.any() else ()):
+            vals[i], args[i] = res.minimum()
+        return vals, args
 
-    def points(self, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A few points of the slice with right-hand side b: sampled from
-        `cone`, which has its matrix, when b is 0 as `Polyhedron.is_cone`
-        reads it, else one LP point (c = 0), or none when it is empty."""
-        if np.abs(b).max(initial=0.0) <= 1e-12:
-            return sample_cone_points(self.cone, 4, rng)
-        pt = self.family.solve(b).minimum()[1]
-        return pt[None, :] if pt is not None else np.zeros((0, self.cone.dim))
+    def points(self, B: np.ndarray) -> list[Optional[np.ndarray]]:
+        """A few points of the slice with right-hand side b, for each row
+        b of B: None when b is 0 as `Polyhedron.is_cone` reads it, for the
+        caller to sample `cone`, which has the slice's matrix; else one LP
+        point (c = 0), or none when the slice is empty."""
+        lp = ~(np.abs(B) <= 1e-12).all(axis=1)
+        out = [None] * len(B)
+        for i, res in zip(np.flatnonzero(lp).tolist(),
+                          self.family.solve_many(B[lp])):
+            pt = res.minimum()[1]
+            out[i] = pt[None, :] if pt is not None \
+                else np.zeros((0, self.cone.dim))
+        return out
 
 
 def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u,
@@ -201,6 +225,9 @@ class OptInstance:
     xbar: np.ndarray
     ybar: np.ndarray
     zbar: np.ndarray
+    # derived data, built once per instance (see `_once`)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.xbar = np.asarray(self.xbar, dtype=float)
@@ -231,11 +258,24 @@ class OptInstance:
             bad.append("Q has empty interior")
         return bad
 
+    def _once(self, key, build):
+        """The derived value under key, built by `build()` on first use,
+        its polyhedra made read-only."""
+        if key not in self._memo:
+            self._memo[key] = value = build()
+            _read_only(value)
+        return self._memo[key]
+
     def F_plus(self) -> PolyMapSpec:
-        return graph_plus_cone(self.F, self.Q)
+        return self._once("F+", lambda: graph_plus_cone(self.F, self.Q))
 
     def G_plus(self) -> PolyMapSpec:
-        return graph_plus_cone(self.G, self.D)
+        return self._once("G+", lambda: graph_plus_cone(self.G, self.D))
+
+    def D_hull(self) -> Polyhedron:
+        """cl cone(D + zbar) (see `cone_hull_shifted`)."""
+        return self._once("cone(D + zbar)",
+                          lambda: cone_hull_shifted(self.D, self.zbar))
 
     def minus_D(self) -> Polyhedron:
         return Polyhedron(-self.D.A, self.D.b)
@@ -256,6 +296,15 @@ class OptInstance:
         lifted_b = np.concatenate([self.S.b, H0b, bG, self.D.b])
         A2, b2 = fourier_motzkin(lifted_A, lifted_b, list(range(n, n + q)))
         return Polyhedron(A2, b2)
+
+
+def _read_only(value):
+    """Make the matrices of every polyhedron in a dataclass read-only."""
+    if isinstance(value, Polyhedron):
+        value.A.flags.writeable = value.b.flags.writeable = False
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
 
 
 def _pointed(K: Polyhedron) -> bool:
@@ -315,7 +364,7 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
                  inst.n)
     sk = _Slicer(_graph_tangent_cone(inst.G_plus(), inst.xbar, inst.zbar),
                  inst.n)
-    big_cone = cone_hull_shifted(inst.D, inst.zbar)
+    big_cone = inst.D_hull()
 
     out: list[CriticalTriple] = []
     for u in cands:
@@ -419,27 +468,32 @@ class _TripleSets:
 
 
 def _triple_sets(inst: OptInstance, trip: CriticalTriple) -> _TripleSets:
+    """The triple's sets, built once per (u, v, k) on the instance."""
     zero = np.zeros(inst.r)
-    return _TripleSets(
+    key = tuple(np.asarray(a, dtype=float).tobytes()
+                for a in (trip.u, trip.v, trip.k))
+    return inst._once(key, lambda: _TripleSets(
         S2=second_order_sets(inst.S, inst.xbar, trip.u),
         A2=a2_of_minus_D(inst, trip.k),
         TF2=_joint_second_order_graph(inst.F_plus(), inst.xbar, inst.ybar,
                                       trip.u, trip.v),
         TG2=_joint_second_order_graph(inst.G_plus(), inst.xbar, inst.zbar,
                                       trip.u, trip.k),
-        TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero))
+        TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero)))
 
 
 def _slice_points(slicers: list[_Slicer], xs: np.ndarray,
                   rng: np.random.Generator) -> list[list[np.ndarray]]:
     """Per x of xs at which no slice is known empty, each slicer's points
-    at x (`_Slicer.points`), drawn from rng in slicer order."""
-    out = []
-    for x in xs:
-        bs = [s.rhs(x) for s in slicers]
-        if all(b is not None for b in bs):
-            out.append([s.points(b, rng) for s, b in zip(slicers, bs)])
-    return out
+    at x (`_Slicer.points`), the cone samples drawn from rng in x order,
+    then slicer order."""
+    rhs = [s.rhs(xs) for s in slicers]
+    ok = np.logical_and.reduce([o for o, _ in rhs])
+    if not ok.any():
+        return []
+    pts = [s.points(B[ok[o]]) for s, (o, B) in zip(slicers, rhs)]
+    return [[sample_cone_points(s.cone, 4, rng) if p is None else p
+             for s, p in zip(slicers, row)] for row in zip(*pts)]
 
 
 def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
@@ -483,24 +537,21 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
     xs = sample_cone_points(IT2, n_samples, rng)
 
     slicers = sets.slicers(inst.n, (mult.v_star, mult.k_star, mult.w_star))
-    worst, arg = np.inf, None
-    checked = 0
-    for x in xs:
-        if IT2.m and not (IT2.A @ x < -POLY_TOL).all():
-            continue
-        (fy, ay), (gz, az), (hw, aw) = (s.minimum(x) for s in slicers)
-        lhs = fy + gz + hw
-        if np.isnan(lhs):       # inf + (-inf): an empty set wins, vacuous
-            continue
-        checked += 1
-        margin = lhs - rhs if rhs > -np.inf else np.inf
-        if margin < worst:
-            worst, arg = margin, (x.copy(), ay, az, aw)
-    if checked == 0:
+    if IT2.m:
+        xs = [x for x in xs if (IT2.A @ x < -POLY_TOL).all()]
+    (fy, ay), (gz, az), (hw, aw) = (s.minimum(xs) for s in slicers)
+    lhs = fy + gz + hw
+    # inf + (-inf) is NaN: an empty set wins, vacuous at that x
+    used = np.flatnonzero(~np.isnan(lhs))
+    if used.size == 0:
         notes.append("no admissible sample: inequality vacuous at resolution")
         return RuleVerdict(True, np.inf, rhs, n_samples=0, notes=notes)
-    return RuleVerdict(bool(worst >= -POLY_TOL), float(worst), float(rhs),
-                       argmin=arg, n_samples=checked, notes=notes)
+    margins = lhs[used] - rhs if rhs > -np.inf else np.full(used.size, np.inf)
+    j = margins.argmin()            # the first x at the least margin
+    worst, i = float(margins[j]), used[j]
+    arg = None if worst == np.inf else (xs[i].copy(), ay[i], az[i], aw[i])
+    return RuleVerdict(bool(worst >= -POLY_TOL), worst, float(rhs),
+                       argmin=arg, n_samples=used.size, notes=notes)
 
 
 def _joint_rule_system(inst: OptInstance, sets: _TripleSets):
@@ -715,7 +766,7 @@ def check_cq(inst: OptInstance, trip: CriticalTriple,
     gens = [np.concatenate([z - d, w])
             for zs, ws in _slice_points(slicers, xs, rng)
             for z, w, d in product(zs, ws, ds)]
-    big = cone_hull_shifted(inst.D, inst.zbar)
+    big = inst.D_hull()
     for pt in sample_cone_points(big, 16, rng):
         gens.append(np.concatenate([pt, np.zeros(inst.r)]))
     needed = inst.q + inst.r

@@ -12,6 +12,7 @@ strictness flag; membership then requires A x < 0 componentwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,16 @@ class Polyhedron:
         return not linsolve.feasible_point(self.dim, self.A, self.b).feasible
 
     def interior_point(self):
-        return linsolve.strict_interior_point(self.dim, self.A, self.b)
+        """A point with A x < b (see `linsolve.strict_interior_point`),
+        or None; solved for once per polyhedron."""
+        return self._interior
+
+    @cached_property
+    def _interior(self):
+        x = linsolve.strict_interior_point(self.dim, self.A, self.b)
+        if x is not None:
+            x.flags.writeable = False
+        return x
 
     def has_nonempty_interior(self) -> bool:
         return self.interior_point() is not None

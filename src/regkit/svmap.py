@@ -15,6 +15,7 @@ infimum by at most one ladder gap for monotone mappings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -99,11 +100,17 @@ class PlainSetValuedMap:
         return float(self.Y.dist_row(y)[self._images[x]].min(initial=INF))
 
     def dist_to_image_matrix(self) -> np.ndarray:
-        """Matrix D[x, y] = d(y, F(x)), one column-block min per x."""
+        """Matrix D[x, y] = d(y, F(x)), one column-block min per x;
+        computed once per map and read-only."""
+        return self._dist_to_image
+
+    @cached_property
+    def _dist_to_image(self) -> np.ndarray:
         D = np.full((self.X.n, self.Y.n), INF)
         for xi, img in enumerate(self._images):
             if img.size:
                 D[xi] = self.Y.dist_cols(img).min(axis=1)
+        D.flags.writeable = False
         return D
 
     def dist_to_preimage(self, x: int, y: int) -> float:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,7 +226,7 @@ def test_other_exceptions_exit_3(plain_file, induct_file, tmp_path,
     assert main(["regcheck", plain_file + ".missing", "--setting",
                  "conventional"]) == EXIT_INPUT
     assert main(["no-such-command"]) == EXIT_INPUT
-    raw = json.loads(open(induct_file).read())
+    raw = json.loads(Path(induct_file).read_text())
     raw["sequences"]["b"] = {"kind": "explicit", "table": [0.3, 0.3]}
     save_instance(raw, str(tmp_path / "bad.json"))
     assert main(["induct", str(tmp_path / "bad.json"), "--x", "0", "--y",
@@ -280,7 +281,7 @@ def test_induct_certifies_and_fails(induct_file, tmp_path, capsys):
     rows = {r["check_id"]: r for r in doc["rows"]}
     assert rows["induct/certified"]["verdict"] == "pass"
     # shrink the step budget below the actual chain steps: must fail
-    raw = json.loads(open(induct_file).read())
+    raw = json.loads(Path(induct_file).read_text())
     raw["sequences"]["b"] = {"kind": "explicit", "table": [0.3, 0.3]}
     bad = tmp_path / "bad.json"
     save_instance(raw, str(bad))

@@ -294,6 +294,28 @@ def test_family_rejects_bad_right_hand_sides():
     # a rejected right-hand side leaves the family usable
     res = fam.solve([-1.0, -2.0], [0.0])
     assert res.status == 0 and res.x == pytest.approx([2.0, 2.0])
+    # a batch holds b_ub rows only: a family with equality rows, a row
+    # with NaN, a row of the wrong length and a flat batch are refused
+    ub = LPFamily([1.0], A_ub=[[1.0], [-1.0]])
+    for family, B in ((fam, [[0.0, 0.0]]), (ub, [[0.0, np.nan]]),
+                      (ub, [[0.0, 0.0, 0.0]]), (ub, [0.0, 0.0])):
+        with pytest.raises(LinSolveError):
+            family.solve_many(B)
+
+
+def test_solve_many_solves_other_families_in_order():
+    # a family that is not an interval family solves a batch member by
+    # member, warm or cold as one solve after another would
+    A_ub = [[-1.0, 0.5], [0.5, -1.0], [-1.0, -1.0]]
+    B = [[-1.0, -2.0, -1.0], [-1.5, -2.5, -1.0], [-1.5, -2.5e-7, -1.0],
+         [1.0, 1.0, -3.0]]
+    batch, single = LPFamily([1.0, 1.0], A_ub=A_ub), \
+        LPFamily([1.0, 1.0], A_ub=A_ub)
+    for got, b_ub in zip(batch.solve_many(B), B, strict=True):
+        ref = single.solve(b_ub)
+        assert (got.status, got.fun, got.message) == \
+            (ref.status, ref.fun, ref.message)
+        assert got.x.tobytes() == ref.x.tobytes()
 
 
 def test_status_table_is_keyed_by_every_model_status():
@@ -350,6 +372,17 @@ def _interval_families(draw):
     return c, np.array(signs).reshape(-1, 1), members
 
 
+def _spy_on_highs(fam):
+    """The list of b_ub of the members that fam solves on HiGHS."""
+    on_highs, member = [], fam._member
+
+    def spy(b_ub, b_eq):
+        on_highs.append(b_ub.tolist())
+        return member(b_ub, b_eq)
+    fam._member = spy
+    return on_highs
+
+
 def test_interval_members_match_linprog():
     # every member of an interval family, in closed form or on HiGHS, is
     # linprog's answer; both paths must be taken, so the test is not vacuous
@@ -360,15 +393,35 @@ def test_interval_members_match_linprog():
     def check(family):
         c, A_ub, members = family
         fam = LPFamily([c], A_ub=A_ub)
+        on_highs = _spy_on_highs(fam)
         for b_ub in members:
-            closed = fam._signs is not None and fam._interval(b_ub)
-            paths["closed" if closed else "highs"] += 1
             res = fam.solve(b_ub)
-            assert not closed or res == closed
+            paths["highs" if on_highs else "closed"] += 1
+            on_highs.clear()
             _is_linprog(res, [c], A_ub if b_ub else None, b_ub or None)
 
     check()
     assert paths["closed"] > 0 and paths["highs"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_interval_families())
+def test_solve_many_is_one_solve_per_member(family):
+    # a batch gives each member bit for bit as one solve does, -0.0 and
+    # the message included, and sends the same members to HiGHS
+    c, A_ub, members = family
+    batch, single = LPFamily([c], A_ub=A_ub), LPFamily([c], A_ub=A_ub)
+    batch_highs, single_highs = _spy_on_highs(batch), _spy_on_highs(single)
+    many = batch.solve_many(np.array(members).reshape(len(members), -1))
+    assert len(many) == len(members)
+    for got, b_ub in zip(many, members):
+        ref = single.solve(b_ub)
+        assert (got.status, got.message) == (ref.status, ref.message)
+        assert (None if got.x is None else got.x.tobytes()) == \
+            (None if ref.x is None else ref.x.tobytes())
+        assert (got.fun is None) == (ref.fun is None)
+        assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert batch_highs == single_highs
 
 
 @pytest.mark.parametrize("c,signs,b_ub,status,x,closed", [

@@ -55,9 +55,10 @@ def test_empty_value_set_is_left_to_its_lp():
     V = E.value_polyhedron(x)
     assert isinstance(V, Polyhedron) and V.is_empty()
     assert E.dist_to_value(np.zeros(1), x) == np.inf
-    assert optcond._Slicer(E.graph, 1, np.ones(1)).minimum(x)[0] == np.inf
+    assert optcond._Slicer(E.graph, 1, np.ones(1)).minimum([x])[0][0] == np.inf
     zero = optcond._Slicer(E.graph, 1, np.zeros(1))
-    assert zero.points(zero.rhs(x), np.random.default_rng(0)).shape == (0, 1)
+    ok, B = zero.rhs([x])
+    assert ok[0] and zero.points(B)[0].shape == (0, 1)
 
 
 def _triple_cones(size, seed):
@@ -97,8 +98,11 @@ def test_slicer_rhs_is_the_normalized_slice_b():
     nones = values = 0
     for T, n, xs in cases:
         s = optcond._Slicer(T, n, None if T is None else np.ones(T.dim - n))
-        for x in xs:
-            P, b, at = _slice(T, n, x), s.rhs(x), s.at(x)
+        ok, B = s.rhs(xs)           # one row of B per x with ok
+        assert len(B) == ok.sum()
+        rows = iter(B)
+        for x, known in zip(xs, ok):
+            P, b, at = _slice(T, n, x), next(rows) if known else None, s.at(x)
             assert (P is None) == (b is None) == (at is None)
             if P is None:
                 nones += 1
@@ -115,7 +119,7 @@ def _member_is_linprog(s, T, n, obj, x):
     P = _slice(T, n, x)
     if P is None:
         return 0
-    res = s.family.solve(s.rhs(x))
+    res = s.family.solve(s.rhs([x])[1][0])
     ref = linprog(obj, A_ub=P.A, b_ub=P.b, bounds=(None, None),
                   method="highs")
     assert res.status == ref.status
@@ -255,6 +259,33 @@ def test_multipliers_on_demo():
             # rhs is polyhedrally constrained to {0, +inf, -inf}
             assert verdict.rhs in (0.0, np.inf, -np.inf) or verdict.rhs == 0.0
         assert found > 0
+
+
+def test_triple_sets_are_built_once_per_instance(monkeypatch):
+    # find_multipliers, check_multiplier_rule and check_cq on one triple
+    # build its second-order sets (of S and of -D) once, and F+ and G+
+    # once each; the cache is the instance's, and its matrices read-only
+    trip = critical_directions(_demo(), n_dirs=16,
+                               rng=np.random.default_rng(1))[0]
+    calls = {"second_order_sets": 0, "graph_plus_cone": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(optcond, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(optcond, name, counted)
+    inst = _demo()
+    mult = find_multipliers(inst, trip, rng=np.random.default_rng(1))
+    assert mult is not None and calls["second_order_sets"] == 2
+    check_multiplier_rule(inst, trip, mult, rng=np.random.default_rng(2))
+    check_cq(inst, trip, rng=np.random.default_rng(3))
+    assert calls == {"second_order_sets": 2, "graph_plus_cone": 2}
+    sets = optcond._triple_sets(inst, trip)
+    assert optcond._triple_sets(inst, trip) is sets
+    assert optcond._triple_sets(_demo(), trip) is not sets
+    with pytest.raises(ValueError, match="read-only"):
+        sets.TF2.A[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        inst.F_plus().graph.b[0] = 1.0
 
 
 def test_multiplier_invariants_enforced():

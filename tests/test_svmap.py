@@ -67,6 +67,8 @@ def test_plain_map_queries():
     assert F.dist_to_preimage(0, 1) == 1.0
     D = F.dist_to_image_matrix()
     assert D[0, 0] == 0.0 and D[0, 1] == 2.0
+    # computed once per map, and read-only so that no caller changes it
+    assert F.dist_to_image_matrix() is D and not D.flags.writeable
     empty = PlainSetValuedMap(F.X, F.Y, {(0, 0)})
     assert empty.dist_to_image(0, 2) == INF
     assert empty.dist_to_preimage(0, 1) == INF
@@ -155,7 +157,7 @@ _REAL_DIST_TO_IMAGE = PlainSetValuedMap.dist_to_image_matrix
 def _audit_with_moved_entries(monkeypatch, moved):
     """Witnesses of (iii), (iv), (vi) when the engine's D has entries moved."""
     def engine_D(self):
-        D = _REAL_DIST_TO_IMAGE(self)
+        D = _REAL_DIST_TO_IMAGE(self).copy()      # the map's own is read-only
         for (x, y), v in moved.items():
             D[x, y] = v
         return D
