@@ -237,7 +237,7 @@ def cmd_optcond(args) -> int:
             mult = optcond.find_multipliers(opt, trip, rng=rng)
             if mult is None:
                 rep.add("optcond/multipliers", False,
-                        detail="none found at sampling resolution")
+                        detail="no candidate passed the exact rule check")
             else:
                 verdict = optcond.check_multiplier_rule(opt, trip, mult,
                                                         rng=rng)

@@ -143,9 +143,10 @@ def _rhs(b, m, name):
     return b
 
 
-def _fine(values) -> bool:
-    """Does a list of floats hold a nonzero one below `_FINE` in magnitude?"""
-    return any(0.0 < abs(v) < _FINE for v in values)
+def _fine(values: np.ndarray) -> bool:
+    """Does an array hold a nonzero entry below `_FINE` in magnitude?"""
+    mag = np.abs(values)
+    return bool(np.count_nonzero((mag > 0.0) & (mag < _FINE)))
 
 
 def _bound_pair(bounds):
@@ -179,7 +180,7 @@ class LPFamily:
         self._c, self._A, self._highs = c, np.vstack([A_ub, A_eq]), None
         self._up, self._inf = None, options.infinite_bound
         if c.size == 1 and not self._m_eq and -self._lo == self._hi == np.inf \
-                and not _fine(c.tolist()) and abs(c[0]) < options.infinite_cost \
+                and not _fine(c) and abs(c[0]) < options.infinite_cost \
                 and (np.abs(A_ub) == 1).all():
             self._up = A_ub[:, 0] > 0       # an interval family: +x rows
         else:
@@ -212,8 +213,7 @@ class LPFamily:
         # a family whose c or matrix is fine-grained starts every member cold;
         # so does an interval family, whose HiGHS members are all within
         # _FINE of a tolerance
-        self._cold = self._up is not None or _fine(c.tolist()) \
-            or _fine(values.tolist())
+        self._cold = self._up is not None or _fine(c) or _fine(values)
         # scipy's re-check limits on x, on the slack of each ub row and on
         # the residual of each eq row, in that order
         tol = _FEAS_TOL
@@ -282,7 +282,7 @@ class LPFamily:
         upper = np.concatenate([b_ub, b_eq])
         if model is None:
             rows = upper.tolist()
-            if self._cold or _fine(rows):
+            if self._cold or _fine(upper):
                 highs.clearSolver()
             lower = [-np.inf] * self._m_ub + b_eq.tolist()
             for i, bounds in enumerate(zip(lower, rows)):

@@ -24,6 +24,13 @@ read-only, for every later call.  Every slice {e : (x, e) in T} is cut by
 one `_Slicer` per graph or cone, so a sampled x costs the slice's
 right-hand side and one LP family member, no polyhedron; a slicer takes
 all sampled x at once and solves their members as one batch.
+
+The multiplier search samples nothing: `find_multipliers` states the rule
+over the closed second-order set of S through LP duality and solves one
+linear program per sign pattern of w*.  Its candidates are judged by two
+oracles that share none of that program: `exact_rule_margin`, the primal
+joint LP at fixed multipliers, and `check_multiplier_rule`, the rule at
+sampled points of the strict set.
 """
 from __future__ import annotations
 
@@ -584,41 +591,6 @@ def _joint_rule_system(inst: OptInstance, sets: _TripleSets):
 _BOX = 1e6
 
 
-def _rule_lp(inst: OptInstance, A2: Optional[Polyhedron], system,
-             mult: Multipliers):
-    """Boxed margin of the rule over the closed second-order set of S and
-    a violating tuple (y, z, w, d) for use as a cutting plane.
-
-    The box keeps both programs bounded: an unbounded left-hand side or
-    right-hand side comes out as a finite, very negative margin with a
-    concrete violating point.  (+inf, None) means the inequality is
-    vacuous: an empty d-side or no admissible x.
-    """
-    if A2 is None or system is None:
-        return np.inf, None
-    res_d = linsolve.solve_lp(-mult.k_star,
-                              A_ub=A2.A if A2.m else None,
-                              b_ub=A2.b if A2.m else None,
-                              bounds=(-_BOX, _BOX))
-    if res_d.status == 2:
-        return np.inf, None
-    if res_d.status != 0:
-        raise OptError(f"rule rhs LP failed with status {res_d.status}")
-    rhs, darg = -float(res_d.fun), np.asarray(res_d.x)
-    A_ub, b_ub = system
-    c = np.concatenate([np.zeros(inst.n), mult.v_star, mult.k_star,
-                        mult.w_star])
-    res = linsolve.solve_lp(c, A_ub=A_ub, b_ub=b_ub, bounds=(-_BOX, _BOX))
-    if res.status == 2:
-        return np.inf, None
-    if res.status != 0:
-        raise OptError(f"joint rule LP failed with status {res.status}")
-    sol = np.asarray(res.x)
-    n, p, q = inst.n, inst.p, inst.q
-    cut = (sol[n:n + p], sol[n + p:n + p + q], sol[n + p + q:], darg)
-    return float(res.fun - rhs), cut
-
-
 def exact_rule_margin(inst: OptInstance, trip: CriticalTriple,
                       mult: Multipliers) -> float:
     """Exact worst-case margin of the rule over the closed second-order
@@ -627,108 +599,121 @@ def exact_rule_margin(inst: OptInstance, trip: CriticalTriple,
     The closure over-covers the strict set, so a nonnegative value here
     certifies the sampled inequality at every admissible point; +inf
     means the inequality is vacuous (empty d-side or no admissible x).
-    The program is boxed, so a left-hand side unbounded below shows as
-    a large negative margin.
+    Both programs are boxed at `_BOX`, so a left-hand side unbounded
+    below, or a right-hand side unbounded above, shows as a large
+    negative margin.
     """
     sets = _triple_sets(inst, trip)
-    return _rule_lp(inst, sets.A2, _joint_rule_system(inst, sets), mult)[0]
+    A2, system = sets.A2, _joint_rule_system(inst, sets)
+    if A2 is None or system is None:
+        return np.inf
+    res_d = linsolve.solve_lp(-mult.k_star,
+                              A_ub=A2.A if A2.m else None,
+                              b_ub=A2.b if A2.m else None,
+                              bounds=(-_BOX, _BOX))
+    if res_d.status == 2:
+        return np.inf
+    if res_d.status != 0:
+        raise OptError(f"rule rhs LP failed with status {res_d.status}")
+    rhs = -float(res_d.fun)
+    A_ub, b_ub = system
+    c = np.concatenate([np.zeros(inst.n), mult.v_star, mult.k_star,
+                        mult.w_star])
+    res = linsolve.solve_lp(c, A_ub=A_ub, b_ub=b_ub, bounds=(-_BOX, _BOX))
+    if res.status == 2:
+        return np.inf
+    if res.status != 0:
+        raise OptError(f"joint rule LP failed with status {res.status}")
+    return float(res.fun - rhs)
 
 
 def find_multipliers(inst: OptInstance, trip: CriticalTriple,
                      n_samples: int = 16,
                      rng: Optional[np.random.Generator] = None
                      ) -> Optional[Multipliers]:
-    """Search for multipliers by linear feasibility.
+    """Search for multipliers by one linear program per sign pattern.
 
-    Parameterization: v* = sum of dual-cone generators of Q with weights
-    alpha >= 0, k* = sum of normal-cone generators with beta >= 0, and
-    w* = sign-pattern times s >= 0 (one feasibility solve per pattern,
-    which makes the 1-norm normalization exact); the orthogonality
-    equalities and the rule inequalities at sampled (x, y, z, w, d)
-    tuples are all linear.  A candidate is kept once its exact rule
-    margin (the joint LP of `exact_rule_margin`) is >= -1e-9; the one
-    with the largest alpha-mass is returned, the first on a tie, so that
-    normality (v* != 0) is found when available.  The sampled oracle
-    `check_multiplier_rule` is left to the caller.  Failure at sampling
-    resolution does not refute existence and is reported as None.
+    v* = GQ^T alpha over the dual-cone generators of Q, k* = GN^T beta
+    over the normal-cone generators of -D at zbar and w* = sigma * s for
+    a sign pattern sigma, with alpha, beta, s >= 0, the orthogonality
+    equalities and sum(alpha, beta, s) = 1, the exact 1-norm
+    normalization for that pattern.  At fixed multipliers the rule reads
+    min <c, u> over the joint system {A u <= b} of `exact_rule_margin`
+    >= sup <k*, d> over A2 = {A2 d <= b2}, with c = (0, v*, k*, w*).  By
+    LP duality (the robust counterpart of a linear constraint: Ben-Tal,
+    El Ghaoui & Nemirovski, Robust Optimization, 2009, ch. 1) it holds
+    iff some lambda, mu >= 0 have A^T lambda + c = 0, A2^T mu = k* and
+    b^T lambda + b2^T mu <= 0, which is linear in (alpha, beta, s,
+    lambda, mu).  When A2 is empty or the joint system is (one phase-1
+    solve), the rule is vacuous and those rows are dropped.
+
+    Each LP maximizes the alpha-mass, so that normality (v* != 0) is
+    found when available.  A candidate is kept once the primal LP of
+    `exact_rule_margin` reads >= -1e-9; the one with the largest
+    alpha-mass is returned, the first on a tie, and None when no
+    candidate passes.  The LPs decide the rule over the closed
+    second-order set of S, which contains the strict one, so None does
+    not refute multipliers for the strict set.  The sampled oracle
+    `check_multiplier_rule` is left to the caller.  `n_samples` and
+    `rng` are accepted for existing callers and ignored: the search
+    draws nothing.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    sets = _triple_sets(inst, trip)
+    system = _joint_rule_system(inst, sets)
     GQ = dual_cone_generators(inst.Q)                    # rows
     GN = normal_cone_generators(inst.minus_D(), inst.zbar)
-    nq, nn = GQ.shape[0], GN.shape[0]
-    r = inst.r
-    nvar = nq + nn + r
+    nq, nn, r = GQ.shape[0], GN.shape[0], inst.r
+    nw = nq + nn + r                    # the weights (alpha, beta, s)
 
-    # orthogonality and normalization (sign-independent parts)
-    row_v = np.zeros(nvar)
-    if nq:
-        row_v[:nq] = GQ @ trip.v
-    row_k = np.zeros(nvar)
-    if nn:
-        row_k[nq:nq + nn] = GN @ trip.k
-    eqs_A = np.vstack([row_v, row_k, np.ones(nvar)])
-    eqs_b = np.array([0.0, 0.0, 1.0])
-
-    # sampled rule data: lhs - <k*, d> >= 0 at tuples (y, z, w, d)
-    sets = _triple_sets(inst, trip)
-    xs = sample_cone_points(sets.S2.IT2, n_samples, rng)
-    if sets.A2 is not None:
-        # 0 always lies in the second-order cone and realizes the rhs sup
-        # whenever <k*, .> is nonpositive on it, so it must be sampled
-        ds = np.vstack([np.zeros((1, inst.q)),
-                        sample_cone_points(sets.A2, max(4, n_samples // 4),
-                                           rng)])
-    else:
-        ds = np.zeros((1, inst.q))
-    slicers = sets.slicers(inst.n, (np.zeros(inst.p), np.zeros(inst.q),
-                                    np.zeros(inst.r)))
-    tuples = [tup for pts in _slice_points(slicers, xs, rng)
-              for tup in product(*pts, ds)]
-    system = _joint_rule_system(inst, sets)
-
-    def rule_row(sigma, y, z, w, d):
-        row = np.zeros(nvar)
-        if nq:
-            row[:nq] = -(GQ @ y)
-        if nn:
-            row[nq:nq + nn] = -(GN @ (z - d))
-        row[nq + nn:] = -(sigma * w)
-        return row
+    # orthogonality and normalization
+    A_eq = np.zeros((3, nw))
+    A_eq[0, :nq] = GQ @ trip.v
+    A_eq[1, nq:nq + nn] = GN @ trip.k
+    A_eq[2] = 1.0
+    b_eq = np.array([0.0, 0.0, 1.0])
+    A_ub = b_ub = signs = None
+    if sets.A2 is not None and system is not None \
+            and linsolve.feasible_point(system[0].shape[1], *system).feasible:
+        # the dual rows in (weights, lambda, mu): A^T lambda + c(m) = 0,
+        # A2^T mu - k* = 0 and b^T lambda + b2^T mu <= 0
+        (A, b), A2 = system, sets.A2
+        n, p, q = inst.n, inst.p, inst.q
+        cm = np.zeros((A.shape[1], nw))
+        cm[n:n + p, :nq] = GQ.T
+        cm[n + p:n + p + q, nq:nq + nn] = GN.T
+        km = np.zeros((q, nw))
+        km[:, nq:nq + nn] = -GN.T
+        A_eq = np.block([
+            [A_eq, np.zeros((3, len(b) + A2.m))],
+            [cm, A.T, np.zeros((A.shape[1], A2.m))],
+            [km, np.zeros((q, len(b))), A2.A.T]])
+        b_eq = np.concatenate([b_eq, np.zeros(A.shape[1] + q)])
+        A_ub = np.concatenate([np.zeros(nw), b, A2.b])[None, :]
+        b_ub = np.zeros(1)
+        # where sigma goes: the w rows of c(m), the s columns
+        signs = (3 + n + p + q + np.arange(r), nq + nn + np.arange(r))
 
     # prefer alpha-mass: normality when the data allows it
-    c = np.zeros(nvar)
+    c = np.zeros(A_eq.shape[1])
     c[:nq] = -1.0
     candidates = []
-    for signs in product((1.0, -1.0), repeat=r):
-        sigma = np.array(signs)
-        ub_A = np.vstack([-np.eye(nvar)]
-                         + [rule_row(sigma, *tup) for tup in tuples])
-        # row generation: re-solve with each exact violating tuple added
-        # as a constraint until the candidate passes the exact check
-        for _ in range(25):
-            res = linsolve.solve_lp(c, A_ub=ub_A, b_ub=np.zeros(len(ub_A)),
-                                    A_eq=eqs_A, b_eq=eqs_b)
-            if res.status != 0:
-                break
-            sol = np.asarray(res.x)
-            mult = Multipliers(
-                v_star=sol[:nq] @ GQ if nq else np.zeros(inst.p),
-                k_star=sol[nq:nq + nn] @ GN if nn else np.zeros(inst.q),
-                w_star=sigma * sol[nq + nn:])
-            if not mult.nonzero(POLY_TOL):
-                break
-            margin, cut = _rule_lp(inst, sets.A2, system, mult)
-            if margin >= -POLY_TOL:
-                candidates.append((float(sol[:nq].sum()), mult))
-                break
-            if cut is None:
-                break
-            ub_A = np.vstack([ub_A, rule_row(sigma, *cut)])
+    for pattern in product((1.0, -1.0), repeat=r):
+        sigma = np.array(pattern)
+        if signs is not None:
+            A_eq[signs] = sigma
+        res = linsolve.solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                                b_eq=b_eq, bounds=(0, None))
+        if res.status != 0:
+            continue
+        sol = np.asarray(res.x)
+        mult = Multipliers(
+            v_star=sol[:nq] @ GQ, k_star=sol[nq:nq + nn] @ GN,
+            w_star=sigma * sol[nq + nn:nw])
+        if mult.nonzero(POLY_TOL) \
+                and exact_rule_margin(inst, trip, mult) >= -POLY_TOL:
+            candidates.append((float(sol[:nq].sum()), mult))
     if not candidates:
         return None
-    # one draw per success: callers go on drawing from rng, and this keeps
-    # their random streams, and so their report bytes, as in earlier releases
-    rng.integers(2 ** 31)
     return max(candidates, key=lambda c: c[0])[1]
 
 

@@ -284,6 +284,23 @@ def test_fine_grained_members_start_cold():
         assert fam._highs.getInfo().simplex_iteration_count == iterations
 
 
+# entries on both sides of _FINE, either sign, with zeros of both signs
+_near_fine = st.one_of(
+    st.sampled_from([0.0, -0.0, _FINE, -_FINE, np.nextafter(_FINE, 0.0),
+                     -np.nextafter(_FINE, 0.0), np.nextafter(_FINE, 1.0),
+                     5e-324, np.inf, -np.inf]),
+    st.floats(-2 * _FINE, 2 * _FINE), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_near_fine, max_size=6))
+def test_fine_mask_matches_the_scalar_rule(values):
+    scalar = any(0.0 < abs(v) < _FINE for v in values)
+    assert linsolve._fine(np.array(values, dtype=float)) is scalar
+    assert linsolve._fine(np.array(values, dtype=float).reshape(-1, 1)) \
+        is scalar
+
+
 def test_family_rejects_bad_right_hand_sides():
     fam = LPFamily([1.0, 1.0], A_ub=-np.eye(2), A_eq=[[1.0, -1.0]])
     for b_ub, b_eq in (([0.0, np.nan], [0.0]), ([0.0, 0.0], [np.inf]),

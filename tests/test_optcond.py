@@ -261,6 +261,32 @@ def test_multipliers_on_demo():
         assert found > 0
 
 
+@pytest.mark.parametrize("size,seed", [(None, 1), (None, 1009), (5, 46),
+                                       (6, 20)])
+def test_multipliers_where_sampled_tuples_missed(size, seed):
+    # the demo's second triple has u = (0, 1), v = 0, k = 1 and an empty
+    # A2(-D, zbar, k), so the rule is vacuous there; on 5/46 and 6/20 the
+    # multipliers' exact margin lies within 1e-9 of 0.  The search draws
+    # nothing from its rng.
+    inst = _demo() if size is None else parse_instance(
+        generate_instance("polyhedral-opt", size, seed)).opt
+    trips = critical_directions(inst, n_dirs=16,
+                                rng=np.random.default_rng(seed))
+    trip = trips[1] if size is None else trips[0]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    mult = find_multipliers(inst, trip, n_samples=16, rng=rng)
+    assert rng.bit_generator.state == state
+    assert mult is not None and np.abs(mult.v_star).sum() > 1e-9
+    margin = exact_rule_margin(inst, trip, mult)
+    assert margin >= -1e-9
+    verdict = check_multiplier_rule(inst, trip, mult, n_samples=64,
+                                    rng=np.random.default_rng(2))
+    assert verdict.holds and verdict.margin >= -1e-9
+    if size is None:
+        assert a2_of_minus_D(inst, trip.k) is None and margin == np.inf
+
+
 def test_triple_sets_are_built_once_per_instance(monkeypatch):
     # find_multipliers, check_multiplier_rule and check_cq on one triple
     # build its second-order sets (of S and of -D) once, and F+ and G+
