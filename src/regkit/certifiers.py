@@ -5,11 +5,20 @@ confirms the concluded distance estimate by direct computation.  The
 confirmation always runs, even when hypotheses fail, so that "criterion
 inapplicable" and "property false" stay distinguishable.  A certificate
 is sound only when both sides pass.
+
+`CRITERIA` maps each criterion's name to its certifier and to the
+instance fields it reads.  The CLI checks an instance's fields against
+it, and both the CLI and `free_t_estimate` run a certifier from it with
+its inputs as one keyword dict.  The sequence, orbit and image-space
+criteria walk their steps in plain loops under one step test,
+`_step_fails`, which accepts an exact hit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cache
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,6 +78,13 @@ def _confirm(cert: Certificate, F, x, y, bound, strict, policy):
         else policy.le(cert.target, bound)
 
 
+def _step_fails(d: float, bound: float, policy: NumericPolicy) -> bool:
+    """d breaks the strict step bound d < bound.  An exact hit (d = 0 at
+    resolution) meets any positive bound, even one below tol, which
+    policy.lt alone would reject; the orbit tail drives m(tau) that low."""
+    return d > policy.tol_strict and not policy.lt(d, bound)
+
+
 # -- fixed-sequence criterion ----------------------------------------------
 
 def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
@@ -108,53 +124,56 @@ def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
 
     if reach_zero and seq_ok:
         ok, wit, det = True, None, ""
-        partial = 0.0
-        for n in range(len(levels) - 1):
-            if n >= len(b_seq):
+        # step n searches B(x, b_0 + ... + b_{n-1}); one past the b table fails
+        for n, radius in zip(range(len(levels) - 1), accumulate(b_seq, initial=0.0)):
+            if n == len(b_seq):
                 ok, det = False, f"b table exhausted at n={n}"
                 break
-            b_n = b_seq[n]
-            for u, du in step_distances(
-                    F.X, F.inverse_at_level_idx(levels[n], y),
-                    F.inverse_at_level_idx(levels[n + 1], y), x,
-                    partial if n else 0.0, tol):
-                # a distance that is exactly 0 at resolution satisfies any
-                # strict bound with positive right-hand side
-                if du > tol and not policy.lt(du, b_n):
-                    ok, wit = False, (n, u)
-                    det = f"d(u, F_(next)^-1(y)) = {du} >= b_{n} = {b_n}"
-                    break
-            if not ok:
+            hit = next(((u, du) for u, du in step_distances(
+                F.X, F.inverse_at_level_idx(levels[n], y),
+                F.inverse_at_level_idx(levels[n + 1], y), x, radius, tol)
+                if _step_fails(du, b_seq[n], policy)), None)
+            if hit is not None:
+                ok, wit = False, (n, hit[0])
+                det = f"d(u, F_(next)^-1(y)) = {hit[1]} >= b_{n} = {b_seq[n]}"
                 break
-            partial += b_n
         cert.add("B4+/B5+", ok, det, wit)
 
     _confirm(cert, F, x, y, total_b, strict=True, policy=policy)
     return cert
 
 
-# -- orbit criterion (functions b, m, mu) ----------------------------------
+# -- orbit criteria (functions b, m, mu) -----------------------------------
 
-def _resolve_mu(scheme: AuxScheme, mu, t: float, horizon: int, tol: float):
-    """Return a callable mu; canonical suffix-sum construction when absent,
-    computed once per tau."""
-    if mu is not None:
-        return mu, False
-    memo: dict[float, float] = {}
-
-    def canonical(tau: float) -> float:
-        if tau not in memo:
-            memo[tau] = canonical_mu(scheme, tau, horizon, tol)
-        return memo[tau]
-    return canonical, True
+def _resolve_mu(cert: Certificate, scheme: AuxScheme, mu, policy: NumericPolicy):
+    """mu, or when absent the canonical suffix-sum construction (noted on
+    the certificate); either one computed once per tau."""
+    if mu is None:
+        cert.notes.append("canonical mu = suffix sums of m over the b-orbit")
+        return cache(lambda tau: canonical_mu(scheme, tau, policy.horizon, policy.tol_strict))
+    return cache(mu)
 
 
-def _orbit_checks(cert: Certificate, F, x, t, y, scheme, mu_fn, policy,
-                  net_check: Callable[[int, float, float, int, int], tuple]):
+def _orbit_steps(F: ParamSetValuedMap, orbit: list, tol: float):
+    """The steps (n, tau, next tau, level, next level) of a vanishing orbit,
+    up to the first tau <= tol or step into level 0.  Lazily: a walk stops
+    at its first failing step, and a tau above the ladder top raises only
+    when a walk reaches it."""
+    for n, (tau, nxt) in enumerate(zip(orbit, orbit[1:])):
+        if tau <= tol:
+            return
+        lev, lev_next = F.ladder.snap_up(tau, tol), F.ladder.snap_up(nxt, tol)
+        yield n, tau, nxt, lev, lev_next
+        if lev_next == 0:
+            return
+
+
+def _orbit_checks(cert: Certificate, F, t, y, scheme, mu_fn, policy):
     """Shared hypothesis sweep over the orbit tau = t, b(t), b^2(t), ...
 
-    net_check(n, tau, next_tau, level_idx, next_level_idx) -> (ok, witness, detail)
-    implements the per-level step condition of the concrete criterion.
+    Adds mutau+, osc and mu++ to cert; returns mu(t) and the steps that
+    each criterion walks with its own step condition (none unless the
+    orbit vanishes).
     """
     tol = policy.tol_strict
     horizon = policy.horizon
@@ -180,21 +199,7 @@ def _orbit_checks(cert: Certificate, F, x, t, y, scheme, mu_fn, policy,
             mupp_det = f"mu({tau}) = {lhs} < m+mu(b) = {rhs}"
             break
     cert.add("mu++", mupp_ok, mupp_det, mupp_wit)
-
-    net_ok, net_wit, net_det = True, None, ""
-    if van:
-        for n, (tau, nxt) in enumerate(zip(orbit, orbit[1:])):
-            if tau <= tol:
-                break
-            lev = F.ladder.snap_up(tau, tol)
-            lev_next = F.ladder.snap_up(nxt, tol)
-            ok, wit, det = net_check(n, tau, nxt, lev, lev_next)
-            if not ok:
-                net_ok, net_wit, net_det = False, wit, det
-                break
-            if lev_next == 0:
-                break
-    return mu_t, net_ok, net_wit, net_det
+    return mu_t, _orbit_steps(F, orbit, tol) if van else ()
 
 
 def certify_khanh4_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
@@ -203,28 +208,20 @@ def certify_khanh4_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
     """Orbit criterion: b drives tau down, m bounds steps, conclusion < mu(t)."""
     cert = Certificate("khanh4+")
     _require_graph_point(F, x, t, y, policy)
-    mu_fn, canonical = _resolve_mu(scheme, mu, t, policy.horizon, policy.tol_strict)
-    if canonical:
-        cert.notes.append("canonical mu = suffix sums of m over the b-orbit")
-
-    def net(n, tau, nxt, lev, lev_next):
+    mu_fn = _resolve_mu(cert, scheme, mu, policy)
+    mu_t, steps = _orbit_checks(cert, F, t, y, scheme, mu_fn, policy)
+    ok, wit, det = True, None, ""
+    for n, tau, nxt, lev, lev_next in steps:
         m_tau = scheme.m(tau)
-        tol = policy.tol_strict
-        for u, du in step_distances(
-                F.X, F.inverse_at_level_idx(lev, y),
-                F.inverse_at_level_idx(lev_next, y), x,
-                0.0 if n == 0 else mu_fn(t) - mu_fn(tau), tol):
-            # du = 0 at resolution satisfies the strict bound outright; the
-            # orbit tail drives m(tau) down to the tolerance scale where
-            # policy.lt would reject an exact hit
-            if du > tol and not policy.lt(du, m_tau):
-                return False, (n, u), \
-                    f"d(u, F_b(tau)^-1(y)) = {du} >= m(tau) = {m_tau}"
-        return True, None, ""
-
-    mu_t, net_ok, net_wit, net_det = _orbit_checks(
-        cert, F, x, t, y, scheme, mu_fn, policy, net)
-    cert.add("net+++", net_ok, net_det, net_wit)
+        hit = next(((u, du) for u, du in step_distances(
+            F.X, F.inverse_at_level_idx(lev, y), F.inverse_at_level_idx(lev_next, y),
+            x, 0.0 if n == 0 else mu_t - mu_fn(tau), policy.tol_strict)
+            if _step_fails(du, m_tau, policy)), None)
+        if hit is not None:
+            ok, wit = False, (n, hit[0])
+            det = f"d(u, F_b(tau)^-1(y)) = {hit[1]} >= m(tau) = {m_tau}"
+            break
+    cert.add("net+++", ok, det, wit)
     _confirm(cert, F, x, y, mu_t, strict=True, policy=policy)
     return cert
 
@@ -242,54 +239,45 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
     cert = Certificate("image")
     _require_graph_point(F, x, t, y, policy)
     tol = policy.tol_strict
-    mu_fn, canonical = _resolve_mu(scheme, mu, t, policy.horizon, policy.tol_strict)
-    if canonical:
-        cert.notes.append("canonical mu = suffix sums of m over the b-orbit")
+    mu_fn = _resolve_mu(cert, scheme, mu, policy)
     d0 = F.level0_image_dists(y)
-    set1_ok, set1_wit, set1_det = True, None, ""
+    mu_t, steps = _orbit_checks(cert, F, t, y, scheme, mu_fn, policy)
+    set1 = None                  # (s, z): z of F_0^-1(B(y, s)) outside F_s^-1(y)
+    ok, wit, det = True, None, ""
     n_set2 = 0
-
-    def set1_at(tau: float, lev: int):
-        # F_0^-1(B(y, tau)) inside F_tau^-1(y), the ball open (tau > tol)
-        nonlocal set1_ok, set1_wit, set1_det
-        if not set1_ok or tau <= tol:
-            return
-        extra = d0 < tau - tol
-        extra[F.inverse_at_level_idx(lev, y)] = False
-        if extra.any():
-            set1_ok, set1_wit = False, (tau, int(extra.argmax()))
-            set1_det = f"F_0^-1(B(y,{tau})) escapes F_tau^-1(y)"
-
-    def net(n, tau, nxt, lev, lev_next):
-        nonlocal n_set2
-        set1_at(tau, lev)
-        if nxt > tol:
-            set1_at(nxt, lev_next)
+    for n, tau, nxt, lev, lev_next in steps:
+        # (set1) at s = tau and s = b(tau), the ball open (s > tol)
+        for s, lev_s in ((tau, lev), (nxt, lev_next)):
+            if set1 is None and s > tol:
+                extra = d0 < s - tol
+                extra[F.inverse_at_level_idx(lev_s, y)] = False
+                if extra.any():
+                    set1 = (s, int(extra.argmax()))
         m_tau, b_tau = scheme.m(tau), scheme.b(tau)
         for u, du in step_distances(
                 F.X, F.inverse_at_level_idx(lev, y),
                 F.inverse_at_level_idx(lev_next, y), x,
-                0.0 if n == 0 else mu_fn(t) - mu_fn(tau), tol):
-            # (set2): d(y, F_0(B(u, m(tau)))) < b(tau)
+                0.0 if n == 0 else mu_t - mu_fn(tau), tol):
+            # (set2): d(y, F_0(B(u, m(tau)))) < b(tau); dy = 0 at
+            # resolution means y itself is reached
             ball = [u] if m_tau == 0 else F.X.dist_row(u) < m_tau - tol
             dy = d0[ball].min(initial=INF)
-            # dy = 0 at resolution: y itself is reached, so the strict
-            # bound holds for any positive b(tau), even one below tol
-            if dy > tol and not policy.lt(dy, b_tau):
-                return False, (n, u), \
-                    f"d(y, F_0(B(u,m))) = {dy} >= b(tau) = {b_tau}"
+            if _step_fails(dy, b_tau, policy):
+                ok, wit = False, (n, u)
+                det = f"d(y, F_0(B(u,m))) = {dy} >= b(tau) = {b_tau}"
+                break
             n_set2 += 1
             # some z of the ball has d0[z] < b(tau), so by (set1) z lies in
             # F_b(tau)^-1(y): d(u, F_b(tau)^-1(y)) < m(tau), asserted here
-            if set1_ok and du > tol and not policy.lt(du, m_tau):
-                return False, (n, u), \
-                    "derived step inequality failed despite (set1)+(set2)"
-        return True, None, ""
-
-    mu_t, net_ok, net_wit, net_det = _orbit_checks(
-        cert, F, x, t, y, scheme, mu_fn, policy, net)
-    cert.add("set1", set1_ok, set1_det, set1_wit)
-    cert.add("set2+derived-step", net_ok, net_det, net_wit)
+            if set1 is None and _step_fails(du, m_tau, policy):
+                ok, wit = False, (n, u)
+                det = "derived step inequality failed despite (set1)+(set2)"
+                break
+        if not ok:
+            break
+    cert.add("set1", set1 is None, "" if set1 is None else
+             f"F_0^-1(B(y,{set1[0]})) escapes F_tau^-1(y)", set1)
+    cert.add("set2+derived-step", ok, det, wit)
     cert.notes.append(f"{n_set2} intermediate z-witnesses logged")
     _confirm(cert, F, x, y, mu_t, strict=True, policy=policy)
     return cert
@@ -338,51 +326,59 @@ def certify_decrease(F: ParamSetValuedMap, x: int, t: float, y: int,
     return cert
 
 
-# -- free-t wrappers -------------------------------------------------------
+# -- the criteria table and the free-t wrapper ------------------------------
+
+class Criterion(NamedTuple):
+    certify: Callable[..., Certificate]
+    needs: tuple[str, ...]          # instance fields it cannot run without
+    optional: tuple[str, ...] = ()  # instance fields it reads when present
+
+
+# A field "scheme.m" is the m of the instance's scheme; each certifier
+# takes the top-level fields ("scheme", "mu") as keyword inputs.
+CRITERIA = {
+    "khanh+": Criterion(certify_khanh_plus, ("scheme.b_seq", "scheme.c_seq", "scheme.m")),
+    "khanh4+": Criterion(certify_khanh4_plus, ("scheme.b", "scheme.m"), ("mu",)),
+    "image": Criterion(certify_image_space, ("scheme.b", "scheme.m"), ("mu",)),
+    "decrease": Criterion(certify_decrease, ("mu",)),
+}
+
 
 def free_t_estimate(F: ParamSetValuedMap, x: int, y: int, criterion: str,
-                    mu, per_t: Callable[[float], dict],
+                    inputs: dict,
                     policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
     """Sweep ladder levels t with (x,t,y) on the graph; conclude <= mu(delta).
 
-    `per_t` supplies the certifier keyword arguments (scheme etc.) for a
-    given t.  The existential "some gamma > delta" is resolved by the
-    sweep: the certificate reports the best gamma below which every
-    membership level certifies.
+    `inputs` are the keyword inputs of the criterion's certifier, the same
+    at every t; their mu, the identity when absent, is also the modulus
+    of the conclusion.  The existential "some gamma > delta" is resolved
+    by the sweep: the certificate reports the best gamma below which
+    every membership level certifies.
     """
     cert = Certificate(f"free-t/{criterion}")
     delta = F.delta(y, x)
     if delta == INF:
         cert.vacuous = True
         cert.add("delta", True, "delta = +inf: conclusion trivially true")
-        cert.target = F.dist_to_inverse(x, 0, y)
-        cert.bound = INF
-        cert.strict = False
-        cert.confirmed = True
+        _confirm(cert, F, x, y, INF, strict=False, policy=policy)
         return cert
 
-    runners = {
-        "khanh+": certify_khanh_plus,
-        "khanh4+": certify_khanh4_plus,
-        "image": certify_image_space,
-        "decrease": certify_decrease,
-    }
-    run = runners[criterion]
+    run = CRITERIA[criterion].certify
     ts = [float(F.ladder.levels[k]) for k in range(1, len(F.ladder))
           if F.contains(x, k, y)]
     gamma_best = INF
     all_ok = True
     for tv in ts:
-        sub = run(F, x, tv, y, policy=policy, **per_t(tv))
-        if not sub.sound:
+        if not run(F, x, tv, y, policy=policy, **inputs).sound:
             gamma_best = tv
             if tv <= delta + policy.tol_strict:
                 all_ok = False
             break
     cert.add("per-t sweep", all_ok,
              f"levels checked up to gamma = {gamma_best}; delta = {delta}")
-    mu_fn = mu if callable(mu) else (lambda s: s)
-    _confirm(cert, F, x, y, mu_fn(delta), strict=False, policy=policy)
+    mu = inputs.get("mu")
+    _confirm(cert, F, x, y, mu(delta) if mu is not None else delta,
+             strict=False, policy=policy)
     return cert
 
 

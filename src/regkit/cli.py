@@ -97,6 +97,21 @@ def cmd_induct(args) -> int:
     return _emit(rep, args)
 
 
+def _criterion_inputs(name: str, inst) -> dict:
+    """The certifier inputs of criterion `name`, read from the instance by
+    its row of `certifiers.CRITERIA`; a field it needs that the instance
+    lacks (absent, or an empty table) is an InstanceError at its pointer."""
+    crit = certifiers.CRITERIA[name]
+    for path in crit.needs:
+        value, at = inst, ""
+        for key in path.split("."):
+            value, at = getattr(value, key), f"{at}/{key}"
+            if value is None or value == ():
+                raise InstanceError(at, f"criterion {name} needs {path}")
+    return {f.split(".")[0]: getattr(inst, f.split(".")[0])
+            for f in crit.needs + crit.optional}
+
+
 def cmd_certify(args) -> int:
     inst = _load(args)
     if inst.param is None:
@@ -104,30 +119,14 @@ def cmd_certify(args) -> int:
     rep = Report(f"certify/{args.criterion}", inst.policy.seed, inst.policy)
     F, pol = inst.param, inst.policy
     _check_points(F, args)
-    if args.criterion == "khanh+":
-        cert = certifiers.certify_khanh_plus(F, args.x, args.t, args.y,
-                                             inst.scheme, pol)
-    elif args.criterion == "khanh4+":
-        cert = certifiers.certify_khanh4_plus(F, args.x, args.t, args.y,
-                                              inst.scheme, inst.mu, pol)
-    elif args.criterion == "image":
-        cert = certifiers.certify_image_space(F, args.x, args.t, args.y,
-                                              inst.scheme, inst.mu, pol)
-    elif args.criterion == "decrease":
-        if inst.mu is None:
-            raise InstanceError("/mu", "decrease criterion needs mu")
-        cert = certifiers.certify_decrease(F, args.x, args.t, args.y,
-                                           inst.mu, pol)
-    elif args.criterion == "free-t":
-        crit = "khanh4+" if inst.scheme is not None and inst.scheme.b \
-            else "decrease"
-        per_t = (lambda t: {"scheme": inst.scheme, "mu": inst.mu}) \
-            if crit == "khanh4+" else (lambda t: {"mu": inst.mu})
-        mu = inst.mu if inst.mu is not None else (lambda s: s)
-        cert = certifiers.free_t_estimate(F, args.x, args.y, crit, mu,
-                                          per_t, pol)
+    if args.criterion == "free-t":
+        crit = "khanh4+" if getattr(inst.scheme, "b", None) is not None else "decrease"
+        cert = certifiers.free_t_estimate(F, args.x, args.y, crit,
+                                          _criterion_inputs(crit, inst), pol)
     else:
-        raise InstanceError("/criterion", f"unknown {args.criterion!r}")
+        cert = certifiers.CRITERIA[args.criterion].certify(
+            F, args.x, args.t, args.y, policy=pol,
+            **_criterion_inputs(args.criterion, inst))
     for h in cert.hypotheses:
         rep.add(f"certify/hyp/{h.name}", h.passed, witness=h.witness,
                 detail=h.detail)
@@ -336,8 +335,6 @@ def cmd_run(args) -> int:
     for name in sorted(names):
         try:
             PLAN_CHECKS[name](inst, rep)
-        except InstanceError:
-            raise
         except (PreconditionError, ModulusError) as e:
             rep.add_error(name, str(e))
     return _emit(rep, args)
@@ -398,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="run a sufficient criterion")
     sp.add_argument("instance")
     sp.add_argument("--criterion", required=True,
-                    choices=["khanh+", "khanh4+", "image", "decrease",
-                             "free-t"])
+                    choices=[*certifiers.CRITERIA, "free-t"])
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--t", type=float, default=0.0)

@@ -80,7 +80,6 @@ class FiniteMetricSpace:
 
     metric: str
     coords: Optional[np.ndarray] = None
-    labels: Optional[list] = None
     dmatrix: Optional[np.ndarray] = None
     policy: NumericPolicy = field(default=DEFAULT_POLICY)
 

@@ -148,8 +148,8 @@ def test_criterion_05_certifier_soundness():
                 ci.F, ci.x, ci.t, ci.y, ci.mu),
             "free-t": certifiers.free_t_estimate(
                 ci.F, ci.x, ci.y, "khanh4+",
-                mu=lambda s: canonical_mu(ci.scheme_orbit, s, 64),
-                per_t=lambda tv: {"scheme": ci.scheme_orbit}),
+                {"scheme": ci.scheme_orbit,
+                 "mu": lambda s: canonical_mu(ci.scheme_orbit, s, 64)}),
         }
         for name, cert in certs.items():
             if not cert.hypotheses_pass:

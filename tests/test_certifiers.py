@@ -275,8 +275,8 @@ def test_free_t_sweep_on_chain():
     ci = helpers.make_chain(9)
     cert = certifiers.free_t_estimate(
         ci.F, ci.x, ci.y, "khanh4+",
-        mu=lambda s: canonical_mu(ci.scheme_orbit, s, 64),
-        per_t=lambda tv: {"scheme": ci.scheme_orbit})
+        {"scheme": ci.scheme_orbit,
+         "mu": lambda s: canonical_mu(ci.scheme_orbit, s, 64)})
     assert cert.sound and not cert.vacuous
     assert cert.bound == pytest.approx(ci.kappa * ci.t, rel=1e-6)
 
@@ -286,8 +286,7 @@ def test_free_t_vacuous_when_delta_infinite():
     Y = FiniteMetricSpace.from_grid([0.0])
     lad = TLadder(np.array([0.0, 1.0]))
     F = ParamSetValuedMap(X, Y, lad, graph=[(1, 1, 0), (1, 0, 0)])
-    cert = certifiers.free_t_estimate(F, 0, 0, "decrease", mu=None,
-                                      per_t=lambda tv: {"mu": None})
+    cert = certifiers.free_t_estimate(F, 0, 0, "decrease", {"mu": None})
     assert cert.vacuous and cert.confirmed and cert.bound == INF
 
 

@@ -9,8 +9,10 @@ import pytest
 
 from regkit import cli
 from regkit.cli import EXIT_BUG, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+from regkit.induction import PreconditionError
 from regkit.instances import (SIZE_CAPS, demo_polyopt_raw, generate_instance,
                               save_instance)
+from regkit.moduli import ModulusError
 
 
 @pytest.fixture
@@ -89,6 +91,67 @@ def test_regkit_errors_exit_2(tmp_path, capsys):
         assert main(argv) == EXIT_INPUT, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _certify_file(tmp_path, scheme=None, mu=True):
+    """param-monotone size 6 seed 1, where (x, t, y) = (0, 1.0, 1) is on the
+    graph, with the given scheme section and with or without its mu."""
+    raw = generate_instance("param-monotone", 6, 1)
+    if scheme is not None:
+        raw["scheme"] = scheme
+    if not mu:
+        del raw["mu"]
+    path = str(tmp_path / "certify.json")
+    save_instance(raw, path)
+    return path
+
+
+LINEAR = {"kind": "linear", "kappa": 0.5}
+
+
+@pytest.mark.parametrize("criterion,scheme,mu,pointer", [
+    ("khanh+", None, True, "/scheme"),
+    ("khanh4+", None, True, "/scheme"),
+    ("image", None, True, "/scheme"),
+    ("khanh+", {"b_seq": [0.5], "m": LINEAR}, True, "/scheme/c_seq"),
+    ("khanh4+", {"b": LINEAR}, True, "/scheme/m"),
+    ("image", {"b": LINEAR}, True, "/scheme/m"),
+    ("free-t", {"b": LINEAR}, True, "/scheme/m"),
+    ("decrease", None, False, "/mu"),
+    ("free-t", None, False, "/mu")],
+    ids=["khanh+-no-scheme", "khanh4+-no-scheme", "image-no-scheme",
+         "khanh+-no-c_seq", "khanh4+-no-m", "image-no-m", "free-t-no-m",
+         "decrease-no-mu", "free-t-no-mu"])
+def test_certify_missing_criterion_inputs_exit_2(criterion, scheme, mu,
+                                                 pointer, tmp_path, capsys):
+    path = _certify_file(tmp_path, scheme, mu)
+    capsys.readouterr()
+    assert main(["certify", path, "--criterion", criterion, "--x", "0",
+                 "--y", "1", "--t", "1.0"]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {pointer}: "), err
+    assert err[0].count(": /") == 1, err
+
+
+@pytest.mark.parametrize("criterion,scheme,mu", [
+    ("khanh+", {"b_seq": [0.5, 0.25], "c_seq": [0.5, 0.0], "m": LINEAR}, False),
+    ("khanh4+", {"b": LINEAR, "m": LINEAR}, False),
+    ("image", {"b": LINEAR, "m": LINEAR}, False),
+    ("free-t", {"b": LINEAR, "m": LINEAR}, False),
+    ("decrease", None, True),
+    ("free-t", None, True)],
+    ids=["khanh+", "khanh4+", "image", "free-t-khanh4+", "decrease",
+         "free-t-decrease"])
+def test_certify_runs_on_the_fields_its_criterion_reads(criterion, scheme, mu,
+                                                        tmp_path, capsys):
+    path = _certify_file(tmp_path, scheme, mu)
+    capsys.readouterr()
+    code = main(["certify", path, "--criterion", criterion, "--x", "0",
+                 "--y", "1", "--t", "1.0"])
+    out, err = capsys.readouterr()
+    assert code in (EXIT_PASS, EXIT_FAIL) and not err, err
+    rows = {r["check_id"]: r for r in json.loads(out)["rows"]}
+    assert "certify/conclusion" in rows
 
 
 def _drop_f(raw):
@@ -322,12 +385,70 @@ def test_optcond_tasks_on_demo(demo_file, tmp_path, capsys):
         assert outs[0] == outs[1], task
 
 
-def test_run_plan(plain_file, capsys):
+def test_optcond_multipliers_miss_row(tmp_path, capsys):
+    # the one candidate for the first critical triple of polyhedral-opt
+    # size 6 seed 5 misses the exact rule gate: a fail row, not an error
+    path = str(tmp_path / "po.json")
+    save_instance(generate_instance("polyhedral-opt", 6, 5), path)
+    assert main(["optcond", path, "--task", "multipliers"]) == EXIT_FAIL
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["check_id"] == "optcond/multipliers"
+    assert row["detail"] == "no candidate passed the exact rule check"
+
+
+def test_run_plan(plain_file, evp_file, tmp_path, capsys):
     assert main(["run", plain_file, "--plan",
                  "prop41_audit,t61_audit"]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["fail"] == 0
     assert main(["run", plain_file, "--plan", "nonsense"]) == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["run", evp_file, "--plan", "evp"]) == EXIT_PASS
+    rows = {r["check_id"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert set(rows) == {"evp/verify", "evp/in-oracle"}
+    # regularity and openness fail together at the same pair
+    pm = str(tmp_path / "pm.json")
+    save_instance(generate_instance("param-monotone", 10, 3), pm)
+    assert main(["run", pm, "--plan", "equivalence_audit"]) == EXIT_FAIL
+    rows = {r["check_id"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["equivalence/agreement"]["verdict"] == "pass"
+    assert rows["equivalence/regular"]["verdict"] == "fail"
+    assert rows["equivalence/regular"]["witness"] == \
+        rows["equivalence/open"]["witness"]
+
+
+@pytest.mark.parametrize("error", [PreconditionError, ModulusError])
+def test_run_plan_reports_a_check_error_as_a_row(error, plain_file,
+                                                 monkeypatch, capsys):
+    def broken(inst, rep):
+        raise error("no such level")
+
+    monkeypatch.setitem(cli.PLAN_CHECKS, "t61_audit", broken)
+    assert main(["run", plain_file, "--plan",
+                 "prop41_audit,t61_audit"]) == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    rows = {r["check_id"]: r for r in doc["rows"]}
+    assert rows["t61_audit"]["verdict"] == "error"
+    assert rows["t61_audit"]["detail"] == "no such level"
+    assert doc["summary"] == {"total": len(rows), "pass": len(rows) - 1,
+                              "fail": 0, "error": 1}
+
+
+def test_regcheck_param_properties(tmp_path, capsys):
+    raw = generate_instance("param-monotone", 10, 3)
+    path = str(tmp_path / "pm.json")
+    save_instance(raw, path)
+    witnesses = set()
+    for prop in ("regular", "open", "nu-regular"):
+        assert main(["regcheck", path, "--property", prop]) == EXIT_FAIL
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["check_id"] == f"regcheck/{prop}"
+        witnesses.add(tuple(row["witness"]))
+    assert len(witnesses) == 1       # the same failing pair under each
+    # nu = 0 on every pair of W leaves no pair mu(delta) < nu to check
+    raw["nu"] = [[x, y, 0.0] for x, y in raw["W"]]
+    save_instance(raw, path)
+    assert main(["regcheck", path, "--property", "nu-regular"]) == EXIT_PASS
 
 
 def test_reports_are_deterministic_across_commands(evp_file, tmp_path):

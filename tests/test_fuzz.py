@@ -19,7 +19,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from regkit import cli
+from regkit import certifiers, cli
 from regkit.instances import demo_polyopt_raw, generate_instance, save_instance
 
 DROP = object()
@@ -108,7 +108,7 @@ def test_instance_mutants_exit_0_1_or_2(workdir, site, value):
 
 
 ARGV = [["certify", "{pm}", "--criterion", c, "--x", "{v}", "--y", "0"]
-        for c in ("khanh+", "khanh4+", "image", "decrease")] + [
+        for c in certifiers.CRITERIA] + [
     ["certify", "{pl}", "--criterion", "free-t", "--x", "{v}", "--y", "0"],
     ["certify", "{pl}", "--criterion", "free-t", "--x", "0", "--y", "{v}"],
     ["regcheck", "{pl}", "--property", "local", "--x", "{v}"],
@@ -139,7 +139,7 @@ def test_argv_mutants_exit_0_1_or_2(files, argv, v):
 
 _CHILD = """
 import contextlib, io, json, sys
-from regkit import cli
+from regkit import certifiers, cli
 out = []
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
