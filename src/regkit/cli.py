@@ -166,14 +166,12 @@ def cmd_regcheck(args) -> int:
     elif args.property == "nu-regular":
         v = certifiers.check_nu_regular_on_W(F, W, mu, inst.nu)
         rep.add("regcheck/nu-regular", v.holds, witness=v.counterexample)
-    elif args.property == "local":
+    else:                                    # "local", by argparse choices
         _check_points(F, args)
         v = certifiers.check_local_regularity(F, args.x, args.y, mu,
                                               inst.policy)
         rep.add("regcheck/local", v.holds,
                 detail=f"r_U={v.r_U} r_V={v.r_V} {v.at_resolution_note}")
-    else:
-        raise InstanceError("/property", f"unknown {args.property!r}")
     return _emit(rep, args)
 
 
@@ -225,7 +223,7 @@ def cmd_optcond(args) -> int:
     elif args.task == "critical":
         trips = optcond.critical_directions(opt, rng=rng)
         rep.add("optcond/critical", True, detail=f"{len(trips)} triples")
-    elif args.task in ("multipliers", "cq", "claim2"):
+    else:                    # "multipliers", "cq", "claim2", by argparse choices
         trips = optcond.critical_directions(opt, rng=rng)
         if not trips:
             rep.add(f"optcond/{args.task}", False,
@@ -255,8 +253,6 @@ def cmd_optcond(args) -> int:
             rep.add("optcond/claim2", c2.holds,
                     detail=f"{len(c2.verified)} verified, "
                            f"{len(c2.skipped)} skipped")
-    else:
-        raise InstanceError("/task", f"unknown {args.task!r}")
     return _emit(rep, args)
 
 

@@ -80,9 +80,11 @@ class EVPResult:
 
 
 def _residuals(inst: EVPInstance, xn: int) -> np.ndarray:
-    """f(x_n) - f(u) - slope * d(u, x_n), vectorized over u."""
-    gain = inst.f[xn] - inst.f - inst.slope * inst.space.dist_row(xn)
-    return np.where(np.isfinite(inst.f), gain, -INF)
+    """f(x_n) - f(u) - slope * d(u, x_n), vectorized over u, and 0 at x_n."""
+    row = inst.space.dist_rows(np.array([xn]))[0]
+    gain = np.where(np.isfinite(inst.f), inst.f[xn] - inst.f - inst.slope * row, -INF)
+    gain[xn] = 0.0
+    return gain
 
 
 def evp_solve(inst: EVPInstance,
@@ -97,7 +99,6 @@ def evp_solve(inst: EVPInstance,
     steps: list[EVPStep] = []
     for n in range(policy.horizon):
         gains = _residuals(inst, xn)
-        gains[xn] = 0.0
         a_n = float(gains.max())
         steps.append(EVPStep(n, xn, float(inst.f[xn]), a_n))
         if a_n <= tol:
@@ -107,7 +108,6 @@ def evp_solve(inst: EVPInstance,
     # residual halves each step, so the horizon is generous; reaching it
     # means tol is smaller than the geometric decay can deliver
     gains = _residuals(inst, xn)
-    gains[xn] = 0.0
     return EVPResult(z=xn, steps=steps, n_iter=policy.horizon,
                      residual=float(gains.max()))
 
@@ -129,11 +129,11 @@ def evp_verify(inst: EVPInstance, z: int,
                policy: NumericPolicy = DEFAULT_POLICY) -> EVPCheck:
     """Check conclusions (i)-(iii) directly; independent of the solver."""
     tol = policy.tol_strict
-    dz = inst.space.d(inst.x0, z)
+    inst.space._check(z)
+    dz = inst.space.dist_rows(np.array([inst.x0]))[0, z]
     near = dz < inst.lam
     descent = inst.f[z] <= inst.f[inst.x0] + tol
     gains = _residuals(inst, z)
-    gains[z] = 0.0
     u = int(np.argmax(gains))
     stationary = gains[u] <= tol
     return EVPCheck(near=bool(near), descent=bool(descent),
@@ -157,13 +157,13 @@ def evp_oracle(inst: EVPInstance,
     good: list[int] = []
     fvals = inst.f
     slope = inst.slope
-    near = inst.space.dist_row(inst.x0) < inst.lam
+    near = inst.space.dist_rows(np.array([inst.x0]))[0] < inst.lam
     idx_all = np.nonzero(near & finite & (fvals <= fvals[inst.x0] + tol))[0]
     chunk = 256     # block arrays are chunk x |X| floats: 20 MB at |X| = 10^4
     for lo in range(0, idx_all.size, chunk):
         cand = idx_all[lo:lo + chunk]
         # rows: candidate z; cols: competitor u
-        D = np.stack([inst.space.dist_row(int(z)) for z in cand])
+        D = inst.space.dist_rows(cand)
         gain = fvals[cand][:, None] - fvals[None, :] - slope * D
         gain[:, ~finite] = -INF
         gain[np.arange(cand.size), cand] = 0.0

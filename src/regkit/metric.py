@@ -4,7 +4,9 @@ Points are referenced by integer index.  A space is backed either by
 coordinate vectors with a norm metric (euclidean / manhattan / chebyshev)
 or by an explicit distance matrix, which is audited for metric axioms at
 load time.  Norm distances between n and m points are built one
-coordinate at a time, in O(n·m) memory whatever the dimension.  Every
+coordinate at a time, in O(n·m) memory whatever the dimension.  A norm
+space caches its n×n matrix only once a query other than dist_rows needs
+it, and only up to MATRIX_CAP points; dist_rows reads rows alone.  Every
 finite metric space is complete, so no completeness hypothesis ever
 needs checking downstream.
 """
@@ -18,6 +20,7 @@ import numpy as np
 from .policy import DEFAULT_POLICY, INF, NumericPolicy, RegkitError
 
 NORM_METRICS = ("euclidean", "manhattan", "chebyshev")
+MATRIX_CAP = 2000   # norm spaces above this many points never build a matrix
 
 
 class MetricError(RegkitError, ValueError):
@@ -76,7 +79,10 @@ def _sum_columns(col, ks: range) -> np.ndarray:
 
 @dataclass
 class FiniteMetricSpace:
-    """A finite point set with a metric; immutable after construction."""
+    """A finite point set with a metric; immutable after construction.
+
+    A norm space builds its matrix on the first call of d, dist_row, dist_at,
+    dist_cols or diameter, if n <= MATRIX_CAP; dist_rows never builds it."""
 
     metric: str
     coords: Optional[np.ndarray] = None
@@ -96,8 +102,7 @@ class FiniteMetricSpace:
                 raise MetricError("points need one or more coordinates")
             self.coords = arr
             self._n = arr.shape[0]
-            # cache the full matrix only for small spaces; large ones use rows
-            self._dmat = _pairwise(arr, arr, self.metric) if self._n <= 2000 else None
+            self._dmat = None   # built by _has_matrix on first use
         elif self.metric == "matrix":
             if self.dmatrix is None:
                 raise MetricError("explicit-matrix metric requires dmatrix")
@@ -122,22 +127,19 @@ class FiniteMetricSpace:
             raise MetricError("dmatrix has nonzero diagonal")
         if np.abs(m - m.T).max(initial=0.0) > tol:
             raise MetricError("dmatrix is not symmetric")
-        # O(n^3) triangle audit in blocks of the first point, O(n^2) memory;
-        # the strict > keeps the row-major first worst (i, r, j), as argmax
-        rows = max(1, (1 << 20) // max(m.size, 1))  # blocks of 8 MiB
-        buf = np.empty((rows,) + m.shape)
-        worst = -INF
-        for i0 in range(0, len(m), rows):
-            blk = m[i0:i0 + rows]
-            viol = buf[:len(blk)]
-            np.add(blk[:, :, None], m[None, :, :], out=viol)
-            np.subtract(blk[:, None, :], viol, out=viol)
-            k = np.argmax(viol)
-            if viol.flat[k] > worst:
-                worst = viol.flat[k]
-                i, r, j = np.unravel_index(k, viol.shape)
-                i += i0
+        # triangle audit as a min-plus product in O(n^2) memory: fl(a - s) is
+        # monotone in s, so m[i, j] - min_r (m[i, r] + m[r, j]) is the worst
+        # violation over r of each (i, j), bit for bit
+        low, tmp = np.empty_like(m), np.empty_like(m)
+        for i in range(len(m)):
+            np.add(m[i, :, None], m, out=tmp)          # tmp[r, j] = m[i, r] + m[r, j]
+            tmp.min(axis=0, out=low[i])
+        np.subtract(m, low, out=low)
+        worst = low.max(initial=-INF)
         if worst > tol:
+            # the row-major first worst (i, r, j), as one argmax over the tensor
+            i = np.argmax(low) // len(m)
+            r, j = np.unravel_index(np.argmax(m[i] - (m[i, :, None] + m)), m.shape)
             raise MetricError(
                 f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})")
 
@@ -148,37 +150,49 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return self._n
 
+    def _has_matrix(self) -> bool:
+        """Build the norm matrix on first use if n <= MATRIX_CAP; True if built."""
+        if self._dmat is None and self._n <= MATRIX_CAP:
+            self._dmat = _pairwise(self.coords, self.coords, self.metric)
+        return self._dmat is not None
+
     def d(self, i: int, j: int) -> float:
         self._check(i)
         self._check(j)
-        if self._dmat is not None:
-            return float(self._dmat[i, j])
         return float(self.dist_row(i)[j])
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point i to every point, as a vector."""
         self._check(i)
+        return self._dmat[i] if self._has_matrix() else self.dist_rows(np.array([i]))[0]
+
+    def dist_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Distances from each point of the int array idx (rows) to every point
+        (columns); reads the matrix if it is built, and never builds it."""
+        self._check_each(idx)
         if self._dmat is not None:
-            return self._dmat[i]
-        return _pairwise(self.coords[i:i + 1], self.coords, self.metric)[0]
+            return self._dmat[idx]
+        return _pairwise(self.coords[idx], self.coords, self.metric)
 
     def dist_at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """dist_row(i)[j] at each entry of the broadcast of i and j, whose
         indices must be in range."""
-        if self._dmat is not None:
+        if self._has_matrix():
             return self._dmat[i, j]
         return _pairwise(self.coords, self.coords, self.metric, (i, j))
 
     def dist_cols(self, idx: np.ndarray) -> np.ndarray:
         """Distances from every point (rows) to each point of idx (columns)."""
-        if self._dmat is not None:
+        if self._has_matrix():
             return self._dmat[:, idx]
         return _pairwise(self.coords, self.coords[idx], self.metric)
 
     def diameter(self) -> float:
-        if self._dmat is not None:
+        if self._has_matrix():
             return float(self._dmat.max(initial=0.0))
-        return max((self.dist_row(i).max() for i in range(self._n)), default=0.0)
+        step = max(1, (1 << 14) // self._n)    # 128 KiB row blocks: larger ones ran slower
+        return max(float(self.dist_rows(np.arange(i, min(i + step, self._n))).max())
+                   for i in range(0, self._n, step))
 
     def _check(self, i: int):
         if not (0 <= int(i) < self._n):

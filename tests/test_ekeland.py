@@ -1,10 +1,15 @@
 """Variational-principle solver: standing hypothesis, descent trace, oracle."""
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from regkit import cli
 from regkit.ekeland import (EVPError, EVPInstance, evp_oracle, evp_solve,
                             evp_verify)
-from regkit.instances import generate_instance, parse_instance
+from regkit.instances import generate_instance, parse_instance, save_instance
 from regkit.metric import FiniteMetricSpace
 from regkit.policy import DEFAULT_POLICY, INF, NumericPolicy
 
@@ -112,3 +117,24 @@ def test_generated_instances_roundtrip_and_solve():
         inst = parse_instance(raw)
         res = evp_solve(inst.evp)
         assert evp_verify(inst.evp, res.z).ok
+
+
+def test_solve_verify_and_oracle_read_rows_only():
+    inst = parse_instance(generate_instance("evp", 300, 0)).evp
+    z = evp_solve(inst).z
+    assert evp_verify(inst, z).ok and z in evp_oracle(inst)
+    assert inst.space._dmat is None        # no n x n matrix was built
+
+
+def test_run_plan_evp_peak_memory_is_far_below_one_matrix(tmp_path):
+    path = str(tmp_path / "evp.json")
+    save_instance(generate_instance("evp", 2000, 3), path)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", path, "--plan", "evp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8e6, peak                # one 2000 x 2000 matrix is 32 MB

@@ -31,6 +31,10 @@ COMMANDS = {"plain-lipschitz": ["regcheck", "--setting", "conventional"],
             "demo": ["optcond", "--task", "cq"]}
 BASES = {kind: demo_polyopt_raw() if kind == "demo"
          else generate_instance(kind, 6, 0) for kind in COMMANDS}
+# the argv fuzz's {pm} file carries every input the criterion certifiers read
+LINEAR = {"kind": "linear", "kappa": 0.5}
+SCHEME = {"b": LINEAR, "m": {"kind": "linear", "kappa": 1.0},
+          "b_seq": [1.0, 0.5, 0.25, 0.125], "c_seq": [0.5, 0.25, 0.0, 0.0]}
 
 
 def _sites(value, path=()):
@@ -87,7 +91,8 @@ def files(workdir):
     for name, kind in (("pl", "plain-lipschitz"), ("pm", "param-monotone"),
                        ("evp", "evp"), ("demo", "demo")):
         paths[name] = str(workdir / f"{name}.json")
-        save_instance(BASES[kind], paths[name])
+        raw = dict(BASES[kind], scheme=SCHEME) if name == "pm" else BASES[kind]
+        save_instance(raw, paths[name])
     return paths
 
 
@@ -107,7 +112,8 @@ def test_instance_mutants_exit_0_1_or_2(workdir, site, value):
                 and err[0].count(": /") == 1, err
 
 
-ARGV = [["certify", "{pm}", "--criterion", c, "--x", "{v}", "--y", "0"]
+# --t 1.0 is a level of the {pm} ladder
+ARGV = [["certify", "{pm}", "--criterion", c, "--x", "{v}", "--y", "0", "--t", "1.0"]
         for c in certifiers.CRITERIA] + [
     ["certify", "{pl}", "--criterion", "free-t", "--x", "{v}", "--y", "0"],
     ["certify", "{pl}", "--criterion", "free-t", "--x", "0", "--y", "{v}"],

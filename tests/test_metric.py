@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regkit.metric import (NORM_METRICS, BallSpec, FiniteMetricSpace,
-                           MetricError, PointIndexError, _pairwise,
-                           ball_members)
-from regkit.policy import RegkitError
+from regkit.metric import (MATRIX_CAP, NORM_METRICS, BallSpec,
+                           FiniteMetricSpace, MetricError, PointIndexError,
+                           _pairwise, ball_members)
+from regkit.policy import INF, NumericPolicy, RegkitError
 
 coords_1d = st.lists(st.floats(-50, 50), min_size=2, max_size=12)
 
@@ -133,6 +133,33 @@ def test_dist_at_is_dist_row_bit_for_bit(n, metric):
     assert rows[np.arange(40), j].tobytes() == sp.dist_at(i, j).tobytes()
 
 
+@pytest.mark.parametrize("metric", [*NORM_METRICS, "matrix"])
+def test_dist_rows_are_matrix_rows_bit_for_bit(metric):
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-3, 3, (60, 9))
+    sp = FiniteMetricSpace(metric=metric, coords=pts) if metric != "matrix" else \
+        FiniteMetricSpace(metric="matrix", dmatrix=_pairwise(pts, pts, "euclidean"))
+    idx = rng.integers(0, 60, 25)
+    rows = sp.dist_rows(idx)
+    assert (sp._dmat is None) == (metric != "matrix")   # dist_rows builds none
+    full = np.stack([sp.dist_row(i) for i in range(60)])
+    assert rows.tobytes() == full[idx].tobytes()
+    assert sp.dist_rows(idx).tobytes() == full[idx].tobytes()   # off the matrix
+    for bad in (-1, 60):
+        with pytest.raises(PointIndexError, match=f"point index {bad} out of range"):
+            sp.dist_rows(np.array([0, bad]))
+
+
+@pytest.mark.parametrize("metric", NORM_METRICS)
+def test_diameter_above_the_matrix_cap_reads_row_blocks(metric):
+    n = MATRIX_CAP + 1
+    pts = np.random.default_rng(n).uniform(-3, 3, (n, 3))
+    pts[[n - 2, n - 1]] = [[-9.0, 0.0, 1.0], [8.5, 2.0, -1.0]]   # far pair, last block
+    sp = FiniteMetricSpace(metric=metric, coords=pts)
+    want = max(_pairwise(pts[i:i + 1], pts, metric).max() for i in range(n))
+    assert sp.diameter() == want and sp._dmat is None
+
+
 def _bumped_plane_matrix(n: int, seed: int) -> np.ndarray:
     """Euclidean distances of n random plane points, three pairs stretched."""
     rng = np.random.default_rng(seed)
@@ -176,6 +203,52 @@ def test_triangle_audit_memory_is_quadratic_at_300_points():
         line[b, a] += 1.0
     with pytest.raises(MetricError, match=re.escape("violated by 1 at (40,41,45)")):
         FiniteMetricSpace(metric="matrix", dmatrix=line)
+
+
+def _tensor_audit(m, rows):
+    """The worst triangle violation m[i, j] - (m[i, r] + m[r, j]) and its
+    row-major first (i, r, j), from the (i, r, j) tensor in blocks of rows."""
+    worst, at = -INF, None
+    for i0 in range(0, len(m), rows):
+        blk = m[i0:i0 + rows]
+        viol = blk[:, None, :] - (blk[:, :, None] + m[None, :, :])
+        k = np.argmax(viol)
+        if viol.flat[k] > worst:
+            worst = viol.flat[k]
+            i, r, j = np.unravel_index(k, viol.shape)
+            at = (i + i0, r, j)
+    return worst, at
+
+
+def _audit_cases(n, seed):
+    """Plane distances with planted stretches, and small-integer matrices,
+    whose violations tie often."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3, 3, size=(n, 2))
+    plane = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    for _ in range(min(n // 2, 3)):
+        a, b = rng.choice(n, size=2, replace=False)
+        plane[a, b] = plane[b, a] = plane[a, b] + rng.uniform(0.5, 2.0)
+    ints = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
+    return plane, ints + ints.T
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50])
+def test_triangle_audit_matches_the_blocked_tensor(n):
+    for seed in range(6):
+        for m in _audit_cases(n, seed):
+            worst, (i, r, j) = _tensor_audit(m, rows=7) if n else (-INF, (0, 0, 0))
+            if worst <= 0:          # a metric: no tolerance finds a violation
+                FiniteMetricSpace(metric="matrix", dmatrix=m,
+                                  policy=NumericPolicy(triangle_tol=0.0))
+                continue
+            # worst is found bit for bit: it fails just below worst, not at it
+            FiniteMetricSpace(metric="matrix", dmatrix=m,
+                              policy=NumericPolicy(triangle_tol=worst))
+            with pytest.raises(MetricError, match=re.escape(
+                    f"violated by {worst:.3g} at ({i},{r},{j})")):
+                FiniteMetricSpace(metric="matrix", dmatrix=m, policy=NumericPolicy(
+                    triangle_tol=np.nextafter(worst, -INF)))
 
 
 def _pairwise_3d(a, b, metric):
