@@ -127,19 +127,21 @@ class FiniteMetricSpace:
             raise MetricError("dmatrix has nonzero diagonal")
         if np.abs(m - m.T).max(initial=0.0) > tol:
             raise MetricError("dmatrix is not symmetric")
-        # triangle audit as a min-plus product in O(n^2) memory: fl(a - s) is
+        # triangle audit as a min-plus product in one n^2 buffer: fl(a - s) is
         # monotone in s, so m[i, j] - min_r (m[i, r] + m[r, j]) is the worst
-        # violation over r of each (i, j), bit for bit
-        low, tmp = np.empty_like(m), np.empty_like(m)
-        for i in range(len(m)):
-            np.add(m[i, :, None], m, out=tmp)          # tmp[r, j] = m[i, r] + m[r, j]
-            tmp.min(axis=0, out=low[i])
-        np.subtract(m, low, out=low)
-        worst = low.max(initial=-INF)
+        # violation over r of each (i, j), bit for bit; the strict > keeps the
+        # first row holding the maximum, as a row-major argmax would
+        tmp, low = np.empty_like(m), np.empty(len(m))
+        worst, i = -INF, 0
+        for k in range(len(m)):
+            np.add(m[k, :, None], m, out=tmp)          # tmp[r, j] = m[k, r] + m[r, j]
+            v = np.subtract(m[k], tmp.min(axis=0, out=low), out=low).max()
+            if v > worst:
+                worst, i = v, k
         if worst > tol:
-            # the row-major first worst (i, r, j), as one argmax over the tensor
-            i = np.argmax(low) // len(m)
-            r, j = np.unravel_index(np.argmax(m[i] - (m[i, :, None] + m)), m.shape)
+            # the first (r, j) of row i, as one argmax over its tensor slice
+            np.add(m[i, :, None], m, out=tmp)
+            r, j = np.unravel_index(np.argmax(np.subtract(m[i], tmp, out=tmp)), m.shape)
             raise MetricError(
                 f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})")
 
@@ -190,9 +192,7 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         if self._has_matrix():
             return float(self._dmat.max(initial=0.0))
-        step = max(1, (1 << 14) // self._n)    # 128 KiB row blocks: larger ones ran slower
-        return max(float(self.dist_rows(np.arange(i, min(i + step, self._n))).max())
-                   for i in range(0, self._n, step))
+        return max((self.dist_row(i).max() for i in range(self._n)), default=0.0)
 
     def _check(self, i: int):
         if not (0 <= int(i) < self._n):

@@ -151,104 +151,81 @@ def test_dist_rows_are_matrix_rows_bit_for_bit(metric):
 
 
 @pytest.mark.parametrize("metric", NORM_METRICS)
-def test_diameter_above_the_matrix_cap_reads_row_blocks(metric):
+def test_diameter_above_the_matrix_cap_builds_no_matrix(metric):
     n = MATRIX_CAP + 1
     pts = np.random.default_rng(n).uniform(-3, 3, (n, 3))
-    pts[[n - 2, n - 1]] = [[-9.0, 0.0, 1.0], [8.5, 2.0, -1.0]]   # far pair, last block
+    pts[[n - 2, n - 1]] = [[-9.0, 0.0, 1.0], [8.5, 2.0, -1.0]]   # the farthest pair
     sp = FiniteMetricSpace(metric=metric, coords=pts)
-    want = max(_pairwise(pts[i:i + 1], pts, metric).max() for i in range(n))
-    assert sp.diameter() == want and sp._dmat is None
+    assert sp.diameter() == _pairwise(pts[-2:], pts[-1:], metric)[0, 0]
+    assert sp._dmat is None
 
 
 def _bumped_plane_matrix(n: int, seed: int) -> np.ndarray:
-    """Euclidean distances of n random plane points, three pairs stretched."""
+    """Euclidean distances of n random plane points, up to three pairs stretched."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3, 3, size=(n, 2))
     m = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    for _ in range(3):
+    for _ in range(min(n // 2, 3)):
         a, b = rng.choice(n, size=2, replace=False)
         m[a, b] = m[b, a] = m[a, b] + rng.uniform(0.5, 2.0)
     return m
 
 
-@pytest.mark.parametrize("n", [5, 40])
+def _small_int_matrix(n: int, seed: int) -> np.ndarray:
+    """A symmetric zero-diagonal matrix of integers 0..3, whose triangle
+    violations tie often."""
+    ints = np.triu(np.random.default_rng(seed).integers(0, 4, (n, n)).astype(float), 1)
+    return ints + ints.T
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 40, 50])
 def test_triangle_witness_is_first_argmax_of_full_tensor(n):
-    m = _bumped_plane_matrix(n, n)
-    viol = m[:, None, :] - (m[:, :, None] + m[None, :, :])
-    i, r, j = np.unravel_index(np.argmax(viol), viol.shape)
-    want = f"triangle inequality violated by {viol.max():.3g} at ({i},{r},{j})"
-    with pytest.raises(MetricError, match=re.escape(want)):
-        FiniteMetricSpace(metric="matrix", dmatrix=m)
+    for seed in range(6):
+        for m in (_bumped_plane_matrix(n, n + seed), _small_int_matrix(n, seed)):
+            viol = m[:, None, :] - (m[:, :, None] + m[None, :, :])
+            worst = viol.max(initial=-INF)
+            if worst <= 0:          # a metric: no tolerance finds a violation
+                FiniteMetricSpace(metric="matrix", dmatrix=m,
+                                  policy=NumericPolicy(triangle_tol=0.0))
+                continue
+            # worst is found bit for bit: it passes at worst, fails just below
+            FiniteMetricSpace(metric="matrix", dmatrix=m,
+                              policy=NumericPolicy(triangle_tol=worst))
+            i, r, j = np.unravel_index(np.argmax(viol), viol.shape)
+            want = f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})"
+            with pytest.raises(MetricError, match=re.escape(want)):
+                FiniteMetricSpace(metric="matrix", dmatrix=m, policy=NumericPolicy(
+                    triangle_tol=np.nextafter(worst, -INF)))
 
 
 def test_triangle_audit_memory_is_quadratic_at_300_points():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-3, 3, size=(300, 2))
     good = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    tracemalloc.start()
-    try:
-        FiniteMetricSpace(metric="matrix", dmatrix=good)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6, peak          # the whole n^3 tensor is 216 MB
+    bad = _bumped_plane_matrix(300, 300)
+    for m in (good, bad):
+        tracemalloc.start()
+        try:
+            try:
+                FiniteMetricSpace(metric="matrix", dmatrix=m)
+            except MetricError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the symmetry check's two n^2 temporaries, and then one audit buffer
+        assert peak < 2.5 * m.nbytes, peak
     # witnesses as one argmax over the whole tensor reports them
     with pytest.raises(MetricError, match=re.escape(
             "violated by 1.99 at (199,62,211)")):
-        FiniteMetricSpace(metric="matrix", dmatrix=_bumped_plane_matrix(300, 300))
-    # equal worst violations in several blocks: the row-major first wins
+        FiniteMetricSpace(metric="matrix", dmatrix=bad)
+    # equal worst violations in several rows: the row-major first wins
     line = np.abs(np.arange(300.0)[:, None] - np.arange(300.0)[None, :])
     for a, b in ((250, 290), (40, 45), (120, 180)):
         line[a, b] += 1.0
         line[b, a] += 1.0
     with pytest.raises(MetricError, match=re.escape("violated by 1 at (40,41,45)")):
         FiniteMetricSpace(metric="matrix", dmatrix=line)
-
-
-def _tensor_audit(m, rows):
-    """The worst triangle violation m[i, j] - (m[i, r] + m[r, j]) and its
-    row-major first (i, r, j), from the (i, r, j) tensor in blocks of rows."""
-    worst, at = -INF, None
-    for i0 in range(0, len(m), rows):
-        blk = m[i0:i0 + rows]
-        viol = blk[:, None, :] - (blk[:, :, None] + m[None, :, :])
-        k = np.argmax(viol)
-        if viol.flat[k] > worst:
-            worst = viol.flat[k]
-            i, r, j = np.unravel_index(k, viol.shape)
-            at = (i + i0, r, j)
-    return worst, at
-
-
-def _audit_cases(n, seed):
-    """Plane distances with planted stretches, and small-integer matrices,
-    whose violations tie often."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3, 3, size=(n, 2))
-    plane = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    for _ in range(min(n // 2, 3)):
-        a, b = rng.choice(n, size=2, replace=False)
-        plane[a, b] = plane[b, a] = plane[a, b] + rng.uniform(0.5, 2.0)
-    ints = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
-    return plane, ints + ints.T
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 50])
-def test_triangle_audit_matches_the_blocked_tensor(n):
-    for seed in range(6):
-        for m in _audit_cases(n, seed):
-            worst, (i, r, j) = _tensor_audit(m, rows=7) if n else (-INF, (0, 0, 0))
-            if worst <= 0:          # a metric: no tolerance finds a violation
-                FiniteMetricSpace(metric="matrix", dmatrix=m,
-                                  policy=NumericPolicy(triangle_tol=0.0))
-                continue
-            # worst is found bit for bit: it fails just below worst, not at it
-            FiniteMetricSpace(metric="matrix", dmatrix=m,
-                              policy=NumericPolicy(triangle_tol=worst))
-            with pytest.raises(MetricError, match=re.escape(
-                    f"violated by {worst:.3g} at ({i},{r},{j})")):
-                FiniteMetricSpace(metric="matrix", dmatrix=m, policy=NumericPolicy(
-                    triangle_tol=np.nextafter(worst, -INF)))
 
 
 def _pairwise_3d(a, b, metric):
