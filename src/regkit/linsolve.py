@@ -2,18 +2,24 @@
 
 Every LP is a member of an `LPFamily`: programs with one objective, one
 constraint matrix and one set of variable bounds, which differ only in
-their right-hand sides.  A family builds its HiGHS model once; a member
-changes the row bounds and re-runs the dual simplex from the previous
-member's optimal basis, which a change of b leaves dual feasible
-(parametric right-hand sides: Bertsimas & Tsitsiklis, Introduction to
-Linear Optimization, 1997, ch. 5).  After a member that is not optimal
-the next one starts cold.  So does a member whose c, matrix or right-hand
-side holds a nonzero entry below `_FINE` = 1e-6 in magnitude: near HiGHS's
-feasibility tolerances of 1e-7 a warm and a cold solve can give different
-statuses or optima, and a cold one is what `solve_lp` returns.  `solve_lp`
-is a family of one.  `LPFamily.solve_many` takes a batch of b_ub rows for
-a family without equality rows, validates it once and gives each member
-as `solve` would, in row order.
+their right-hand sides.  A family builds its HiGHS model once.  One HiGHS
+solver serves the whole process, which must use it from one thread: a
+member whose family's model the solver does not hold hands that model
+over (`passModel`) and starts cold.  A member that follows a member of
+its own family changes the row bounds and re-runs the dual simplex from
+the previous member's optimal basis, which a change of b leaves dual
+feasible (parametric right-hand sides: Bertsimas & Tsitsiklis,
+Introduction to Linear Optimization, 1997, ch. 5).  A right-hand side
+HiGHS reads as infinite on the wrong side (b_ub <= -1e20, or b_eq at
++-1e20) is refused, and the member is a model error, as in scipy's LP
+function.  After a member that is not optimal the next one starts cold.
+So does a member whose c, matrix or right-hand side holds a nonzero entry
+below `_FINE` = 1e-6 in magnitude: near HiGHS's feasibility tolerances of
+1e-7 a warm and a cold solve can give different statuses or optima, and a
+cold one is what `solve_lp` returns.  `solve_lp` is a family of one.
+`LPFamily.solve_many` takes a batch of b_ub rows for a family without
+equality rows, validates it once and gives each member as `solve` would,
+in row order.
 
 An interval family has one free variable, a cost c that is not
 fine-grained and below HiGHS's infinite cost, no equality rows and rows
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -74,10 +81,14 @@ _FINE = 1e-6
 
 
 @lru_cache(maxsize=None)
-def _highs():
-    """scipy's HiGHS core; scipy's options for method "highs": presolve
-    on, dual simplex, silent; and, keyed by HiGHS model status, its LP
-    status (see `_STATUS`) and message."""
+def _highs() -> SimpleNamespace:
+    """The process's one HiGHS solver, made on the first solve with scipy's
+    options for method "highs": presolve on, dual simplex, silent.  Its
+    fields: `core`, scipy's HiGHS module; `options`; `solver`; `statuses`,
+    keyed by HiGHS model status, the LP status (see `_STATUS`) and message;
+    `refused`, the model status every member reports when HiGHS refuses
+    the options, else None; `owner`, the family whose model the solver
+    holds, if any; and `error`, HiGHS's status for a refused call."""
     from scipy.optimize._highspy import _core
     options = _core.HighsOptions()
     options.presolve = "on"
@@ -86,11 +97,16 @@ def _highs():
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
-    text = _core._Highs().modelStatusToString
+    solver, error = _core._Highs(), _core.HighsStatus.kError
+    text = solver.modelStatusToString
     statuses = {model: (_STATUS.get(name, 4), f"HiGHS model status "
                                               f"{int(model)}: {text(model)}")
                 for name, model in _core.HighsModelStatus.__members__.items()}
-    return _core, options, statuses
+    refused = solver.getModelStatus() \
+        if solver.passOptions(options) == error else None
+    return SimpleNamespace(core=_core, options=options, solver=solver,
+                           statuses=statuses, refused=refused, owner=None,
+                           error=error)
 
 
 @dataclass
@@ -176,8 +192,9 @@ class LPFamily:
         A_eq = _matrix(A_eq, c.size, "A_eq")
         self._lo, self._hi = _bound_pair(bounds)
         self._m_ub, self._m_eq = A_ub.shape[0], A_eq.shape[0]
-        _, options, self._statuses = _highs()
-        self._c, self._A, self._highs = c, np.vstack([A_ub, A_eq]), None
+        hs = _highs()
+        options, self._statuses = hs.options, hs.statuses
+        self._c, self._A, self._lp = c, np.vstack([A_ub, A_eq]), None
         self._up, self._inf = None, options.infinite_bound
         if c.size == 1 and not self._m_eq and -self._lo == self._hi == np.inf \
                 and not _fine(c) and abs(c[0]) < options.infinite_cost \
@@ -188,9 +205,9 @@ class LPFamily:
 
     def _build(self):
         """The family's HiGHS model and scipy's re-check limits for it."""
-        core, options, _ = _highs()
+        core = _highs().core
         c, n, m = self._c, self._c.size, self._A.shape[0]
-        lp = core.HighsLp()
+        self._lp = lp = core.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_ = c
         lp.col_lower_ = np.full(n, self._lo)
@@ -209,7 +226,6 @@ class LPFamily:
         mat.index_ = np.nonzero(nz)[1].astype(np.int32)
         mat.value_ = values = At[nz]
 
-        self._highs, self._error = core._Highs(), core.HighsStatus.kError
         # a family whose c or matrix is fine-grained starts every member cold;
         # so does an interval family, whose HiGHS members are all within
         # _FINE of a tolerance
@@ -220,13 +236,9 @@ class LPFamily:
         self._floor = np.repeat([self._lo - tol, -tol], [n, m])
         self._ceil = np.repeat([self._hi + tol, np.inf, tol],
                                [n, self._m_ub, self._m_eq])
-        # a model HiGHS refuses reports the status of that refusal for
-        # every member, as scipy's LP function would
-        self._refused = None
-        if self._highs.passOptions(options) == self._error:
-            self._refused = self._highs.getModelStatus()
-        elif self._highs.passModel(lp) == self._error:
-            self._refused = core.HighsModelStatus.kModelError
+        # refused options or a refused model give every member the status
+        # of that refusal, as scipy's LP function would
+        self._refused = _highs().refused
 
     def _interval(self, B: np.ndarray) -> list[Optional[LPResult]]:
         """An interval family's members with right-hand sides the rows of
@@ -258,7 +270,7 @@ class LPFamily:
             x = np.zeros(len(B))        # no rows: +0.0
         if up.size:                     # a zero end is -0.0, as HiGHS has it
             x = np.where(x == 0.0, -0.0, x)
-        enum = _highs()[0].HighsModelStatus
+        enum = _highs().core.HighsModelStatus
         optimal, infeasible, unbounded = (self._statuses[model] for model in (
             enum.kOptimal, enum.kInfeasible, enum.kUnbounded))
         # + 0.0: HiGHS's objective at x = -0.0 is +0.0
@@ -275,20 +287,32 @@ class LPFamily:
         return out
 
     def _member(self, b_ub: np.ndarray, b_eq: np.ndarray) -> LPResult:
-        """One member on HiGHS, warm from the last unless it starts cold."""
-        if self._highs is None:
+        """One member on HiGHS: warm from the last member when the solver
+        holds this family's model and it does not start cold; cold when it
+        hands the family's model to the solver."""
+        if self._lp is None:
             self._build()
-        highs, model, ran = self._highs, self._refused, False
+        hs = _highs()
+        highs, model, ran = hs.solver, self._refused, False
         upper = np.concatenate([b_ub, b_eq])
+        if model is None and hs.owner is not self:
+            hs.owner = None
+            if highs.passModel(self._lp) == hs.error:
+                self._refused = model = hs.core.HighsModelStatus.kModelError
+            else:
+                hs.owner = self
         if model is None:
-            rows = upper.tolist()
             if self._cold or _fine(upper):
                 highs.clearSolver()
             lower = [-np.inf] * self._m_ub + b_eq.tolist()
-            for i, bounds in enumerate(zip(lower, rows)):
-                highs.changeRowBounds(i, *bounds)
-            ran = highs.run() != self._error
-            model = highs.getModelStatus()
+            # HiGHS refuses a bound it reads as infinite on the wrong side
+            # (upper <= -1e20, lower >= 1e20): a model error, with no run
+            if any(highs.changeRowBounds(i, *bounds) == hs.error
+                   for i, bounds in enumerate(zip(lower, upper.tolist()))):
+                model = hs.core.HighsModelStatus.kModelError
+            else:
+                ran = highs.run() != hs.error
+                model = highs.getModelStatus()
         status, message = self._statuses[model]
         if status == 0 and ran:
             sol = highs.getSolution()

@@ -730,6 +730,32 @@ class CQVerdict:
         return self.holds
 
 
+def _cq_generators(inst: OptInstance, trip: CriticalTriple,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The rows (z - d, w) of `check_cq`, z and w a slice point of TG2 and
+    of TH2 at one sampled x and d a point of A2(-D, zbar, k), in (z, w, d)
+    order per x; then the rows (p, 0), p a point of cone(D + zbar)."""
+    sets = _triple_sets(inst, trip)
+    xs = sample_cone_points(sets.S2.IT2, 32, rng)
+    ds = sample_cone_points(sets.A2, 8, rng) \
+        if sets.A2 is not None else np.zeros((1, inst.q))
+    if ds.shape[0] == 0:
+        ds = np.zeros((1, inst.q))
+    slicers = [_Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
+               _Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
+    q, r = inst.q, inst.r
+    blocks = []
+    for zs, ws in _slice_points(slicers, xs, rng):
+        shape = (len(zs), len(ws), len(ds))
+        block = np.empty(shape + (q + r,))
+        block[..., :q] = zs[:, None, None, :] - ds[None, None, :, :]
+        block[..., q:] = ws[None, :, None, :]
+        blocks.append(block.reshape(-1, q + r))
+    pts = sample_cone_points(inst.D_hull(), 16, rng)
+    blocks.append(np.hstack([pts, np.zeros((len(pts), r))]))
+    return np.vstack(blocks)
+
+
 def check_cq(inst: OptInstance, trip: CriticalTriple,
              rng: Optional[np.random.Generator] = None) -> CQVerdict:
     """Positive-spanning test for the second-order constraint qualification.
@@ -740,24 +766,10 @@ def check_cq(inst: OptInstance, trip: CriticalTriple,
     rank check fails fast when the generators do not even span linearly.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    sets = _triple_sets(inst, trip)
-    xs = sample_cone_points(sets.S2.IT2, 32, rng)
-    ds = sample_cone_points(sets.A2, 8, rng) \
-        if sets.A2 is not None else np.zeros((1, inst.q))
-    if ds.shape[0] == 0:
-        ds = np.zeros((1, inst.q))
-    slicers = [_Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
-               _Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
-    gens = [np.concatenate([z - d, w])
-            for zs, ws in _slice_points(slicers, xs, rng)
-            for z, w, d in product(zs, ws, ds)]
-    big = inst.D_hull()
-    for pt in sample_cone_points(big, 16, rng):
-        gens.append(np.concatenate([pt, np.zeros(inst.r)]))
+    Gm = _cq_generators(inst, trip, rng)
     needed = inst.q + inst.r
-    if not gens:
+    if not len(Gm):
         return CQVerdict(False, 0, needed)
-    Gm = np.array(gens)
     rank = int(np.linalg.matrix_rank(Gm, tol=POLY_TOL))
     if rank < needed:
         return CQVerdict(False, rank, needed)

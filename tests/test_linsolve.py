@@ -130,6 +130,67 @@ def test_solve_lp_passthrough():
     assert res.status == 0 and res.fun == -999998.0
 
 
+@pytest.mark.parametrize("kw", [
+    # an upper bound HiGHS reads as -inf, on one and on two columns; an
+    # equality row at +-1e20, whose lower or upper bound it refuses
+    dict(c=[1.0], A_ub=[[1.0], [-1.0]], b_ub=[-1e20, -0.0]),
+    dict(c=[1.0, 1.0], A_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[-1e20, -0.0]),
+    dict(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[-1e21]),
+    dict(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1e20]),
+    dict(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1e20]),
+])
+def test_refused_row_bounds_are_model_errors(kw):
+    # HiGHS refuses these bounds as linprog passes them, in the model, and
+    # as a family passes them, one row at a time: a model error, status 2
+    assert _same_as_linprog(**kw).status == 2
+    # and the family stays usable: its next member is a one-member solve
+    fam = LPFamily(kw["c"], A_ub=kw.get("A_ub"), A_eq=kw.get("A_eq"))
+    assert fam.solve(kw.get("b_ub"), kw.get("b_eq")).status == 2
+    b_ub = None if "b_ub" not in kw else [0.0] * len(kw["b_ub"])
+    b_eq = None if "b_eq" not in kw else [0.0]
+    _same_member(fam.solve(b_ub, b_eq),
+                 solve_lp(kw["c"], kw.get("A_ub"), b_ub, kw.get("A_eq"), b_eq))
+
+
+def _same_member(res, ref):
+    """Two LPResults bit for bit: status, message, x and objective."""
+    assert (res.status, res.message) == (ref.status, ref.message)
+    assert (None if res.x is None else res.x.tobytes()) == \
+        (None if ref.x is None else ref.x.tobytes())
+    assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+
+
+def test_interleaved_families_share_one_solver():
+    # members of four families taken in turn on the one HiGHS solver: each
+    # follows another family's member, so it starts cold and is the
+    # member solved on its own, bit for bit
+    t = 2.0 ** -24
+    families = [
+        # fine-grained c: every member cold
+        ([-2 * t, 1.0], [[0.0, -1.0], [-2.0, 0.0], [1.0, 1.0]],
+         [[0.0, -2.0, 5.0], [-1.0, 0.0, 3.0], [1.0, -1.0, 0.0]]),
+        # coarse
+        ([1.0, 1.0], [[-1.0, 0.5], [0.5, -1.0], [-1.0, -1.0]],
+         [[-1.0, -2.0, -1.0], [-1.5, -2.5, -1.0], [1.0, 1.0, -3.0]]),
+        # an interval family whose members HiGHS decides: a fine-grained
+        # bound, an interval empty by 5e-8, two lower bounds 5e-8 apart
+        ([1.0], [[1.0], [-1.0], [-1.0]],
+         [[3.0, 5e-7, 2.0], [1.0, -1.0 - 5e-8, 0.0],
+          [2.0, 1.0, 1.0 + 5e-8]]),
+        # a model HiGHS refuses: a matrix entry above its largest
+        ([1.0, 1.0], [[1e16, 1.0]], [[1.0], [2.0], [-1.0]]),
+    ]
+    fams = [LPFamily(c, A_ub=A_ub) for c, A_ub, _ in families]
+    turns = [(fam, c, A_ub, members[k]) for k in range(3)
+             for fam, (c, A_ub, members) in zip(fams, families)]
+    results = [fam.solve(b_ub) for fam, _, _, b_ub in turns]
+    for res, (_, c, A_ub, b_ub) in zip(results, turns):
+        _same_member(res, solve_lp(c, A_ub, b_ub))
+    statuses = {res.message.split(":")[-1].strip() for res in results}
+    assert {"Optimal", "Model error"} <= statuses
+    assert fams[2]._lp is not None and fams[3]._refused is not None
+
+
 _entry = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
                    st.floats(-5.0, 5.0))
 
@@ -219,8 +280,10 @@ def test_family_members_match_one_member_solves(family):
     lo, hi = (None, None) if bounds is None else bounds
     lo = -np.inf if lo is None else lo
     hi = np.inf if hi is None else hi
-    for b_ub, b_eq in members:
-        res = fam.solve(b_ub, b_eq)
+    # the members first, one after another (warm), then the one-member
+    # solves, which take the shared solver
+    results = [fam.solve(b_ub, b_eq) for b_ub, b_eq in members]
+    for res, (b_ub, b_eq) in zip(results, members):
         ref = solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
         assert res.status == ref.status, (res.message, ref.message)
         if res.status != 0:
@@ -266,8 +329,8 @@ def test_fine_grained_members_start_cold():
     ]
     for c, A_ub, A_eq, bounds, members in families:
         fam = LPFamily(c, A_ub=A_ub, A_eq=A_eq, bounds=bounds)
-        for b_ub, b_eq in members:
-            res = fam.solve(b_ub, b_eq)
+        results = [fam.solve(b_ub, b_eq) for b_ub, b_eq in members]
+        for res, (b_ub, b_eq) in zip(results, members):
             ref = solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
             assert (res.status, res.fun, res.message) \
                 == (ref.status, ref.fun, ref.message)
@@ -281,7 +344,20 @@ def test_fine_grained_members_start_cold():
         fam = LPFamily([1.0, 1.0], A_ub=A_ub)
         assert fam.solve([-1.0, -2.0, -1.0]).status == 0
         assert fam.solve(b_ub).status == 0
-        assert fam._highs.getInfo().simplex_iteration_count == iterations
+        assert _iterations() == iterations
+    # a member of another family in between hands that family's model to
+    # the solver, so the repeated coarse member starts cold
+    fam, other = LPFamily([1.0, 1.0], A_ub=A_ub), LPFamily([1.0], A_ub=[[-1.0]],
+                                                          bounds=(0, None))
+    for family, b_ub in ((fam, [-1.0, -2.0, -1.0]), (other, [-1.0]),
+                         (fam, [-1.5, -2.5, -1.0])):
+        assert family.solve(b_ub).status == 0
+    assert _iterations() > 0
+
+
+def _iterations():
+    """The simplex iterations of the process's HiGHS solver's last run."""
+    return linsolve._highs().solver.getInfo().simplex_iteration_count
 
 
 # entries on both sides of _FINE, either sign, with zeros of both signs
@@ -338,8 +414,8 @@ def test_solve_many_solves_other_families_in_order():
 def test_status_table_is_keyed_by_every_model_status():
     # a member's status is read from a table keyed by the HiGHS enum; it
     # must give each model status the LP status _STATUS gives its name
-    core, _, statuses = linsolve._highs()
-    members = core.HighsModelStatus.__members__
+    hs = linsolve._highs()
+    members, statuses = hs.core.HighsModelStatus.__members__, hs.statuses
     assert len(statuses) == len(members)
     for name, model in members.items():
         status, message = statuses[model]
@@ -478,7 +554,7 @@ def test_interval_rules(c, signs, b_ub, status, x, closed):
     assert res.status == status
     assert (None if res.x is None else res.x.tobytes()) == \
         (None if x is None else np.array([x]).tobytes())
-    assert (fam._highs is None) == closed     # the model only when needed
+    assert (fam._lp is None) == closed     # the model only when needed
     _is_linprog(res, [c], A_ub if signs else None, b_ub or None)
 
 
@@ -489,7 +565,7 @@ def test_interval_family_builds_its_model_once_on_first_need():
     for b_ub in ([3.0, 1.0, 2.0], [0.0, 0.0, 4.0], [1.0, -2.0, 5.0],
                  [-1.0, 2.0, 1.5]):
         _is_linprog(fam.solve(b_ub), c, A_ub, b_ub)
-    assert fam._highs is None
+    assert fam._lp is None
     # a fine-grained member, then a closed-form one; a member empty by 5e-8
     # and one with two lower bounds 5e-8 apart, each followed by one in
     # closed form: one model, built for the first
@@ -497,5 +573,5 @@ def test_interval_family_builds_its_model_once_on_first_need():
     for b_ub in ([3.0, 5e-7, 2.0], [3.0, 1.0, 2.0], [1.0, -1.0 - 5e-8, 0.0],
                  [2.0, 2.0, 1.0], [2.0, 1.0, 1.0 + 5e-8], [3.0, 1.0, 2.0]):
         _is_linprog(fam.solve(b_ub), c, A_ub, b_ub)
-        model = model or fam._highs
-        assert model is not None and fam._highs is model
+        model = model or fam._lp
+        assert model is not None and fam._lp is model

@@ -1,4 +1,6 @@
 """Second-order optimality machinery on polyhedral problem data."""
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -151,7 +153,7 @@ def test_slice_families_match_one_member_solves(size, seed):
     rng, members = np.random.default_rng(seed), 0
     for obj in (rng.normal(size=2), np.zeros(2)):
         s = optcond._Slicer(T, 2, obj)
-        assert s.family._highs is not None
+        assert s.family._lp is not None
         for x in rng.normal(size=(16, 2)):
             members += _member_is_linprog(s, T, 2, obj, x)
     assert members > 0
@@ -373,6 +375,65 @@ def test_check_cq_on_demo():
         assert v.needed == inst.q + inst.r
         if not v.holds:
             assert v.rank < v.needed or v.missing is not None
+
+
+@pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 5), (4, 3),
+                                       (5, 1), (6, 2)])
+def test_cq_generators_match_one_row_per_tuple(size, seed):
+    # the broadcast blocks of check_cq's generator matrix are, bit for bit,
+    # one concatenation (z - d, w) per (z, w, d), then (p, 0) per D-point
+    inst = parse_instance(demo_polyopt_raw() if size == 0 else
+                          generate_instance("polyhedral-opt", size, seed)).opt
+    checked = 0
+    for trip in critical_directions(inst, n_dirs=16,
+                                    rng=np.random.default_rng(seed)):
+        Gm = optcond._cq_generators(inst, trip, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        sets = optcond._triple_sets(inst, trip)
+        xs = sample_cone_points(sets.S2.IT2, 32, rng)
+        ds = sample_cone_points(sets.A2, 8, rng) \
+            if sets.A2 is not None else np.zeros((1, inst.q))
+        if ds.shape[0] == 0:
+            ds = np.zeros((1, inst.q))
+        slicers = [optcond._Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
+                   optcond._Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
+        gens = [np.concatenate([z - d, w])
+                for zs, ws in optcond._slice_points(slicers, xs, rng)
+                for z, w, d in product(zs, ws, ds)]
+        gens += [np.concatenate([pt, np.zeros(inst.r)])
+                 for pt in sample_cone_points(inst.D_hull(), 16, rng)]
+        ref = np.array(gens).reshape(-1, inst.q + inst.r)
+        assert Gm.shape == ref.shape and Gm.tobytes() == ref.tobytes()
+        checked += len(ref) > 0
+    assert checked > 0
+
+
+def test_one_highs_solver_per_process(monkeypatch):
+    # the multiplier search, the rule check and the CQ test on the demo
+    # share one HiGHS solver: the process makes exactly one
+    from scipy.optimize._highspy import _core
+    made, real = [], _core._Highs
+
+    def counting():
+        made.append(1)
+        return real()
+    monkeypatch.setattr(_core, "_Highs", counting)
+    linsolve._highs.cache_clear()
+    try:
+        inst = _demo()
+        solved = 0
+        for trip in critical_directions(inst, n_dirs=16,
+                                        rng=np.random.default_rng(0)):
+            mult = find_multipliers(inst, trip, rng=np.random.default_rng(1))
+            if mult is not None:
+                solved += 1
+                assert check_multiplier_rule(
+                    inst, trip, mult, rng=np.random.default_rng(2)).holds
+            check_cq(inst, trip, rng=np.random.default_rng(3))
+        assert solved > 0
+    finally:
+        linsolve._highs.cache_clear()
+    assert len(made) == 1
 
 
 def test_claim2_on_demo():
