@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import lru_cache
 
 import numpy as np
 
@@ -345,7 +346,10 @@ def cmd_demo(args) -> int:
 
 # -- argument wiring --------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; `main` runs the
+    subcommand's handler, cmd_<name>, looked up when it is called."""
     p = argparse.ArgumentParser(
         prog="regkit",
         description="Verification toolkit for nonlinear regularity models "
@@ -372,21 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("load", help="validate an instance file")
     sp.add_argument("instance")
-    sp.set_defaults(func=cmd_load)
 
     sp = sub.add_parser("gen", help="generate a random instance")
     sp.add_argument("--kind", required=True,
                     choices=["plain-lipschitz", "param-monotone", "evp",
                              "polyhedral-opt"])
     sp.add_argument("--size", type=int, required=True)
-    sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("induct", help="run the iteration engine")
     sp.add_argument("instance")
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--t", type=float, required=True)
-    sp.set_defaults(func=cmd_induct)
 
     sp = sub.add_parser("certify", help="run a sufficient criterion")
     sp.add_argument("instance")
@@ -395,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--t", type=float, default=0.0)
-    sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("regcheck", help="check a regularity property")
     sp.add_argument("instance")
@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["param", "conventional"])
     sp.add_argument("--x", type=int, default=0)
     sp.add_argument("--y", type=int, default=0)
-    sp.set_defaults(func=cmd_regcheck)
 
     sp = sub.add_parser("ekeland", help="variational principle solver")
     sp.add_argument("instance")
@@ -413,22 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--x0", type=int, default=None)
     sp.add_argument("--verify-only", type=int, default=None)
-    sp.set_defaults(func=cmd_ekeland)
 
     sp = sub.add_parser("optcond", help="second-order optimality tasks")
     sp.add_argument("instance")
     sp.add_argument("--task", required=True,
                     choices=["cones", "critical", "multipliers", "cq",
                              "claim2"])
-    sp.set_defaults(func=cmd_optcond)
 
     sp = sub.add_parser("run", help="run a named-check experiment plan")
     sp.add_argument("instance")
     sp.add_argument("--plan", default="")
-    sp.set_defaults(func=cmd_run)
 
-    sp = sub.add_parser("demo", help="write the shipped LP demo instance")
-    sp.set_defaults(func=cmd_demo)
+    sub.add_parser("demo", help="write the shipped LP demo instance")
     return p
 
 
@@ -439,7 +434,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (RegkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

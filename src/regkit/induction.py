@@ -15,6 +15,7 @@ reported trace is the greedy-first chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, tee
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -92,6 +93,12 @@ class SequenceSpec:
 
     def b_partial(self, n: int) -> float:
         return float(sum(self.b.value(i) for i in range(n)))
+
+    def b_steps(self) -> Iterator[tuple[float, float]]:
+        """(b_n, b_partial(n)) for n < horizon, each b_n read once; the sums
+        are b_partial's left-to-right additions in one pass, bit for bit."""
+        b, partial = tee(self.b.value(n) for n in range(self.horizon))
+        return zip(b, accumulate(partial, initial=0.0))
 
 
 @dataclass
@@ -189,14 +196,14 @@ def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
     fibre = _fibres_in_U(phi, t, x, restrict_U, tol)
     witness = None
     a3_ok, a3_msg = True, ""
-    for n in range(seqs.horizon):
+    a_next = a0
+    for n, (b_n, radius) in enumerate(seqs.b_steps()):
+        a_n, a_next = a_next, seqs.a.value(n + 1)
         try:
-            lev_n = ladder.snap_up(seqs.a.value(n), tol)
-            lev_next = ladder.snap_up(seqs.a.value(n + 1), tol)
+            lev_n = ladder.snap_up(a_n, tol)
+            lev_next = ladder.snap_up(a_next, tol)
         except LadderError as e:
             raise PreconditionError(f"resolution error at n={n}: {e}") from e
-        b_n = seqs.b.value(n)
-        radius = seqs.b_partial(n) if n else 0.0
         if n and not radius:
             continue  # the open ball B(x, 0) is empty: a vacuous step
         stepped = False

@@ -39,16 +39,21 @@ the members it leaves to HiGHS are solved one by one.  `solve` is a batch
 of one.
 
 HiGHS is reached through scipy's private `scipy.optimize._highspy._core`,
-imported on the first solve, with the model, options, status codes and
-feasibility re-check of scipy's LP function with method "highs".
+loaded on the first solve from its file, so no regkit command imports the
+`scipy.optimize` package (a later import of it reuses the module), with
+the model, options, status codes and feasibility re-check of scipy's LP
+function with method "highs".
 `tests/test_linsolve.py` compares `solve_lp` and interval members with that
 function, and each family member with a one-member solve, as a guard
 against scipy drift.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import import_module, machinery, util
 from types import SimpleNamespace
 from typing import Optional
 
@@ -89,7 +94,22 @@ def _highs() -> SimpleNamespace:
     `refused`, the model status every member reports when HiGHS refuses
     the options, else None; `owner`, the family whose model the solver
     holds, if any; and `error`, HiGHS's status for a refused call."""
-    from scipy.optimize._highspy import _core
+    # the loaded module, else the extension file, which skips scipy.optimize's
+    # __init__ (registered first, for a later import to reuse), else import
+    full = "scipy.optimize._highspy._core"
+    root = util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(root, "optimize", "_highspy", "_core")
+    path = next((stem + s for s in machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + s)), None)
+    if full not in sys.modules and path:
+        spec = util.spec_from_file_location(full, path)
+        sys.modules[full] = module = util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[full]
+            raise
+    _core = import_module(full)
     options = _core.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = \

@@ -79,7 +79,8 @@ def _sum_columns(col, ks: range) -> np.ndarray:
 
 @dataclass
 class FiniteMetricSpace:
-    """A finite point set with a metric; immutable after construction.
+    """A finite point set with a metric; immutable after construction, so
+    its diameter is computed once.
 
     A norm space builds its matrix on the first call of d, dist_row, dist_at,
     dist_cols or diameter, if n <= MATRIX_CAP; dist_rows never builds it."""
@@ -90,6 +91,7 @@ class FiniteMetricSpace:
     policy: NumericPolicy = field(default=DEFAULT_POLICY)
 
     def __post_init__(self):
+        self._diam = None       # set by diameter() on its first call
         if self.metric in NORM_METRICS:
             if self.coords is None:
                 raise MetricError("norm metric requires coordinates")
@@ -190,9 +192,12 @@ class FiniteMetricSpace:
         return _pairwise(self.coords, self.coords[idx], self.metric)
 
     def diameter(self) -> float:
-        if self._has_matrix():
-            return float(self._dmat.max(initial=0.0))
-        return max((self.dist_row(i).max() for i in range(self._n)), default=0.0)
+        """The largest distance, computed on the first call and kept."""
+        if self._diam is None:
+            self._diam = (float(self._dmat.max(initial=0.0)) if self._has_matrix()
+                          else max((self.dist_row(i).max() for i in range(self._n)),
+                                   default=0.0))
+        return self._diam
 
     def _check(self, i: int):
         if not (0 <= int(i) < self._n):

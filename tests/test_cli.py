@@ -273,6 +273,19 @@ def test_commands_without_lps_never_import_scipy_optimize(plain_file):
     assert out.splitlines()[-1] == "False"
 
 
+def test_one_parser_serves_every_call(plain_file, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["load", plain_file]) == EXIT_PASS
+    plain = capsys.readouterr().out
+    # flags and usage errors of one call leave nothing behind for the next
+    assert main(["--tol", "0.25", "load", plain_file, "--seed", "7"]) \
+        == EXIT_PASS
+    assert capsys.readouterr().out != plain
+    assert main(["load"]) == EXIT_INPUT
+    assert main(["load", plain_file]) == EXIT_PASS
+    assert capsys.readouterr().out == plain
+
+
 def test_other_exceptions_exit_3(plain_file, induct_file, tmp_path,
                                  monkeypatch, capsys):
     def broken(args):

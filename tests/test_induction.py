@@ -31,6 +31,19 @@ def test_sequence_spec_totals():
     assert e.b_total() == 3.0
 
 
+@pytest.mark.parametrize("b", [
+    Seq.geometric(0.3, 0.7), Seq.geometric(1.0 / 3.0, 0.9),
+    Seq.explicit([0.1, 0.2, 0.3, 1e-17, 0.7, 1.0 / 3.0, 0.1]),   # then zeros
+])
+def test_b_steps_are_the_partial_sums_bit_for_bit(b):
+    spec = SequenceSpec(a=Seq.geometric(1.0, 0.5), b=b, horizon=40)
+    steps = list(spec.b_steps())
+    assert len(steps) == spec.horizon
+    for n, (b_n, radius) in enumerate(steps):
+        assert b_n.hex() == b.value(n).hex()
+        assert radius.hex() == spec.b_partial(n).hex()
+
+
 def test_constructed_instances_certify():
     for seed in range(25):
         case = helpers.induction_pass_instance(seed, n_max=40)

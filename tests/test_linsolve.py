@@ -1,4 +1,8 @@
 """LP layer: one-member solves against linprog, families, feasibility."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -575,3 +579,93 @@ def test_interval_family_builds_its_model_once_on_first_need():
         _is_linprog(fam.solve(b_ub), c, A_ub, b_ub)
         model = model or fam._lp
         assert model is not None and fam._lp is model
+
+
+def _fresh_python(code: str) -> list[str]:
+    """The lines that code prints in a new interpreter.  This process may
+    hold scipy.optimize already (linprog above), and then _highs() would
+    never load HiGHS from its file."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def test_lp_commands_load_highs_without_scipy_optimize(tmp_path):
+    demo, out = str(tmp_path / "demo.json"), str(tmp_path / "critical.json")
+    lines = _fresh_python(f"""
+import sys
+from regkit import cli, linsolve
+from regkit.instances import demo_polyopt_raw, save_instance
+save_instance(demo_polyopt_raw(), {demo!r})
+assert cli.main(["optcond", {demo!r}, "--task", "critical",
+                 "--out", {out!r}]) == 0
+assert linsolve._highs.cache_info().currsize == 1     # an LP was solved
+print("scipy.optimize" in sys.modules)
+from scipy.optimize import linprog
+import scipy.optimize._highspy._core as core
+print(core is linsolve._highs().core)
+c, A, b = [1.0, 2.0], [[-1.0, -1.0], [1.0, -2.0]], [-1.0, 0.5]
+ref = linprog(c, A_ub=A, b_ub=b, method="highs")
+got = linsolve.solve_lp(c, A_ub=A, b_ub=b, bounds=(0, None))
+print(ref.status == got.status == 0 and ref.fun == got.fun
+      and ref.x.tobytes() == got.x.tobytes())
+""")
+    assert lines == ["False", "True", "True"]
+
+
+def test_highs_reuses_a_loaded_scipy_optimize():
+    # with scipy.optimize imported first, _highs() takes its module and
+    # loads no file
+    assert _fresh_python("""
+import importlib.util
+import sys
+import scipy.optimize
+from regkit import linsolve
+def no_file(*args):
+    raise AssertionError("loaded from the file")
+importlib.util.spec_from_file_location = no_file
+core = sys.modules["scipy.optimize._highspy._core"]
+print(linsolve._highs().core is core)
+print(linsolve.solve_lp([1.0], A_ub=[[-1.0]], b_ub=[-2.0]).x.tolist())
+""") == ["True", "[2.0]"]
+
+
+def test_highs_falls_back_to_the_import_without_an_extension_file():
+    assert _fresh_python("""
+import importlib.machinery
+import sys
+importlib.machinery.EXTENSION_SUFFIXES = []     # no file can be found
+from regkit import linsolve
+res = linsolve.solve_lp([1.0, 1.0], A_ub=[[-1.0, 0.0], [0.0, -1.0]],
+                        b_ub=[-1.0, -2.0])
+print(res.status, res.x.tolist(), "scipy.optimize" in sys.modules)
+""") == ["0 [1.0, 2.0] True"]
+
+
+def test_a_failed_load_leaves_no_module_behind():
+    # the module is registered before it executes; if that fails, it is
+    # removed again, and the next solve loads it afresh
+    assert _fresh_python("""
+import importlib.util
+import sys
+from regkit import linsolve
+real = importlib.util.spec_from_file_location
+class Broken:
+    def create_module(self, spec):
+        return None
+    def exec_module(self, module):
+        raise ImportError("broken extension")
+def broken(name, path):
+    spec = real(name, path)
+    spec.loader = Broken()
+    return spec
+importlib.util.spec_from_file_location = broken
+try:
+    linsolve._highs()
+except ImportError as e:
+    print(e)
+print("scipy.optimize._highspy._core" in sys.modules)
+importlib.util.spec_from_file_location = real
+res = linsolve.solve_lp([1.0], A_ub=[[-1.0]], b_ub=[-2.0])
+print(res.x.tolist(), "scipy.optimize" in sys.modules)
+""") == ["broken extension", "False", "[2.0] False"]

@@ -160,6 +160,19 @@ def test_diameter_above_the_matrix_cap_builds_no_matrix(metric):
     assert sp._dmat is None
 
 
+def test_diameter_is_computed_once(monkeypatch):
+    n = MATRIX_CAP + 1
+    pts = np.random.default_rng(n).uniform(-3, 3, (n, 2))
+    sp = FiniteMetricSpace(metric="euclidean", coords=pts)
+    first = sp.diameter()
+
+    def no_distances(*args, **kw):
+        raise AssertionError("distances recomputed")
+    monkeypatch.setattr("regkit.metric._pairwise", no_distances)
+    second = sp.diameter()
+    assert second.hex() == first.hex()
+
+
 def _bumped_plane_matrix(n: int, seed: int) -> np.ndarray:
     """Euclidean distances of n random plane points, up to three pairs stretched."""
     rng = np.random.default_rng(seed)
