@@ -3,12 +3,13 @@
 Points are referenced by integer index.  A space is backed either by
 coordinate vectors with a norm metric (euclidean / manhattan / chebyshev)
 or by an explicit distance matrix, which is audited for metric axioms at
-load time.  Norm distances between n and m points are built one
-coordinate at a time, in O(n·m) memory whatever the dimension.  A norm
-space caches its n×n matrix only once a query other than dist_rows needs
-it, and only up to MATRIX_CAP points; dist_rows reads rows alone.  Every
-finite metric space is complete, so no completeness hypothesis ever
-needs checking downstream.
+load time; the triangle audit reads n³/2 sums when the matrix is exactly
+symmetric and n³ otherwise, and its result is the same.  Norm distances
+between n and m points are built one coordinate at a time, in O(n·m)
+memory whatever the dimension.  A norm space caches its n×n matrix only
+once a query other than dist_rows needs it, and only up to MATRIX_CAP
+points; dist_rows reads rows alone.  Every finite metric space is
+complete, so no completeness hypothesis ever needs checking downstream.
 """
 from __future__ import annotations
 
@@ -127,23 +128,33 @@ class FiniteMetricSpace:
             raise MetricError("dmatrix has negative entries")
         if np.abs(np.diag(m)).max(initial=0.0) > tol:
             raise MetricError("dmatrix has nonzero diagonal")
-        if np.abs(m - m.T).max(initial=0.0) > tol:
+        n = len(m)
+        sq, low = np.empty((n, n)), np.empty(n)     # the audit's one n^2 buffer
+        # m - m.T is exactly 0 where m[i, j] == m[j, i], the entries being finite
+        sym = not np.subtract(m, m.T, out=sq).any()
+        if np.abs(sq, out=sq).max(initial=0.0) > tol:
             raise MetricError("dmatrix is not symmetric")
-        # triangle audit as a min-plus product in one n^2 buffer: fl(a - s) is
-        # monotone in s, so m[i, j] - min_r (m[i, r] + m[r, j]) is the worst
-        # violation over r of each (i, j), bit for bit; the strict > keeps the
-        # first row holding the maximum, as a row-major argmax would
-        tmp, low = np.empty_like(m), np.empty(len(m))
+        # triangle audit as a min-plus product: fl(a - s) is monotone in s, so
+        # m[i, j] - min_r (m[i, r] + m[r, j]) is the worst violation over r of
+        # each (i, j), bit for bit; the strict > keeps the first row holding the
+        # maximum, as a row-major argmax would.  On an exactly symmetric m the
+        # violations at (i, j) and (j, i) are equal, so the first maximum lies
+        # at j >= i, and row k reads only j >= k
         worst, i = -INF, 0
-        for k in range(len(m)):
-            np.add(m[k, :, None], m, out=tmp)          # tmp[r, j] = m[k, r] + m[r, j]
-            v = np.subtract(m[k], tmp.min(axis=0, out=low), out=low).max()
+        for k in range(n):
+            if sym:     # tmp[j - k, r] = m[k, r] + m[j, r], as m[j, r] == m[r, j]
+                tmp, lo, axis = sq[:n - k], low[:n - k], 1
+                np.add(m[k], m[k:], out=tmp)
+            else:       # tmp[r, j] = m[k, r] + m[r, j]
+                tmp, lo, axis = sq, low, 0
+                np.add(m[k, :, None], m, out=tmp)
+            v = np.subtract(m[k, n - len(lo):], tmp.min(axis=axis, out=lo), out=lo).max()
             if v > worst:
                 worst, i = v, k
         if worst > tol:
             # the first (r, j) of row i, as one argmax over its tensor slice
-            np.add(m[i, :, None], m, out=tmp)
-            r, j = np.unravel_index(np.argmax(np.subtract(m[i], tmp, out=tmp)), m.shape)
+            np.add(m[i, :, None], m, out=sq)
+            r, j = np.unravel_index(np.argmax(np.subtract(m[i], sq, out=sq)), m.shape)
             raise MetricError(
                 f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})")
 

@@ -645,7 +645,8 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     iff some lambda, mu >= 0 have A^T lambda + c = 0, A2^T mu = k* and
     b^T lambda + b2^T mu <= 0, which is linear in (alpha, beta, s,
     lambda, mu).  When A2 is empty or the joint system is (one phase-1
-    solve), the rule is vacuous and those rows are dropped.
+    solve, unless b >= 0 and u = 0 meets it), the rule is vacuous and
+    those rows are dropped.
 
     Each LP maximizes the alpha-mass, so that normality (v* != 0) is
     found when available.  A candidate is kept once the primal LP of
@@ -673,7 +674,8 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     b_eq = np.array([0.0, 0.0, 1.0])
     A_ub = b_ub = signs = None
     if sets.A2 is not None and system is not None \
-            and linsolve.feasible_point(system[0].shape[1], *system).feasible:
+            and ((system[1] >= 0).all()
+                 or linsolve.feasible_point(system[0].shape[1], *system).feasible):
         # the dual rows in (weights, lambda, mu): A^T lambda + c(m) = 0,
         # A2^T mu - k* = 0 and b^T lambda + b2^T mu <= 0
         (A, b), A2 = system, sets.A2
@@ -773,8 +775,11 @@ def check_cq(inst: OptInstance, trip: CriticalTriple,
     rank = int(np.linalg.matrix_rank(Gm, tol=POLY_TOL))
     if rank < needed:
         return CQVerdict(False, rank, needed)
-    # e in cone(Gm) as `linsolve.in_cone_of` asks it, one member per axis
-    axes = linsolve.LPFamily(np.zeros(len(Gm)), A_eq=Gm.T, bounds=(0, None))
+    # e in cone(Gm) as `linsolve.in_cone_of` asks it, one member per axis,
+    # over the distinct rows of Gm in first-occurrence order: the same cone
+    distinct = Gm[np.sort(np.unique(Gm, axis=0, return_index=True)[1])]
+    axes = linsolve.LPFamily(np.zeros(len(distinct)), A_eq=distinct.T,
+                             bounds=(0, None))
     for j in range(needed):
         for sgn in (1.0, -1.0):
             e = np.zeros(needed)

@@ -191,24 +191,45 @@ def _small_int_matrix(n: int, seed: int) -> np.ndarray:
     return ints + ints.T
 
 
+def _assert_audit_is_first_argmax(m: np.ndarray):
+    """The audit passes m at its worst violation over the full tensor and,
+    just below it, names the tensor's row-major first argmax (i, r, j);
+    returns worst and (i, j), or worst alone for a metric."""
+    viol = m[:, None, :] - (m[:, :, None] + m[None, :, :])
+    worst = viol.max(initial=-INF)
+    if worst <= 0:          # a metric: no tolerance finds a violation
+        FiniteMetricSpace(metric="matrix", dmatrix=m,
+                          policy=NumericPolicy(triangle_tol=0.0))
+        return worst, None
+    # worst is found bit for bit: it passes at worst, fails just below
+    FiniteMetricSpace(metric="matrix", dmatrix=m,
+                      policy=NumericPolicy(triangle_tol=worst))
+    i, r, j = np.unravel_index(np.argmax(viol), viol.shape)
+    want = f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})"
+    with pytest.raises(MetricError, match=re.escape(want)):
+        FiniteMetricSpace(metric="matrix", dmatrix=m, policy=NumericPolicy(
+            triangle_tol=np.nextafter(worst, -INF)))
+    return worst, (i, j)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 40, 50])
 def test_triangle_witness_is_first_argmax_of_full_tensor(n):
+    # exactly symmetric matrices take the half sweep (j >= i); each violated
+    # one has a twin, symmetric only within the tolerance, that takes the
+    # full sweep: the mirror of its first argmax (i, j) raised by worst / 4
+    twins = 0
     for seed in range(6):
         for m in (_bumped_plane_matrix(n, n + seed), _small_int_matrix(n, seed)):
-            viol = m[:, None, :] - (m[:, :, None] + m[None, :, :])
-            worst = viol.max(initial=-INF)
-            if worst <= 0:          # a metric: no tolerance finds a violation
-                FiniteMetricSpace(metric="matrix", dmatrix=m,
-                                  policy=NumericPolicy(triangle_tol=0.0))
+            assert np.array_equal(m, m.T)
+            worst, ij = _assert_audit_is_first_argmax(m)
+            if ij is None:
                 continue
-            # worst is found bit for bit: it passes at worst, fails just below
-            FiniteMetricSpace(metric="matrix", dmatrix=m,
-                              policy=NumericPolicy(triangle_tol=worst))
-            i, r, j = np.unravel_index(np.argmax(viol), viol.shape)
-            want = f"triangle inequality violated by {worst:.3g} at ({i},{r},{j})"
-            with pytest.raises(MetricError, match=re.escape(want)):
-                FiniteMetricSpace(metric="matrix", dmatrix=m, policy=NumericPolicy(
-                    triangle_tol=np.nextafter(worst, -INF)))
+            twin = m.copy()
+            twin[ij[::-1]] += worst / 4
+            assert not np.array_equal(twin, twin.T)
+            assert _assert_audit_is_first_argmax(twin)[0] >= worst
+            twins += 1
+    assert twins > 0 or n < 3      # two points always form a metric
 
 
 def test_triangle_audit_memory_is_quadratic_at_300_points():
@@ -226,7 +247,7 @@ def test_triangle_audit_memory_is_quadratic_at_300_points():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the symmetry check's two n^2 temporaries, and then one audit buffer
+        # one n^2 buffer, shared by the symmetry check and the triangle audit
         assert peak < 2.5 * m.nbytes, peak
     # witnesses as one argmax over the whole tensor reports them
     with pytest.raises(MetricError, match=re.escape(

@@ -15,6 +15,7 @@ from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
 from regkit import linsolve
 from regkit.linsolve import in_cone_of
 from regkit.polyhedra import Polyhedron, sample_cone_points, tangent_cone
+from regkit.policy import POLY_TOL
 
 
 def _demo():
@@ -162,9 +163,10 @@ def test_slice_families_match_one_member_solves(size, seed):
 @pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 5), (4, 3),
                                        (5, 1)])
 def test_cq_axis_family_matches_one_lp_per_axis(size, seed, monkeypatch):
-    # check_cq asks every signed axis as a member of one family on Gm.T;
-    # its verdict and first missing axis must be those of one fresh
-    # in_cone_of per axis, in the same order (CQ fails on the last three)
+    # check_cq asks every signed axis as a member of one family on the
+    # distinct rows of Gm; its verdict and first missing axis must be those
+    # of one fresh in_cone_of per axis, in the same order (CQ fails on the
+    # last three)
     inst = parse_instance(demo_polyopt_raw() if size == 0 else
                           generate_instance("polyhedral-opt", size, seed)).opt
     made = []
@@ -197,6 +199,68 @@ def test_cq_axis_family_matches_one_lp_per_axis(size, seed, monkeypatch):
                 assert np.array_equal(v.missing, missing)
             asked += 1
     assert asked > 0
+
+
+def _cq_over_every_row(inst, trip, rng):
+    """check_cq's (holds, rank, missing) with the axis members solved over
+    the whole generator matrix, repeated rows included."""
+    Gm = optcond._cq_generators(inst, trip, rng)
+    needed = inst.q + inst.r
+    rank = int(np.linalg.matrix_rank(Gm, tol=POLY_TOL)) if len(Gm) else 0
+    if rank < needed:
+        return False, rank, None
+    axes = linsolve.LPFamily(np.zeros(len(Gm)), A_eq=Gm.T, bounds=(0, None))
+    for j in range(needed):
+        for sgn in (1.0, -1.0):
+            e = np.zeros(needed)
+            e[j] = sgn
+            if axes.solve(b_eq=e).status != 0:
+                return False, rank, e
+    return True, rank, None
+
+
+def test_cq_over_distinct_generators_keeps_the_verdict():
+    # check_cq solves over the distinct rows of Gm: holds, rank and the first
+    # missing axis are those of the members solved over every row
+    cases = [(0, 0)] + [(size, seed) for size in range(2, 7) for seed in range(4)]
+    repeated = 0
+    for size, seed in cases:
+        inst = parse_instance(demo_polyopt_raw() if size == 0 else
+                              generate_instance("polyhedral-opt", size, seed)).opt
+        for trip in critical_directions(inst, n_dirs=16,
+                                        rng=np.random.default_rng(seed)):
+            v = check_cq(inst, trip, rng=np.random.default_rng(5))
+            holds, rank, missing = _cq_over_every_row(
+                inst, trip, np.random.default_rng(5))
+            assert (v.holds, v.rank) == (holds, rank)
+            assert (v.missing is None) == (missing is None)
+            if missing is not None:
+                assert np.array_equal(v.missing, missing)
+            Gm = optcond._cq_generators(inst, trip, np.random.default_rng(5))
+            repeated += len(np.unique(Gm, axis=0)) < len(Gm)
+    assert repeated > 0
+
+
+def test_rule_system_with_nonnegative_rhs_needs_no_phase_one(monkeypatch):
+    # find_multipliers keeps the dual rows without an LP when b >= 0, as
+    # u = 0 meets the joint system; phase 1 agrees wherever that happens
+    inst = _demo()
+    calls = []
+    real = linsolve.feasible_point
+    monkeypatch.setattr(linsolve, "feasible_point",
+                        lambda *a: calls.append(1) or real(*a))
+    skipped = 0
+    for trip in critical_directions(inst, n_dirs=16,
+                                    rng=np.random.default_rng(0)):
+        system = optcond._joint_rule_system(inst, optcond._triple_sets(inst, trip))
+        if system is None or not (system[1] >= 0).all():
+            continue
+        assert real(system[0].shape[1], *system).feasible
+        calls.clear()
+        find_multipliers(inst, trip)
+        assert not calls
+        skipped += 1
+    assert skipped > 0
 
 
 def test_off_graph_base_rejected():
