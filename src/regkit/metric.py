@@ -129,7 +129,7 @@ class FiniteMetricSpace:
         if np.abs(np.diag(m)).max(initial=0.0) > tol:
             raise MetricError("dmatrix has nonzero diagonal")
         n = len(m)
-        sq, low = np.empty((n, n)), np.empty(n)     # the audit's one n^2 buffer
+        sq, low = np.empty((n, n)), np.empty(n)     # the audit's n^2 buffer
         # m - m.T is exactly 0 where m[i, j] == m[j, i], the entries being finite
         sym = not np.subtract(m, m.T, out=sq).any()
         if np.abs(sq, out=sq).max(initial=0.0) > tol:
@@ -140,15 +140,13 @@ class FiniteMetricSpace:
         # maximum, as a row-major argmax would.  On an exactly symmetric m the
         # violations at (i, j) and (j, i) are equal, so the first maximum lies
         # at j >= i, and row k reads only j >= k
+        cols = m if sym else np.ascontiguousarray(m.T)  # cols[j, r] = m[r, j]
         worst, i = -INF, 0
         for k in range(n):
-            if sym:     # tmp[j - k, r] = m[k, r] + m[j, r], as m[j, r] == m[r, j]
-                tmp, lo, axis = sq[:n - k], low[:n - k], 1
-                np.add(m[k], m[k:], out=tmp)
-            else:       # tmp[r, j] = m[k, r] + m[r, j]
-                tmp, lo, axis = sq, low, 0
-                np.add(m[k, :, None], m, out=tmp)
-            v = np.subtract(m[k, n - len(lo):], tmp.min(axis=axis, out=lo), out=lo).max()
+            j0 = k if sym else 0
+            tmp, lo = sq[:n - j0], low[:n - j0]
+            np.add(m[k], cols[j0:], out=tmp)    # tmp[j - j0, r] = m[k, r] + m[r, j]
+            v = np.subtract(m[k, j0:], tmp.min(axis=1, out=lo), out=lo).max()
             if v > worst:
                 worst, i = v, k
         if worst > tol:

@@ -644,9 +644,10 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     El Ghaoui & Nemirovski, Robust Optimization, 2009, ch. 1) it holds
     iff some lambda, mu >= 0 have A^T lambda + c = 0, A2^T mu = k* and
     b^T lambda + b2^T mu <= 0, which is linear in (alpha, beta, s,
-    lambda, mu).  When A2 is empty or the joint system is (one phase-1
-    solve, unless b >= 0 and u = 0 meets it), the rule is vacuous and
-    those rows are dropped.
+    lambda, mu).  When A2 or a derivative set is empty, the rule is
+    vacuous and those rows are dropped.  The joint system is never empty
+    otherwise: its blocks are tangent cones of tangent cones, so b = 0
+    and u = 0 meets it; an OptError is raised if some b < 0.
 
     Each LP maximizes the alpha-mass, so that normality (v* != 0) is
     found when available.  A candidate is kept once the primal LP of
@@ -673,9 +674,9 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
     A_eq[2] = 1.0
     b_eq = np.array([0.0, 0.0, 1.0])
     A_ub = b_ub = signs = None
-    if sets.A2 is not None and system is not None \
-            and ((system[1] >= 0).all()
-                 or linsolve.feasible_point(system[0].shape[1], *system).feasible):
+    if system is not None and (system[1] < 0).any():
+        raise OptError("multiplier rule: the joint system is not a cone")
+    if sets.A2 is not None and system is not None:
         # the dual rows in (weights, lambda, mu): A^T lambda + c(m) = 0,
         # A2^T mu - k* = 0 and b^T lambda + b2^T mu <= 0
         (A, b), A2 = system, sets.A2

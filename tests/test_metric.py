@@ -215,8 +215,10 @@ def _assert_audit_is_first_argmax(m: np.ndarray):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 40, 50])
 def test_triangle_witness_is_first_argmax_of_full_tensor(n):
     # exactly symmetric matrices take the half sweep (j >= i); each violated
-    # one has a twin, symmetric only within the tolerance, that takes the
-    # full sweep: the mirror of its first argmax (i, j) raised by worst / 4
+    # one has two twins, symmetric only within the tolerance, that take the
+    # full sweep: the mirror of its first argmax (i, j) raised by worst / 4,
+    # and noise below worst / 4 on the whole upper triangle, so that m[r, j]
+    # and m[j, r] differ in most sums
     twins = 0
     for seed in range(6):
         for m in (_bumped_plane_matrix(n, n + seed), _small_int_matrix(n, seed)):
@@ -224,11 +226,13 @@ def test_triangle_witness_is_first_argmax_of_full_tensor(n):
             worst, ij = _assert_audit_is_first_argmax(m)
             if ij is None:
                 continue
-            twin = m.copy()
-            twin[ij[::-1]] += worst / 4
-            assert not np.array_equal(twin, twin.T)
-            assert _assert_audit_is_first_argmax(twin)[0] >= worst
-            twins += 1
+            nudged = m.copy()
+            nudged[ij[::-1]] += worst / 4
+            noise = np.random.default_rng(seed).uniform(0, worst / 4, m.shape)
+            for twin in (nudged, m + np.triu(noise, 1)):
+                assert not np.array_equal(twin, twin.T)
+                assert _assert_audit_is_first_argmax(twin)[1] is not None
+                twins += 1
     assert twins > 0 or n < 3      # two points always form a metric
 
 
@@ -237,7 +241,9 @@ def test_triangle_audit_memory_is_quadratic_at_300_points():
     pts = rng.uniform(-3, 3, size=(300, 2))
     good = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     bad = _bumped_plane_matrix(300, 300)
-    for m in (good, bad):
+    near = good.copy()          # symmetric within the tolerance: full sweep
+    near[0, 1] += 1e-12
+    for m in (good, bad, near):
         tracemalloc.start()
         try:
             try:
@@ -247,7 +253,8 @@ def test_triangle_audit_memory_is_quadratic_at_300_points():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one n^2 buffer, shared by the symmetry check and the triangle audit
+        # one n^2 buffer, shared by the symmetry check and the triangle audit,
+        # and a transposed copy of m when m is not exactly symmetric
         assert peak < 2.5 * m.nbytes, peak
     # witnesses as one argmax over the whole tensor reports them
     with pytest.raises(MetricError, match=re.escape(

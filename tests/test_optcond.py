@@ -241,26 +241,35 @@ def test_cq_over_distinct_generators_keeps_the_verdict():
     assert repeated > 0
 
 
-def test_rule_system_with_nonnegative_rhs_needs_no_phase_one(monkeypatch):
-    # find_multipliers keeps the dual rows without an LP when b >= 0, as
-    # u = 0 meets the joint system; phase 1 agrees wherever that happens
-    inst = _demo()
+def test_rule_system_is_a_cone_and_needs_no_phase_one(monkeypatch):
+    # the joint system's blocks are tangent cones of tangent cones, so b = 0
+    # and find_multipliers keeps the dual rows without a phase-1 LP; a
+    # system with some b < 0 is refused, not searched
     calls = []
     real = linsolve.feasible_point
     monkeypatch.setattr(linsolve, "feasible_point",
                         lambda *a: calls.append(1) or real(*a))
-    skipped = 0
-    for trip in critical_directions(inst, n_dirs=16,
-                                    rng=np.random.default_rng(0)):
-        system = optcond._joint_rule_system(inst, optcond._triple_sets(inst, trip))
-        if system is None or not (system[1] >= 0).all():
-            continue
-        assert real(system[0].shape[1], *system).feasible
-        calls.clear()
-        find_multipliers(inst, trip)
-        assert not calls
-        skipped += 1
-    assert skipped > 0
+    searched = []
+    for size, seed in [(0, 0), (3, 0), (4, 3), (5, 1)]:
+        inst = parse_instance(demo_polyopt_raw() if size == 0 else
+                              generate_instance("polyhedral-opt", size, seed)).opt
+        for trip in critical_directions(inst, n_dirs=16,
+                                        rng=np.random.default_rng(seed)):
+            system = optcond._joint_rule_system(
+                inst, optcond._triple_sets(inst, trip))
+            if system is None:
+                continue
+            assert not system[1].any()
+            calls.clear()
+            find_multipliers(inst, trip)
+            assert not calls
+            searched.append((inst, trip))
+    assert searched
+    real_system = optcond._joint_rule_system
+    monkeypatch.setattr(optcond, "_joint_rule_system",
+                        lambda *a: (lambda A, b: (A, b - 1.0))(*real_system(*a)))
+    with pytest.raises(OptError, match="not a cone"):
+        find_multipliers(*searched[0])
 
 
 def test_off_graph_base_rejected():
