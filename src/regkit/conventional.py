@@ -153,14 +153,16 @@ def check_openness(q: RegularityQuery,
     y is in F(B(x, t)) iff d(x, F^{-1}(y)) < t, so only the smallest
     candidate above mu(d(y, F(x))) can fail; it is the one compared, and
     the one reported as rhs.  The candidates above it are picked with
-    `policy.lt_each`, one mask per block of x rows.
+    `policy.lt_each`, one mask per block of x rows read off the metric,
+    and one over all pairs for the value beyond the diameter.
     """
     P, md, X = q.pairs, q.mus[0], q.F.X
     far = md + X.diameter() + 1.0
     r = np.empty(len(md))  # the deciding radius; NaN where no candidate is above md
     for b in _blocks(q.F, len(md)):
-        c = np.concatenate([X.dist_at(P.x[b, None], np.arange(X.n)), far[b, None]], axis=1)
+        c = X.dist_rows(P.x[b])
         r[b] = np.fmin.reduce(c, axis=1, where=policy.lt_each(md[b, None], c), initial=np.nan)
+    r = np.fmin(r, np.where(policy.lt_each(md, far), far, np.nan))  # the last candidate
     # strictness of "t > mu(...)" goes through the policy; ball membership
     # stays exactly strict because lhs and the candidate radii are drawn
     # from the same distance rows, so a tie means the witness sits on the

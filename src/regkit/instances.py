@@ -6,7 +6,8 @@ as an `InstanceError` at the field's JSON pointer; `_make` locates at its
 section the invariant a regkit constructor rejects.  Every integer of a
 file sizes an array the file holds or is capped, and a map's |X|·|Y| is
 capped (`MAP_CAP`), so memory stays bounded by the file's size and the
-caps.
+caps.  Loading a map allocates no |X|×|Y| array; its embedding builds
+them on its first query.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ POLICY_CAPS = {
     "cone_gamma_levels": 1074,  # the cone oracles' gamma_k = 2^-k is 0.0 for k > 1074
     "evp_cap": 100_000,         # evp_oracle's |X|^2 distances: 10^10 at this cap
 }
-# The largest accepted |X|·|Y| of a map: dist_to_image_matrix and the onset
-# matrix are |X|×|Y| arrays, 32 MB each at this cap
+# The largest accepted |X|·|Y| of a map: an embedding's first query builds
+# dist_to_image_matrix and the onset matrix, |X|×|Y| arrays of 32 MB each here
 MAP_CAP = 4_000_000
 
 

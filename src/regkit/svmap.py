@@ -4,8 +4,9 @@ Two backings share one query API: an explicit graph of (x, level, y)
 triples, and the embedding of a plain mapping F: X => Y where the t-fibre
 is the (open or closed) t-enlargement of F(x).  Both keep the onset matrix
 on[x, y], the first positive ladder index with y in F(x, t).  An embedded
-map is stored as it, so fine ladders stay cheap; a triple graph as sorted
-(x, t, y) and (t, y, x) integer keys, each fibre and inverse one run.
+map is stored as it, so fine ladders stay cheap, and builds it on its
+first query; a triple graph as sorted (x, t, y) and (t, y, x) integer
+keys, each fibre and inverse one run.
 
 The distance-like quantity delta(y, F, x) = inf{t > 0 | y in F(x, t)} is
 resolved on the ladder: the returned value is the smallest positive
@@ -122,11 +123,11 @@ class ParamSetValuedMap:
 
     def __init__(self, X: FiniteMetricSpace, Y: FiniteMetricSpace, ladder: TLadder,
                  graph: Optional[Iterable[tuple[int, int, int]]] = None,
-                 embedded: Optional[tuple[np.ndarray, PlainSetValuedMap]] = None,
+                 embedded: Optional[tuple[PlainSetValuedMap, bool]] = None,
                  monotone: bool = False,
                  policy: NumericPolicy = DEFAULT_POLICY):
         self.X, self.Y, self.ladder, self.policy = X, Y, ladder, policy
-        self._on, self._plain = embedded or (None, None)  # onset matrix, plain map
+        self._plain, self._closed = embedded or (None, False)  # plain map, closed?
         if embedded is not None:
             self.graph = None
             return
@@ -158,6 +159,19 @@ class ParamSetValuedMap:
             held = np.bincount(a[pos] * ny + b[pos], minlength=nx * ny)
             i = int(((L - self._on).ravel() != held)[a * ny + b].argmax())
             raise ValueError(f"monotonicity flag violated for pair ({a[i]},{b[i]})")
+
+    @cached_property
+    def _on(self) -> np.ndarray:
+        """An embedded map's onset matrix, built on its first query: the first
+        k >= 1 with d(y, F(x)) < t_k - tol (open) or <= t_k + tol (closed), or
+        len(ladder); a triple graph's __init__ sets _on, shadowing this."""
+        D = self._plain.dist_to_image_matrix()
+        lv, tol = self.ladder.levels, self.policy.tol_strict
+        on = np.searchsorted(lv + tol, D, side="left") if self._closed \
+            else np.searchsorted(lv - tol, D, side="right")
+        np.maximum(on, 1, out=on)
+        on.flags.writeable = False
+        return on
 
     # -- membership and fibres ------------------------------------------
 
@@ -195,7 +209,8 @@ class ParamSetValuedMap:
 
     def onset_matrix(self) -> np.ndarray:
         """Matrix on[x, y]: the first positive ladder index k with x in
-        F_k^{-1}(y), or len(ladder) if none; every map is stored with it.
+        F_k^{-1}(y), or len(ladder) if none; every map is stored with it,
+        an embedded one from its first query on.
         For a monotone map (every embedded one) x is in F_k^{-1}(y), k >= 1,
         exactly when k >= on[x, y].
         """
@@ -217,18 +232,9 @@ class ParamSetValuedMap:
 def embed_plain(F: PlainSetValuedMap, ladder: TLadder, closed: bool = False,
                 policy: NumericPolicy = DEFAULT_POLICY) -> ParamSetValuedMap:
     """Embed a plain mapping as (x, t) -> t-enlargement of F(x), stored as
-    its onset matrix: on[x, y] is the first positive ladder index k with
-    d(y, F(x)) < t_k - tol (open) or d(y, F(x)) <= t_k + tol (closed), or
-    len(ladder) if none."""
-    D = F.dist_to_image_matrix()
-    lv, tol = ladder.levels, policy.tol_strict
-    if closed:  # d <= t + tol
-        on = np.searchsorted(lv + tol, D, side="left")
-    else:  # d < t - tol
-        on = np.searchsorted(lv - tol, D, side="right")
-    on = np.maximum(on, 1)
-    on.flags.writeable = False
-    return ParamSetValuedMap(F.X, F.Y, ladder, embedded=(on, F), policy=policy)
+    its onset matrix (ParamSetValuedMap._on), which the first query builds;
+    embedding computes nothing."""
+    return ParamSetValuedMap(F.X, F.Y, ladder, embedded=(F, closed), policy=policy)
 
 
 # -- outer semicontinuity at 0 ---------------------------------------------

@@ -486,6 +486,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
      "plain_lipschitz_40_seed3_regcheck_conventional.json"),
     (["run", "--plan", "t61_audit,modulus_fit"],
      "plain_lipschitz_40_seed3_run_t61_modulus.json"),
+    # load builds no embedding; regcheck --property regular builds it on a query
+    (["load"], "plain_lipschitz_40_seed3_load.json"),
+    (["regcheck", "--property", "regular"],
+     "plain_lipschitz_40_seed3_regcheck_regular.json"),
 ])
 def test_failing_conventional_reports_match_golden_bytes(argv, golden, tmp_path):
     # kappa scaled by 0.2: metric regularity, openness and Hölder all fail,

@@ -66,11 +66,14 @@ def test_openness_matches_every_radius(seed):
     F = helpers.random_plain_map(rng, nx_max=12, ny_max=12)
     # a short W, so that about a quarter of the verdicts pass
     W = helpers.random_W(rng, F, count=6)
+    # above every distance, so md + diam + 1 decides; and +inf, so nothing does
     for mu in (FunctionalModulus.linear(0.2), FunctionalModulus.linear(10.0),
-               helpers.random_mu(rng)):
-        v = conventional.check_openness(conventional.RegularityQuery(F, W, mu))
-        assert (v.holds, v.counterexample, v.lhs, v.rhs) == \
-            _openness_brute_force(F, W, mu)
+               helpers.random_mu(rng), lambda t: 1e3, lambda t: INF):
+        for block in (1 << 20, 9):      # 9: one pair a block
+            with mock.patch.object(conventional, "_BLOCK", block):
+                v = conventional.check_openness(conventional.RegularityQuery(F, W, mu))
+            assert (v.holds, v.counterexample, v.lhs, v.rhs) == \
+                _openness_brute_force(F, W, mu)
 
 
 def test_decrease_certifies_plain_chains():

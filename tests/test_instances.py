@@ -1,5 +1,6 @@
 """Instance schema: parsing, located errors, generators, roundtrip."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,32 @@ def test_map_size_is_capped(monkeypatch):
     assert parse_instance(raw).param is not None
     with pytest.raises(InstanceError, match="^/map: 3 x 3 points"):
         parse_instance({**raw, "Y": line})
+
+
+def _plain_map_file(n: int) -> dict:
+    """n points on a line for X and Y, every seventh on the diagonal, and a
+    ladder: an n x n plain map with an open embedding."""
+    line = {"metric": "euclidean", "points": np.linspace(0.0, 10.0, n).tolist()}
+    return {"version": 1, "X": line, "Y": line,
+            "map": {"plain_graph": [[i, i] for i in range(0, n, 7)],
+                    "ladder": np.linspace(0.0, 4.0, 9).tolist()}}
+
+
+def test_a_plain_map_load_builds_no_pair_matrix():
+    """The embedding's distance-to-image and onset matrices wait for a query."""
+    raw = _plain_map_file(1000)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak     # one |X| x |Y| float array alone is 8 MB
+    assert len(inst.param.ladder) == 9      # what `load` reads of the map
+    assert "_dist_to_image" not in inst.plain.__dict__
+    assert "_on" not in inst.param.__dict__
+    inst.param.delta(0, 0)      # the first query builds both
+    assert "_dist_to_image" in inst.plain.__dict__ and "_on" in inst.param.__dict__
 
 
 def test_modulus_errors_are_located():

@@ -223,6 +223,21 @@ def plain_maps(draw):
     return PlainSetValuedMap(X, Y, graph), TLadder(levels)
 
 
+@settings(max_examples=30, deadline=None)
+@given(plain_maps())
+def test_onset_matrix_is_built_once_on_the_first_query(Fl):
+    F, lad = Fl
+    D, lv = F.dist_to_image_matrix(), lad.levels
+    eager = {False: np.maximum(np.searchsorted(lv - 1e-12, D, side="right"), 1),
+             True: np.maximum(np.searchsorted(lv + 1e-12, D, side="left"), 1)}
+    for closed in (False, True):
+        G = embed_plain(F, lad, closed=closed)
+        assert "_on" not in G.__dict__
+        on = G.onset_matrix()
+        assert np.array_equal(on, eager[closed]) and on.dtype == eager[closed].dtype
+        assert G.onset_matrix() is on and not on.flags.writeable
+
+
 @settings(max_examples=60, deadline=None)
 @given(plain_maps())
 def test_embedding_matches_manual_enlargement(Fl):
