@@ -10,8 +10,8 @@ is sound only when both sides pass.
 instance fields it reads.  The CLI checks an instance's fields against
 it, and both the CLI and `free_t_estimate` run a certifier from it with
 its inputs as one keyword dict.  The sequence, orbit and image-space
-criteria walk their steps in plain loops under one step test,
-`_step_fails`, which accepts an exact hit.
+criteria read each step as one block, and decide each strict step and
+open ball, by the engine's `step_distances` and `strict_bound`.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .induction import PreconditionError, step_distances
+from .induction import (PreconditionError, row_minima, step_distances, step_failure,
+                        strict_bound)
 from .metric import ball_members, BallSpec
 from .moduli import AuxScheme, FunctionalModulus, ModulusError, canonical_mu
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
@@ -78,13 +79,6 @@ def _confirm(cert: Certificate, F, x, y, bound, strict, policy):
         else policy.le(cert.target, bound)
 
 
-def _step_fails(d: float, bound: float, policy: NumericPolicy) -> bool:
-    """d breaks the strict step bound d < bound.  An exact hit (d = 0 at
-    resolution) meets any positive bound, even one below tol, which
-    policy.lt alone would reject; the orbit tail drives m(tau) that low."""
-    return d > policy.tol_strict and not policy.lt(d, bound)
-
-
 # -- fixed-sequence criterion ----------------------------------------------
 
 def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
@@ -129,10 +123,9 @@ def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
             if n == len(b_seq):
                 ok, det = False, f"b table exhausted at n={n}"
                 break
-            hit = next(((u, du) for u, du in step_distances(
-                F.X, F.inverse_at_level_idx(levels[n], y),
-                F.inverse_at_level_idx(levels[n + 1], y), x, radius, tol)
-                if _step_fails(du, b_seq[n], policy)), None)
+            hit = step_failure(F.X, F.inverse_at_level_idx(levels[n], y),
+                               F.inverse_at_level_idx(levels[n + 1], y), x, radius,
+                               b_seq[n], tol)[1]
             if hit is not None:
                 ok, wit = False, (n, hit[0])
                 det = f"d(u, F_(next)^-1(y)) = {hit[1]} >= b_{n} = {b_seq[n]}"
@@ -154,16 +147,18 @@ def _resolve_mu(cert: Certificate, scheme: AuxScheme, mu, policy: NumericPolicy)
     return cache(mu)
 
 
-def _orbit_steps(F: ParamSetValuedMap, orbit: list, tol: float):
-    """The steps (n, tau, next tau, level, next level) of a vanishing orbit,
-    up to the first tau <= tol or step into level 0.  Lazily: a walk stops
-    at its first failing step, and a tau above the ladder top raises only
-    when a walk reaches it."""
+def _orbit_steps(F: ParamSetValuedMap, y: int, orbit: list, mu_fn, tol: float):
+    """The steps (n, tau, next tau, F_tau^-1(y), F_(next tau)^-1(y), radius)
+    of a vanishing orbit, up to the first tau <= tol or step into level 0;
+    step n searches B(x, mu(t) - mu(tau)), step 0 {x}.  Lazily: a walk
+    stops at its first failing step, and a tau above the ladder top raises
+    only when a walk reaches it."""
     for n, (tau, nxt) in enumerate(zip(orbit, orbit[1:])):
         if tau <= tol:
             return
         lev, lev_next = F.ladder.snap_up(tau, tol), F.ladder.snap_up(nxt, tol)
-        yield n, tau, nxt, lev, lev_next
+        yield (n, tau, nxt, F.inverse_at_level_idx(lev, y), F.inverse_at_level_idx(lev_next, y),
+               0.0 if n == 0 else mu_fn(orbit[0]) - mu_fn(tau))
         if lev_next == 0:
             return
 
@@ -199,7 +194,7 @@ def _orbit_checks(cert: Certificate, F, t, y, scheme, mu_fn, policy):
             mupp_det = f"mu({tau}) = {lhs} < m+mu(b) = {rhs}"
             break
     cert.add("mu++", mupp_ok, mupp_det, mupp_wit)
-    return mu_t, _orbit_steps(F, orbit, tol) if van else ()
+    return mu_t, _orbit_steps(F, y, orbit, mu_fn, tol) if van else ()
 
 
 def certify_khanh4_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
@@ -211,12 +206,9 @@ def certify_khanh4_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
     mu_fn = _resolve_mu(cert, scheme, mu, policy)
     mu_t, steps = _orbit_checks(cert, F, t, y, scheme, mu_fn, policy)
     ok, wit, det = True, None, ""
-    for n, tau, nxt, lev, lev_next in steps:
+    for n, tau, nxt, fib, fib_next, radius in steps:
         m_tau = scheme.m(tau)
-        hit = next(((u, du) for u, du in step_distances(
-            F.X, F.inverse_at_level_idx(lev, y), F.inverse_at_level_idx(lev_next, y),
-            x, 0.0 if n == 0 else mu_t - mu_fn(tau), policy.tol_strict)
-            if _step_fails(du, m_tau, policy)), None)
+        hit = step_failure(F.X, fib, fib_next, x, radius, m_tau, policy.tol_strict)[1]
         if hit is not None:
             ok, wit = False, (n, hit[0])
             det = f"d(u, F_b(tau)^-1(y)) = {hit[1]} >= m(tau) = {m_tau}"
@@ -245,36 +237,32 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
     set1 = None                  # (s, z): z of F_0^-1(B(y, s)) outside F_s^-1(y)
     ok, wit, det = True, None, ""
     n_set2 = 0
-    for n, tau, nxt, lev, lev_next in steps:
-        # (set1) at s = tau and s = b(tau), the ball open (s > tol)
-        for s, lev_s in ((tau, lev), (nxt, lev_next)):
-            if set1 is None and s > tol:
-                extra = d0 < s - tol
-                extra[F.inverse_at_level_idx(lev_s, y)] = False
+    for n, tau, nxt, fib, fib_next, radius in steps:
+        # (set1) at s = tau and s = b(tau)
+        for s, fib_s in ((tau, fib), (nxt, fib_next)):
+            if set1 is None:
+                extra = d0 < strict_bound(s, tol)
+                extra[fib_s] = False
                 if extra.any():
                     set1 = (s, int(extra.argmax()))
         m_tau, b_tau = scheme.m(tau), scheme.b(tau)
-        for u, du in step_distances(
-                F.X, F.inverse_at_level_idx(lev, y),
-                F.inverse_at_level_idx(lev_next, y), x,
-                0.0 if n == 0 else mu_t - mu_fn(tau), tol):
-            # (set2): d(y, F_0(B(u, m(tau)))) < b(tau); dy = 0 at
-            # resolution means y itself is reached
-            ball = [u] if m_tau == 0 else F.X.dist_row(u) < m_tau - tol
-            dy = d0[ball].min(initial=INF)
-            if _step_fails(dy, b_tau, policy):
-                ok, wit = False, (n, u)
-                det = f"d(y, F_0(B(u,m))) = {dy} >= b(tau) = {b_tau}"
-                break
-            n_set2 += 1
-            # some z of the ball has d0[z] < b(tau), so by (set1) z lies in
-            # F_b(tau)^-1(y): d(u, F_b(tau)^-1(y)) < m(tau), asserted here
-            if set1 is None and _step_fails(du, m_tau, policy):
-                ok, wit = False, (n, u)
-                det = "derived step inequality failed despite (set1)+(set2)"
-                break
-        if not ok:
+        region, du = step_distances(F.X, fib, fib_next, x, radius, tol)
+        # (set2): dy = d(y, F_0(B(u, m(tau)))) < b(tau), with B(u, 0) = {u}
+        dy = d0[region] if m_tau == 0 else row_minima(
+            lambda us: np.where(F.X.dist_rows(us) < strict_bound(m_tau, tol), d0, INF),
+            region, F.X.n)
+        set2 = dy < strict_bound(b_tau, tol)
+        # some z of the ball has d0[z] < b(tau), so by (set1) z lies in
+        # F_b(tau)^-1(y): d(u, F_b(tau)^-1(y)) < m(tau), asserted here
+        bad = np.flatnonzero(~set2 | ((set1 is None) & (du >= strict_bound(m_tau, tol))))
+        if bad.size:
+            i = bad[0]
+            ok, wit = False, (n, int(region[i]))
+            det = f"d(y, F_0(B(u,m))) = {dy[i]} >= b(tau) = {b_tau}" if not set2[i] \
+                else "derived step inequality failed despite (set1)+(set2)"
+            n_set2 += int(i) + bool(set2[i])  # the u that passed (set2)
             break
+        n_set2 += region.size
     cert.add("set1", set1 is None, "" if set1 is None else
              f"F_0^-1(B(y,{set1[0]})) escapes F_tau^-1(y)", set1)
     cert.add("set2+derived-step", ok, det, wit)

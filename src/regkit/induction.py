@@ -11,9 +11,13 @@ or below the strictness tolerance snap to level 0.  The chain search is
 a depth-first traversal ordered by (distance, index), so the certified /
 failed verdict coincides with an exhaustive path search while the
 reported trace is the greedy-first chain.
+
+One rule, `strict_bound`, decides every strict step test here and in the
+certifiers' step criteria, and `step_distances` reads a step as one block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, tee
 from typing import Callable, Iterable, Iterator, Optional
@@ -153,15 +157,59 @@ def _fibres_in_U(phi: LevelMap, t: float, x: int, restrict_U: Optional[set[int]]
     return fibre
 
 
+def strict_bound(r: float, tol: float) -> float:
+    """The step of the induction theorem (Khanh 1986, as revised in the
+    paper), d(u, Phi(a_{n+1})) < b_n with b_n > 0, and every open-ball test,
+    at resolution: d < r iff d < strict_bound(r, tol).
+
+    A distance d <= tol is 0 at resolution, as snap_up reads a <= tol as
+    level 0, and 0 < r for every r > 0: an exact hit meets any positive
+    bound, even one below tol, which the orbit tail drives m(tau) to.
+    Otherwise d < r - tol.  r = +inf admits every finite d; r <= 0 none."""
+    return max(r - tol, math.nextafter(tol, INF)) if r > 0 else 0.0
+
+
+_BLOCK = 1 << 20  # distances in one block of a step read, as in conventional
+
+
+def row_minima(rows: Callable[[np.ndarray], np.ndarray], us: np.ndarray,
+               width: int) -> np.ndarray:
+    """The minimum of each row of rows(us), +inf on rows of width 0, read
+    in blocks of at most _BLOCK entries."""
+    out = np.empty(us.size)
+    step = max(1, _BLOCK // max(width, 1))
+    for s in range(0, us.size, step):
+        rows(us[s:s + step]).min(axis=1, initial=INF, out=out[s:s + step])
+    return out
+
+
 def step_distances(space: FiniteMetricSpace, fib: np.ndarray, nxt: np.ndarray,
-                   x: int, radius: float, tol: float) -> Iterator[tuple[int, float]]:
-    """The induction step: (u, d(u, nxt)) for each u of fib in the region,
-    in index order.  The region is {x} at radius <= 0, else the u with
-    d(x, u) < radius - tol; the distance to an empty nxt is +inf.  Each
-    caller applies its own bound to d(u, nxt)."""
-    region = fib[fib == x] if radius <= 0 else fib[space.dist_row(x)[fib] < radius - tol]
-    for u in region.tolist():
-        yield u, space.dist_row(u)[nxt].min(initial=INF)
+                   x: int, radius: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The induction step as one block: the u of fib in the region, in
+    index order, and d(u, nxt) for each (+inf when nxt is empty).  The
+    region is {x} at radius <= 0, else the open ball B(x, radius)."""
+    region = fib[fib == x] if radius <= 0 else \
+        fib[space.dist_row(x)[fib] < strict_bound(radius, tol)]
+    return region, row_minima(lambda us: space.dist_at(us[:, None], nxt),
+                              region, nxt.size)
+
+
+def step_failure(space: FiniteMetricSpace, fib: np.ndarray, nxt: np.ndarray,
+                 x: int, radius: float, bound: float,
+                 tol: float) -> tuple[np.ndarray, Optional[tuple[int, float]]]:
+    """The step's region, and (u, d(u, nxt)) of its first u that breaks
+    d(u, nxt) < bound, or None when the step holds."""
+    region, du = step_distances(space, fib, nxt, x, radius, tol)
+    bad = np.flatnonzero(du >= strict_bound(bound, tol))
+    return region, (int(region[bad[0]]), du[bad[0]]) if bad.size else None
+
+
+def _snap(ladder: TLadder, a: float, n: int, tol: float) -> int:
+    """The ladder level of a, a resolution error reported at step n."""
+    try:
+        return ladder.snap_up(a, tol)
+    except LadderError as e:
+        raise PreconditionError(f"resolution error at n={n}: {e}") from e
 
 
 def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
@@ -196,25 +244,19 @@ def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
     fibre = _fibres_in_U(phi, t, x, restrict_U, tol)
     witness = None
     a3_ok, a3_msg = True, ""
-    a_next = a0
     for n, (b_n, radius) in enumerate(seqs.b_steps()):
-        a_n, a_next = a_next, seqs.a.value(n + 1)
-        try:
-            lev_n = ladder.snap_up(a_n, tol)
-            lev_next = ladder.snap_up(a_next, tol)
-        except LadderError as e:
-            raise PreconditionError(f"resolution error at n={n}: {e}") from e
+        # each a_n is snapped once: a_0 at step 0, a later one as a_{n+1}
+        lev_n = _snap(ladder, a0, 0, tol) if n == 0 else lev_next
+        lev_next = _snap(ladder, seqs.a.value(n + 1), n, tol)
         if n and not radius:
             continue  # the open ball B(x, 0) is empty: a vacuous step
-        stepped = False
-        for u, du in step_distances(phi.space, fibre(lev_n), fibre(lev_next),
-                                    x, radius, tol):
-            stepped = True
-            if not policy.lt(du, b_n):
-                a3_ok, witness = False, (n, u)
-                a3_msg = f"d(u={u}, Phi(a_{n + 1})) = {du} >= b_{n} = {b_n}"
-                break
-        if not a3_ok or (stepped and lev_next == 0):
+        region, hit = step_failure(phi.space, fibre(lev_n), fibre(lev_next),
+                                   x, radius, b_n, tol)
+        if hit is not None:
+            a3_ok, witness = False, (n, hit[0])
+            a3_msg = f"d(u={hit[0]}, Phi(a_{n + 1})) = {hit[1]} >= b_{n} = {b_n}"
+            break
+        if region.size and lev_next == 0:
             break  # an empty region is vacuous and does not end the sweep
     checks.append(("A3", a3_ok, a3_msg))
     return PreReport(ok=all(c[1] for c in checks), checks=checks, witness=witness)
@@ -236,10 +278,7 @@ def run_induction(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
 
     levels = []
     for n in range(seqs.horizon + 1):
-        try:
-            lev = ladder.snap_up(seqs.a.value(n), tol)
-        except LadderError as e:
-            raise PreconditionError(f"resolution error at n={n}: {e}") from e
+        lev = _snap(ladder, seqs.a.value(n), n, tol)
         levels.append(lev)
         if lev == 0:
             break
@@ -256,7 +295,7 @@ def run_induction(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
     def successors(n: int, xn: int) -> list[int]:
         nxt = fibre(levels[n + 1])
         d = phi.space.dist_row(xn)[nxt]
-        ok = d < seqs.b.value(n) - tol
+        ok = d < strict_bound(seqs.b.value(n), tol)
         return nxt[ok][np.lexsort((nxt[ok], d[ok]))].tolist()
 
     def dfs(n: int, xn: int) -> bool:

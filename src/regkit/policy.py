@@ -2,7 +2,8 @@
 
 A single policy record is threaded through every module so that strict
 inequalities are resolved the same way everywhere: "d < r" is evaluated
-as d < r - tol_strict, "d <= r" as d <= r + tol_strict.
+as d < r - tol_strict, "d <= r" as d <= r + tol_strict.  The induction
+step also reads d <= tol_strict as 0 (`induction.strict_bound`).
 """
 from __future__ import annotations
 

@@ -331,7 +331,8 @@ def exhaustive_chain_verdict(case: InductionCase,
     R_0 = {x}; R_{n+1} = points of the next fibre reachable from R_n by a
     step strictly shorter than b_n.  A chain into the zero fibre exists
     iff the final reachable set is nonempty, and any chain endpoint obeys
-    the distance bound automatically (each step is < b_n).
+    the distance bound automatically (each step is < b_n).  A step d < b_n
+    is read at resolution: b_n > 0, and d <= tol (d is 0) or d < b_n - tol.
     """
     tol = policy.tol_strict
     phi, seqs = case.phi, case.seqs
@@ -347,8 +348,9 @@ def exhaustive_chain_verdict(case: InductionCase,
     for n in range(len(levels) - 1):
         b_n = seqs.b.value(n)
         nxt = phi.fibre(levels[n + 1]).tolist()
-        reach = {int(v) for v in nxt
-                 if any(phi.space.d(u, int(v)) < b_n - tol for u in reach)}
+        reach = {int(v) for v in nxt if b_n > 0 and any(
+            phi.space.d(u, int(v)) <= tol or phi.space.d(u, int(v)) < b_n - tol
+            for u in reach)}
         if not reach:
             return "failed"
     return "certified"

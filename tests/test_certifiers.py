@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from regkit import certifiers
+from regkit import certifiers, induction
 from regkit.induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
-                              verify_preconditions)
+                              run_induction, verify_preconditions)
 from regkit.metric import FiniteMetricSpace
 from regkit.moduli import (AuxScheme, FunctionalModulus, ModulusError,
                            canonical_mu)
@@ -158,17 +158,21 @@ def _image_space_by_sets(F, x, t, y, scheme, policy=DEFAULT_POLICY):
     """The (set1) and (set2 + derived step) witnesses of the image-space
     criterion re-derived from fibres and distance rows with Python sets:
     F_0^{-1}(B(y, tau)) and F_0(B(u, m)) are unions of level-0 fibres.
-    Also counts the u that pass (set2)."""
+    Also counts the u that pass (set2).  Every strict test d < r is read
+    at resolution: r > 0, and d <= tol (d is 0) or d < r - tol."""
     tol, H = policy.tol_strict, policy.horizon
     yrow = F.Y.dist_row(y)
 
+    def lt(d, r):
+        return r > 0 and (d <= tol or d < r - tol)
+
     def inv0_of_ball(tau):
-        ball = {j for j in range(F.Y.n) if yrow[j] < tau - tol}
+        ball = {j for j in range(F.Y.n) if lt(yrow[j], tau)}
         return {z for z in range(F.X.n) if ball & set(F.fibre(z, 0).tolist())}
 
     def img0_of_ball(u, m):
         row = F.X.dist_row(u)
-        zs = [u] if m == 0 else [z for z in range(F.X.n) if row[z] < m - tol]
+        zs = [u] if m == 0 else [z for z in range(F.X.n) if lt(row[z], m)]
         return set().union(*(F.fibre(z, 0).tolist() for z in zs))
 
     set1 = step = None
@@ -180,23 +184,23 @@ def _image_space_by_sets(F, x, t, y, scheme, policy=DEFAULT_POLICY):
             break
         lev, lev_next = F.ladder.snap_up(tau, tol), F.ladder.snap_up(nxt, tol)
         for s, k in ((tau, lev), (nxt, lev_next)):
-            if set1 is None and s > tol:
+            if set1 is None:
                 extra = inv0_of_ball(s) - set(F.inverse_at_level_idx(k, y).tolist())
                 set1 = (s, min(extra)) if extra else None
         radius = 0.0 if n == 0 else mu_t - canonical_mu(scheme, tau, H, tol)
         rowx = F.X.dist_row(x)
         m, b = scheme.m(tau), scheme.b(tau)
         for u in F.inverse_at_level_idx(lev, y).tolist():
-            if not (u == x if radius <= 0 else rowx[u] < radius - tol):
+            if not (u == x if radius <= 0 else lt(rowx[u], radius)):
                 continue
             dy = min((yrow[j] for j in img0_of_ball(u, m)), default=INF)
             du = min((F.X.d(u, v) for v in F.inverse_at_level_idx(lev_next, y).tolist()),
                      default=INF)
-            if dy > tol and not policy.lt(dy, b):
+            if not lt(dy, b):
                 step = (n, u)
                 break
             n_set2 += 1
-            if set1 is None and du > tol and not policy.lt(du, m):
+            if set1 is None and not lt(du, m):
                 step = (n, u)
                 break
         if step is not None or lev_next == 0:
@@ -205,25 +209,32 @@ def _image_space_by_sets(F, x, t, y, scheme, policy=DEFAULT_POLICY):
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_image_space_matches_set_derivation(seed):
+def test_image_space_matches_set_derivation(seed, monkeypatch):
     """(set1) and (set2+derived-step) verdicts and witnesses agree with the
-    set derivation, on maps with empty level-0 fibres and twin points."""
+    set derivation, on maps with empty level-0 fibres and twin points, with
+    the steps read in one block and in blocks of 5 distances."""
     for F, x, t, y, scheme in _random_starts(seed, twins=seed % 2 == 1):
-        cert = certifiers.certify_image_space(F, x, t, y, scheme)
-        hyp = {h.name: h for h in cert.hypotheses}
-        assert hyp["mutau+"].passed
         set1, step, n_set2 = _image_space_by_sets(F, x, t, y, scheme)
-        assert (hyp["set1"].passed, hyp["set1"].witness) == (set1 is None, set1)
-        assert (hyp["set2+derived-step"].passed,
-                hyp["set2+derived-step"].witness) == (step is None, step)
-        assert f"{n_set2} intermediate z-witnesses logged" in cert.notes
+        for block in (1 << 20, 5):
+            monkeypatch.setattr(induction, "_BLOCK", block)
+            cert = certifiers.certify_image_space(F, x, t, y, scheme)
+            hyp = {h.name: h for h in cert.hypotheses}
+            assert hyp["mutau+"].passed
+            assert (hyp["set1"].passed, hyp["set1"].witness) == (set1 is None, set1)
+            assert (hyp["set2+derived-step"].passed,
+                    hyp["set2+derived-step"].witness) == (step is None, step)
+            assert f"{n_set2} intermediate z-witnesses logged" in cert.notes
 
 
 @pytest.mark.parametrize("criterion", ["B4+/B5+", "net+++", "A3"])
 def test_failing_step_witnesses_are_genuine(criterion):
     """Each failing step witness (n, u) lies in step n's region, and its
-    d(u, next fibre) breaks the bound under that caller's rule."""
+    d(u, next fibre) breaks the bound: d < r at resolution means r > 0,
+    and d <= tol (d is 0) or d < r - tol."""
     tol = DEFAULT_POLICY.tol_strict
+
+    def lt(d, r):
+        return r > 0 and (d <= tol or d < r - tol)
     failures = 0
     for seed in range(40):
         for F, x, t, y, scheme in _random_starts(seed):
@@ -260,13 +271,92 @@ def test_failing_step_witnesses_are_genuine(criterion):
             failures += 1
             n, u = wit
             assert u in F.inverse_at_level_idx(levels[n], y).tolist()
-            assert u == x if n == 0 else F.X.d(x, u) < radii[n] - tol
+            assert u == x if n == 0 else lt(F.X.d(x, u), radii[n])
             nxt = F.inverse_at_level_idx(levels[n + 1], y).tolist()
             du = min((F.X.d(u, v) for v in nxt), default=INF)
-            assert not DEFAULT_POLICY.lt(du, bounds[n])
-            if criterion != "A3":     # the certifiers accept an exact hit
-                assert du > tol
+            assert not lt(du, bounds[n])
     assert failures >= 10, failures
+
+
+# -- one strict-step rule: the engine, the certifiers and the oracle agree ---
+
+def _line_chain(steps, k, b_k):
+    """A chain p_0, ..., p_H on the line, p_{n+1} = p_n + steps[n] (a zero
+    step keeps the chain on one point), with F_tau^{-1}(0) = {p_n} at the
+    ladder level tau = H - n and F_0^{-1}(0) = {p_H}.  Step n is bounded by
+    b_n = 1.5 d(p_n, p_{n+1}), step k by b_k.  Returns F, the engine's case
+    on Phi = F^{-1}(0) with a_n = H - n, and the khanh+ scheme of the same
+    levels and bounds."""
+    H = len(steps)
+    coords, p = np.unique(np.concatenate([[0.0], np.cumsum(steps)]),
+                          return_inverse=True)
+    X = FiniteMetricSpace(metric="euclidean", coords=coords)
+    F = ParamSetValuedMap(X, FiniteMetricSpace.from_grid([0.0]),
+                          TLadder(np.arange(H + 1.0)),
+                          graph=[(int(p[n]), H - n, 0) for n in range(H + 1)])
+    b = [1.5 * X.d(p[n], p[n + 1]) for n in range(H)]
+    b[k] = b_k
+    case = helpers.InductionCase(
+        phi=LevelMap.from_param_map(F, 0), t=float(H), x=int(p[0]),
+        seqs=SequenceSpec(a=Seq.explicit(np.arange(H, 0, -1.0)), b=Seq.explicit(b)),
+        constructed_pass=False, meta={"p_k": int(p[k])})
+    scheme = AuxScheme(m=FunctionalModulus.linear(1.0), b_seq=tuple(b),
+                       c_seq=tuple(np.arange(H - 1, 0, -1.0)) + (0.0,))
+    return F, case, scheme
+
+
+def _step_verdicts(F, case, scheme):
+    """(A3, run_induction, khanh+'s step, the exhaustive oracle), with the
+    A3 and khanh+ witnesses."""
+    pre = verify_preconditions(case.phi, case.t, case.x, case.seqs)
+    tr = run_induction(case.phi, case.t, case.x, case.seqs)
+    cert = certifiers.certify_khanh_plus(F, case.x, case.t, 0, scheme)
+    step = next(h for h in cert.hypotheses if h.name == "B4+/B5+")
+    return ((pre.ok, tr.certified, step.passed, helpers.exhaustive_chain_verdict(case)),
+            (pre.witness, step.witness))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=6), st.data())
+def test_an_exact_hit_meets_a_bound_at_or_below_tol(steps, data):
+    """A step that stays on its point (d = 0) under a bound 0 < b_k <= tol
+    holds in the engine, in khanh+ and in the oracle alike."""
+    k = data.draw(st.integers(0, len(steps) - 1))
+    steps[k] = 0.0
+    b_k = data.draw(st.floats(0.0, 1e-12, exclude_min=True))
+    verdicts, witnesses = _step_verdicts(*_line_chain(steps, k, b_k))
+    assert verdicts == (True, True, True, "certified")
+    assert witnesses == (None, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=6), st.data())
+def test_a_step_beyond_tol_still_fails_everywhere(steps, data):
+    """A step of length d > tol under a bound b_k <= d fails in the engine,
+    in khanh+ and in the oracle alike, at the same witness."""
+    k = data.draw(st.integers(0, len(steps) - 1))
+    steps[k] = data.draw(st.floats(2e-12, 1.0))
+    F, case, scheme = _line_chain(steps, k, 1.0)
+    d = F.X.d(case.meta["p_k"], case.meta["p_k"] + 1)
+    assert d > DEFAULT_POLICY.tol_strict
+    b_k = d * data.draw(st.floats(1e-3, 1.0))
+    verdicts, witnesses = _step_verdicts(*_line_chain(steps, k, b_k))
+    assert verdicts == (False, False, False, "failed")
+    assert witnesses == ((k, case.meta["p_k"]),) * 2
+
+
+def test_orbit_tail_certifies_under_image_space_and_khanh4():
+    """With m(tau) = 0.95 tau the orbit's last tau > tol has 0 < m(tau) <=
+    tol; the ball B(u, m(tau)) still holds u, so image-space certifies
+    wherever khanh4+ does."""
+    for seed in range(200):
+        ci = helpers.make_chain(seed)
+        scheme = AuxScheme(b=FunctionalModulus.linear(ci.r),
+                           m=FunctionalModulus.linear(0.95))
+        for certify in (certifiers.certify_khanh4_plus, certifiers.certify_image_space):
+            cert = certify(ci.F, ci.x, ci.t, ci.y, scheme)
+            assert cert.sound, (seed, cert.criterion,
+                                [(h.name, h.detail) for h in cert.hypotheses])
 
 
 # -- free-t wrappers ---------------------------------------------------------

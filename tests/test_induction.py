@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import helpers
+from regkit import induction
 from regkit.induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
                               run_induction, step_distances, verify_preconditions)
 from regkit.metric import FiniteMetricSpace
@@ -82,9 +83,10 @@ def test_precondition_failures_reported():
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_step_distances_match_brute_force(seed):
+def test_step_distances_match_brute_force(seed, monkeypatch):
     """The step's region and d(u, next fibre) against a brute force, with
-    radius 0 at an x outside fib, an empty fib and an empty next fibre."""
+    radius 0 at an x outside fib, an empty fib, an empty next fibre and a
+    radius below tol, in one block and in blocks of 3 distances."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 15))
     space = FiniteMetricSpace(metric="euclidean",
@@ -96,13 +98,16 @@ def test_step_distances_match_brute_force(seed):
     without_x = np.setdiff1d(np.arange(n), [x])
     for fib, nxt, radius in [(f, g, r) for f in subsets + [empty, without_x]
                              for g in subsets + [empty]
-                             for r in (0.0, float(rng.uniform(0.5, 3.0)))]:
-        got = list(step_distances(space, fib, nxt, x, radius, tol))
-        region = [u for u in fib.tolist() if
-                  (u == x if radius == 0 else space.d(x, u) < radius - tol)]
-        want = [(u, min((space.d(u, v) for v in nxt.tolist()), default=INF))
-                for u in region]
-        assert got == want
+                             for r in (0.0, 5e-13, float(rng.uniform(0.5, 3.0)))]:
+        # B(x, r): d(x, u) < r at resolution, a distance <= tol being 0
+        want = [u for u in fib.tolist() if
+                (u == x if radius == 0 else
+                 space.d(x, u) <= tol or space.d(x, u) < radius - tol)]
+        dists = [min((space.d(u, v) for v in nxt.tolist()), default=INF) for u in want]
+        for block in (1 << 20, 3):
+            monkeypatch.setattr(induction, "_BLOCK", block)
+            got = step_distances(space, fib, nxt, x, radius, tol)
+            assert (got[0].tolist(), got[1].tolist()) == (want, dists)
 
 
 def test_horizon_exhausted():
