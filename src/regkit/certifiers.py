@@ -11,20 +11,26 @@ instance fields it reads.  The CLI checks an instance's fields against
 it, and both the CLI and `free_t_estimate` run a certifier from it with
 its inputs as one keyword dict.  The sequence, orbit and image-space
 criteria read each step as one block, and decide each strict step and
-open ball, by the engine's `step_distances` and `strict_bound`.
+open ball, by the engine's `step_distances` and `strict_bound`; a step
+n >= 1 whose radius is <= 0 searches the empty ball, as the engine's A3.
+
+Regularity, openness, their strong form and nu-regularity on a set W
+are decided on `conventional`'s gathered record, under the map's policy,
+and local regularity reads its radii off one blocked pass over X x Y.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .conventional import (PropertyVerdict, RegularityQuery, _blocks, _mu_inf, _spread,
+                           check_metric_regularity, check_openness)
 from .induction import (PreconditionError, row_minima, step_distances, step_failure,
                         strict_bound)
-from .metric import ball_members, BallSpec
 from .moduli import AuxScheme, FunctionalModulus, ModulusError, canonical_mu
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
 from .svmap import ParamSetValuedMap, outer_semicontinuity_at_zero
@@ -124,7 +130,7 @@ def certify_khanh_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
                 ok, det = False, f"b table exhausted at n={n}"
                 break
             hit = step_failure(F.X, F.inverse_at_level_idx(levels[n], y),
-                               F.inverse_at_level_idx(levels[n + 1], y), x, radius,
+                               F.inverse_at_level_idx(levels[n + 1], y), x, n, radius,
                                b_seq[n], tol)[1]
             if hit is not None:
                 ok, wit = False, (n, hit[0])
@@ -150,7 +156,8 @@ def _resolve_mu(cert: Certificate, scheme: AuxScheme, mu, policy: NumericPolicy)
 def _orbit_steps(F: ParamSetValuedMap, y: int, orbit: list, mu_fn, tol: float):
     """The steps (n, tau, next tau, F_tau^-1(y), F_(next tau)^-1(y), radius)
     of a vanishing orbit, up to the first tau <= tol or step into level 0;
-    step n searches B(x, mu(t) - mu(tau)), step 0 {x}.  Lazily: a walk
+    step n >= 1 searches B(x, mu(t) - mu(tau)), empty when mu is flat
+    along the orbit, and step 0 {x}.  Lazily: a walk
     stops at its first failing step, and a tau above the ladder top raises
     only when a walk reaches it."""
     for n, (tau, nxt) in enumerate(zip(orbit, orbit[1:])):
@@ -158,7 +165,7 @@ def _orbit_steps(F: ParamSetValuedMap, y: int, orbit: list, mu_fn, tol: float):
             return
         lev, lev_next = F.ladder.snap_up(tau, tol), F.ladder.snap_up(nxt, tol)
         yield (n, tau, nxt, F.inverse_at_level_idx(lev, y), F.inverse_at_level_idx(lev_next, y),
-               0.0 if n == 0 else mu_fn(orbit[0]) - mu_fn(tau))
+               mu_fn(orbit[0]) - mu_fn(tau))
         if lev_next == 0:
             return
 
@@ -208,7 +215,7 @@ def certify_khanh4_plus(F: ParamSetValuedMap, x: int, t: float, y: int,
     ok, wit, det = True, None, ""
     for n, tau, nxt, fib, fib_next, radius in steps:
         m_tau = scheme.m(tau)
-        hit = step_failure(F.X, fib, fib_next, x, radius, m_tau, policy.tol_strict)[1]
+        hit = step_failure(F.X, fib, fib_next, x, n, radius, m_tau, policy.tol_strict)[1]
         if hit is not None:
             ok, wit = False, (n, hit[0])
             det = f"d(u, F_b(tau)^-1(y)) = {hit[1]} >= m(tau) = {m_tau}"
@@ -246,7 +253,7 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
                 if extra.any():
                     set1 = (s, int(extra.argmax()))
         m_tau, b_tau = scheme.m(tau), scheme.b(tau)
-        region, du = step_distances(F.X, fib, fib_next, x, radius, tol)
+        region, du = step_distances(F.X, fib, fib_next, x, n, radius, tol)
         # (set2): dy = d(y, F_0(B(u, m(tau)))) < b(tau), with B(u, 0) = {u}
         dy = d0[region] if m_tau == 0 else row_minima(
             lambda us: np.where(F.X.dist_rows(us) < strict_bound(m_tau, tol), d0, INF),
@@ -371,87 +378,34 @@ def free_t_estimate(F: ParamSetValuedMap, x: int, y: int, criterion: str,
 
 
 # -- regularity / openness on a set ----------------------------------------
-
-@dataclass
-class Verdict:
-    holds: bool
-    counterexample: Optional[tuple] = None
-    lhs: float = 0.0
-    rhs: float = 0.0
-    detail: str = ""
-
-    def __bool__(self):
-        return self.holds
-
-
-def check_regular_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
-    """d(x, F_0^{-1}(y)) <= mu(delta(y,F,x)) for every pair in W."""
-    for (x, y) in W:
-        lhs = F.dist_to_inverse(x, 0, y)
-        rhs = mu(F.delta(y, x))
-        if not (lhs <= rhs or (lhs == INF and rhs == INF)):
-            return Verdict(False, (x, y), lhs, rhs)
-    return Verdict(True)
-
-
-def check_open_on_W(F: ParamSetValuedMap, W, mu) -> Verdict:
-    """y in F(B(x,t), 0) for every pair in W and radius t > mu(delta).
-
-    Candidate radii t are the distances d(x, x'), the ladder levels and
-    one value beyond the diameter.  y is in F(B(x, t), 0) iff
-    d(x, F_0^{-1}(y)) < t, so only the smallest candidate above
-    mu(delta) can fail; it is the one compared, and the one reported.
-    The finite candidates above mu(delta) are picked with one mask.
-    """
-    diam = F.X.diameter()
-    for (x, y) in W:
-        md = mu(F.delta(y, x))
-        cands = np.concatenate((F.X.dist_row(x), F.ladder.levels, [md + diam + 1.0]))
-        cands = cands[(cands != INF) & (cands > md)]
-        if not cands.size:
-            continue
-        t = float(cands.min())
-        lhs = F.dist_to_inverse(x, 0, y)
-        if not lhs < t:
-            return Verdict(False, (x, y), lhs, t,
-                           detail=f"y not in F(B(x,{t}),0)")
-    return Verdict(True)
-
+# decided on conventional's gathered record, whose parametric form holds
+# delta(y, F, x) and d(x, F_0^{-1}(y)), under F.policy
 
 @dataclass
 class EquivalenceAudit:
-    regular: Verdict
-    open_: Verdict
+    regular: PropertyVerdict
+    open_: PropertyVerdict
     agree: bool
     strong_form_holds: bool
     note: str = "(iii)-form is one-directional: it implies (i)/(ii), not conversely"
 
 
 def equivalence_audit(F: ParamSetValuedMap, W, mu) -> EquivalenceAudit:
-    reg = check_regular_on_W(F, W, mu)
-    opn = check_open_on_W(F, W, mu)
-    strong = True
-    for (x, y) in W:
-        md = mu(F.delta(y, x))
-        pre0 = F.inverse_at_level_idx(0, y)
-        if md == INF:
-            continue
-        if md == 0:
-            if x not in set(pre0.tolist()):
-                strong = False
-                break
-        else:
-            lhs = float(F.X.dist_row(x)[pre0].min(initial=INF))
-            if not lhs < md:
-                strong = False
-                break
-    return EquivalenceAudit(reg, opn, reg.holds == opn.holds, strong)
+    """Regularity and openness on W, and the strong form: x in
+    F_0^{-1}(y) where mu(delta) = 0, else d(x, F_0^{-1}(y)) < mu(delta)."""
+    q = RegularityQuery(F, W, mu)
+    reg, opn = check_metric_regularity(q, F.policy), check_openness(q, F.policy)
+    P, md = q.pairs, q.mus[0]
+    strong = np.where(md == 0, P.member, F.policy.lt_each(P.dpre, md)) | (md == INF)
+    return EquivalenceAudit(reg, opn, reg.holds == opn.holds, bool(strong.all()))
 
 
-def check_nu_regular_on_W(F: ParamSetValuedMap, W, mu, nu: dict) -> Verdict:
+def check_nu_regular_on_W(F: ParamSetValuedMap, W, mu, nu: dict) -> PropertyVerdict:
     """nu-regularity via the reduction W' = {(x,y) in W : mu(delta) < nu}."""
-    Wp = [(x, y) for (x, y) in W if mu(F.delta(y, x)) < nu.get((x, y), INF)]
-    return check_regular_on_W(F, Wp, mu)
+    q = RegularityQuery(F, W, mu)
+    keep = F.policy.lt_each(q.mus[0], np.array([nu.get(tuple(w), INF) for w in q.pairs.W]))
+    return check_metric_regularity(
+        RegularityQuery(F, [w for w, k in zip(q.pairs.W, keep.tolist()) if k], mu), F.policy)
 
 
 @dataclass
@@ -459,35 +413,48 @@ class LocalVerdict:
     holds: bool
     r_U: float
     r_V: float
-    counterexample: Optional[tuple] = None
     at_resolution_note: str = ""
 
 
-def check_local_regularity(F: ParamSetValuedMap, xbar: int, ybar: int, mu,
-                           policy: NumericPolicy = DEFAULT_POLICY) -> LocalVerdict:
-    """Largest closed-ball radii around (xbar, ybar) on which regularity holds.
+def check_local_regularity(F: ParamSetValuedMap, xbar: int, ybar: int, mu) -> LocalVerdict:
+    """Largest closed-ball radii (r_U, r_V) around (xbar, ybar), among the
+    distances from each, with regularity on U x V; the first by
+    (-(r_U + r_V), -r_U).
 
-    Every subset of a finite metric space is a neighbourhood, so the
-    singleton product always certifies; the verdict is "fails at
-    resolution" when nothing larger does.
+    Regularity on U x V holds pair by pair, so the radius pairs where it
+    holds form a staircase.  One blocked pass over X x Y finds, for each
+    b, nf[b] = d(xbar, a) of the nearest a with (a, b) failing; U(r_U) x
+    V(r_V) holds iff r_U + tol lies below the minimum of nf over V(r_V),
+    a prefix minimum over b by d(ybar, b).  Balls are closed at the
+    spaces' tolerance, as `ball_members` reads them.  Every subset of a
+    finite metric space is a neighbourhood, so the singleton product
+    always certifies; the verdict is "fails at resolution" when nothing
+    larger does.
     """
-    if ybar not in set(F.fibre(xbar, 0).tolist()):
-        raise PreconditionError("(xbar, ybar) not on gph F_0")
-    rUs = sorted(set(float(v) for v in F.X.dist_row(xbar)))
-    rVs = sorted(set(float(v) for v in F.Y.dist_row(ybar)))
-    pairs = sorted(((ru, rv) for ru in rUs for rv in rVs),
-                   key=lambda p: (-(p[0] + p[1]), -p[0]))
-    last_ce = None
-    for (ru, rv) in pairs:
-        U = sorted(ball_members(F.X, BallSpec(xbar, ru, "closed")))
-        V = sorted(ball_members(F.Y, BallSpec(ybar, rv, "closed")))
-        v = check_regular_on_W(F, [(a, b) for a in U for b in V], mu)
-        if v.holds:
-            trivial = (ru == 0.0 and rv == 0.0)
-            return LocalVerdict(
-                holds=not trivial, r_U=ru, r_V=rv, counterexample=last_ce,
-                at_resolution_note="fails at resolution: only the singleton "
-                                   "neighbourhood certifies" if trivial else "")
-        last_ce = v.counterexample
-    return LocalVerdict(False, 0.0, 0.0, last_ce,
-                        "unreachable: singleton product must certify")
+    if not F.contains(xbar, 0, ybar):
+        raise PreconditionError(f"(xbar={xbar}, ybar={ybar}) not on gph F_0")
+    dx, dy, ny = F.X.dist_row(xbar), F.Y.dist_row(ybar), F.Y.n
+    k, xp = _spread(partial(F.inverse_at_level_idx, 0), range(ny))  # F_0^{-1}(b), b by b
+    cols = np.unique(k)
+    mus = np.array([_mu_inf(mu, float(v)) for v in F.ladder.positive] + [INF])
+    on, nf = F.onset_matrix(), np.full(ny, INF)
+    for b in _blocks(F.X.n, max(xp.size, ny)):
+        a = np.arange(F.X.n)[b]
+        dpre = np.full((a.size, ny), INF)
+        dpre[:, cols] = np.minimum.reduceat(F.X.dist_at(a[:, None], xp),
+                                            np.searchsorted(k, cols), axis=1)
+        fail = ~(dpre <= mus[on[b] - 1] + F.policy.tol_strict)  # policy.le
+        np.minimum(nf, np.where(fail, dx[b, None], INF).min(axis=0), out=nf)
+    by_dy = np.argsort(dy, kind="stable")
+    rUs, rVs = np.unique(dx), np.unique(dy)
+    near = np.minimum.accumulate(nf[by_dy])[
+        np.searchsorted(dy[by_dy], rVs + F.Y.policy.tol_strict, side="right") - 1]
+    iu = np.searchsorted(rUs + F.X.policy.tol_strict, near, side="left") - 1
+    ru, rv = rUs[iu[iu >= 0]], rVs[iu >= 0]
+    if not ru.size:
+        return LocalVerdict(False, 0.0, 0.0, "unreachable: singleton product must certify")
+    j = np.lexsort((rv, -ru, -(ru + rv)))[0]
+    trivial = ru[j] == 0.0 and rv[j] == 0.0
+    return LocalVerdict(not trivial, float(ru[j]), float(rv[j]),
+                        "fails at resolution: only the singleton neighbourhood "
+                        "certifies" if trivial else "")

@@ -158,19 +158,17 @@ def cmd_regcheck(args) -> int:
     if inst.param is None or inst.mu is None:
         raise InstanceError("/map", "regcheck needs a parametric map and mu")
     F, mu, W = inst.param, inst.mu, inst.W
-    if args.property == "regular":
-        v = certifiers.check_regular_on_W(F, W, mu)
-        rep.add("regcheck/regular", v.holds, witness=v.counterexample)
-    elif args.property == "open":
-        v = certifiers.check_open_on_W(F, W, mu)
-        rep.add("regcheck/open", v.holds, witness=v.counterexample)
+    if args.property in ("regular", "open"):
+        check = conventional.check_metric_regularity if args.property == "regular" \
+            else conventional.check_openness
+        v = check(conventional.RegularityQuery(F, W, mu), F.policy)
+        rep.add(f"regcheck/{args.property}", v.holds, witness=v.counterexample)
     elif args.property == "nu-regular":
         v = certifiers.check_nu_regular_on_W(F, W, mu, inst.nu)
         rep.add("regcheck/nu-regular", v.holds, witness=v.counterexample)
     else:                                    # "local", by argparse choices
         _check_points(F, args)
-        v = certifiers.check_local_regularity(F, args.x, args.y, mu,
-                                              inst.policy)
+        v = certifiers.check_local_regularity(F, args.x, args.y, mu)
         rep.add("regcheck/local", v.holds,
                 detail=f"r_U={v.r_U} r_V={v.r_V} {v.at_resolution_note}")
     return _emit(rep, args)

@@ -1,45 +1,48 @@
-"""Regularity of plain set-valued mappings F: X => Y.
+"""Regularity of set-valued mappings on a validation set W of (x, y) pairs.
 
-Everything here is phrased for a mapping without a parameter slot; the
-parametric machinery enters only through the ball embedding
-F(x, t) = B(F(x), t), which turns distance-based regularity into the
-level-set form handled by the certifiers.  Three properties are checked
-against each other on a validation set W of (x, y) pairs:
+The properties are stated once and read in both settings: a plain
+mapping F: X => Y, and a parametric F: X x R+ => Y, whose record holds
+delta(y, F, x) where a plain map's holds d(y, F(x)) and d(x, F_0^{-1}(y))
+where it holds d(x, F^{-1}(y)).  With d for that first quantity:
 
-  - metric regularity  d(x, F^{-1}(y)) <= mu(d(y, F(x)))
-  - covering/openness  y in F(B(x, t)) whenever t > mu(d(y, F(x)))
-  - Hölder continuity of F^{-1} (as a mapping Y => X) on the transposed set
+  - metric regularity  d(x, F^{-1}(y)) <= mu(d)
+  - covering/openness  y in F(B(x, t)) whenever t > mu(d)
+  - Hölder continuity of F^{-1} (as a mapping Y => X) on the transposed
+    set, for a plain mapping
 
 On finite spaces, with nondecreasing mu, the three are equivalent
 pointwise; the audit verifies the equivalence by direct computation
 rather than assuming it.
 
 A query gathers its distances once, in W order (`_Pairs`), and mu of them
-once; each property is then decided with masks, and reports the first
-failing pair of W, as a loop over W would.
+once; each property is then decided with masks, every <= and < through
+the policy, and reports the first failing pair of W, as a loop over W
+would.  Every gathered read here, in `induction` and in `certifiers` is
+cut into blocks of at most _BLOCK distances by `_blocks`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from functools import cached_property, partial
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .moduli import FunctionalModulus
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
-from .svmap import PlainSetValuedMap
+from .svmap import ParamSetValuedMap, PlainSetValuedMap
 
 
 @dataclass
 class RegularityQuery:
-    """A plain mapping, a validation set W, and the modulus to test.
+    """A plain or parametric mapping, a validation set W, and the modulus
+    to test.
 
     The pairs' distances are gathered on first use, and so is mu of
     them; a query is read, never changed.
     """
 
-    F: PlainSetValuedMap
+    F: Union[PlainSetValuedMap, ParamSetValuedMap]
     W: list[tuple[int, int]]
     mu: Callable[[float], float]
 
@@ -78,16 +81,16 @@ def _mu_inf(mu, t: float) -> float:
 _BLOCK = 1 << 20  # distances in one block of a gather
 
 
-def _blocks(F: PlainSetValuedMap, n: int) -> list[slice]:
-    """Slices of W whose pairs reach at most _BLOCK points of X or of Y
-    (one slice when W is empty)."""
-    step = max(1, _BLOCK // max(F.X.n, F.Y.n, 1))
-    return [slice(s, s + step) for s in range(0, max(n, 1), step)]
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of n items, each item reading width distances, with at most
+    _BLOCK distances a slice (one item when width exceeds it)."""
+    step = max(1, _BLOCK // max(width, 1))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def _spread(sets: list[np.ndarray], keys: list[int]) -> tuple:
-    """(k, j) for each j of sets[keys[k]], in (k, j) order."""
-    runs = [sets[a] for a in keys]
+def _spread(sets: Callable[[int], np.ndarray], keys: Iterable[int]) -> tuple:
+    """(k, j) for each j of sets(keys[k]), in (k, j) order."""
+    runs = [sets(a) for a in keys]
     return (np.arange(len(runs)).repeat([len(v) for v in runs]),
             np.concatenate([np.empty(0, int), *runs]))
 
@@ -98,12 +101,16 @@ class _Pairs:
     flat holds d(y, y') for each y' in F(x), in (pair, y') order, with its
     pair index fpair and its y' fyp; dimg = d(y, F(x)) is its minimum per
     pair, and dpre = d(x, F^{-1}(y)) the same over F^{-1}(y), both +inf on
-    an empty set.  As in the per-pair definitions, d(y, .) is read off row
-    y and d(x, .) off row x.  Preimage distances are gathered one block of
-    W at a time, so memory is O(|W| + sum over W of |F(x)| + _BLOCK).
+    an empty set; member marks x in F^{-1}(y).  As in the per-pair
+    definitions, d(y, .) is read off row y and d(x, .) off row x.  For a
+    parametric map, dimg is delta(y, F, x), read off its onset matrix,
+    dpre and member are over F_0^{-1}(y), and flat is empty.  Preimage
+    distances are gathered one block of W at a time, so memory is
+    O(|W| + sum over W of |F(x)| + _BLOCK).
     """
 
-    def __init__(self, F: PlainSetValuedMap, W: Iterable[tuple[int, int]]):
+    def __init__(self, F: Union[PlainSetValuedMap, ParamSetValuedMap],
+                 W: Iterable[tuple[int, int]]):
         self.W = list(W)
         xs, ys = [a for a, _ in self.W], [b for _, b in self.W]
         for idx, S in ((xs, F.X), (ys, F.Y)):  # PointIndexError, as dist_row's
@@ -111,13 +118,20 @@ class _Pairs:
                 S._check(min(idx))
                 S._check(max(idx))
         self.x, y = np.array(xs, dtype=int), np.array(ys, dtype=int)
-        (self.dimg, self.dpre), parts = np.full((2, len(xs)), INF), []
-        for b in _blocks(F, len(xs)):
-            k, yp = _spread(F._images, xs[b])
-            parts.append((F.Y.dist_at(y[b][k], yp), k + b.start, yp))
-            np.minimum.at(self.dimg, parts[-1][1], parts[-1][0])
-            k, xp = _spread(F._preimages, ys[b])
+        param = isinstance(F, ParamSetValuedMap)
+        pre = partial(F.inverse_at_level_idx, 0) if param else F.preimage
+        (self.dimg, self.dpre), self.member = np.full((2, len(xs)), INF), np.zeros(len(xs), bool)
+        parts = [(np.empty(0), np.empty(0, int), np.empty(0, int))]
+        for b in _blocks(len(xs), max(F.X.n, F.Y.n)):
+            if not param:
+                k, yp = _spread(F.image, xs[b])
+                parts.append((F.Y.dist_at(y[b][k], yp), k + b.start, yp))
+                np.minimum.at(self.dimg, parts[-1][1], parts[-1][0])
+            k, xp = _spread(pre, ys[b])
             np.minimum.at(self.dpre, k + b.start, F.X.dist_at(self.x[b][k], xp))
+            self.member[k[xp == self.x[b][k]] + b.start] = True
+        if param:
+            self.dimg = np.append(F.ladder.levels, INF)[F.onset_matrix()[self.x, y]]
         self.flat, self.fpair, self.fyp = map(np.concatenate, zip(*parts))
 
 
@@ -159,7 +173,7 @@ def check_openness(q: RegularityQuery,
     P, md, X = q.pairs, q.mus[0], q.F.X
     far = md + X.diameter() + 1.0
     r = np.empty(len(md))  # the deciding radius; NaN where no candidate is above md
-    for b in _blocks(q.F, len(md)):
+    for b in _blocks(len(md), max(q.F.X.n, q.F.Y.n)):
         c = X.dist_rows(P.x[b])
         r[b] = np.fmin.reduce(c, axis=1, where=policy.lt_each(md[b, None], c), initial=np.nan)
     r = np.fmin(r, np.where(policy.lt_each(md, far), far, np.nan))  # the last candidate

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
+from .conventional import _blocks
 from .metric import FiniteMetricSpace
 from .policy import DEFAULT_POLICY, INF, NumericPolicy, RegkitError
 from .svmap import LadderError, ParamSetValuedMap, TLadder
@@ -169,37 +170,34 @@ def strict_bound(r: float, tol: float) -> float:
     return max(r - tol, math.nextafter(tol, INF)) if r > 0 else 0.0
 
 
-_BLOCK = 1 << 20  # distances in one block of a step read, as in conventional
-
-
 def row_minima(rows: Callable[[np.ndarray], np.ndarray], us: np.ndarray,
                width: int) -> np.ndarray:
     """The minimum of each row of rows(us), +inf on rows of width 0, read
-    in blocks of at most _BLOCK entries."""
+    in the blocks of `conventional._blocks`."""
     out = np.empty(us.size)
-    step = max(1, _BLOCK // max(width, 1))
-    for s in range(0, us.size, step):
-        rows(us[s:s + step]).min(axis=1, initial=INF, out=out[s:s + step])
+    for b in _blocks(us.size, width):
+        rows(us[b]).min(axis=1, initial=INF, out=out[b])
     return out
 
 
 def step_distances(space: FiniteMetricSpace, fib: np.ndarray, nxt: np.ndarray,
-                   x: int, radius: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The induction step as one block: the u of fib in the region, in
-    index order, and d(u, nxt) for each (+inf when nxt is empty).  The
-    region is {x} at radius <= 0, else the open ball B(x, radius)."""
-    region = fib[fib == x] if radius <= 0 else \
+                   x: int, n: int, radius: float,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step n as one block: the u of fib in the region, in index order,
+    and d(u, nxt) for each (+inf when nxt is empty).  The region is {x}
+    at step 0, else the open ball B(x, radius), empty at radius <= 0."""
+    region = fib[fib == x] if n == 0 else \
         fib[space.dist_row(x)[fib] < strict_bound(radius, tol)]
     return region, row_minima(lambda us: space.dist_at(us[:, None], nxt),
                               region, nxt.size)
 
 
 def step_failure(space: FiniteMetricSpace, fib: np.ndarray, nxt: np.ndarray,
-                 x: int, radius: float, bound: float,
+                 x: int, n: int, radius: float, bound: float,
                  tol: float) -> tuple[np.ndarray, Optional[tuple[int, float]]]:
-    """The step's region, and (u, d(u, nxt)) of its first u that breaks
+    """Step n's region, and (u, d(u, nxt)) of its first u that breaks
     d(u, nxt) < bound, or None when the step holds."""
-    region, du = step_distances(space, fib, nxt, x, radius, tol)
+    region, du = step_distances(space, fib, nxt, x, n, radius, tol)
     bad = np.flatnonzero(du >= strict_bound(bound, tol))
     return region, (int(region[bad[0]]), du[bad[0]]) if bad.size else None
 
@@ -248,10 +246,8 @@ def verify_preconditions(phi: LevelMap, t: float, x: int, seqs: SequenceSpec,
         # each a_n is snapped once: a_0 at step 0, a later one as a_{n+1}
         lev_n = _snap(ladder, a0, 0, tol) if n == 0 else lev_next
         lev_next = _snap(ladder, seqs.a.value(n + 1), n, tol)
-        if n and not radius:
-            continue  # the open ball B(x, 0) is empty: a vacuous step
         region, hit = step_failure(phi.space, fibre(lev_n), fibre(lev_next),
-                                   x, radius, b_n, tol)
+                                   x, n, radius, b_n, tol)
         if hit is not None:
             a3_ok, witness = False, (n, hit[0])
             a3_msg = f"d(u={hit[0]}, Phi(a_{n + 1})) = {hit[1]} >= b_{n} = {b_n}"

@@ -406,6 +406,71 @@ def ref_holder_inverse(F, W, mu, policy=DEFAULT_POLICY) -> tuple:
     return True, None, 0.0, 0.0
 
 
+# -- per-pair reference for the parametric W audits --------------------------
+# F: X x R+ => Y, each pair through the map's scalar queries; a <= b at
+# resolution is a <= b + tol (+inf <= +inf), a < b is a < b - tol (a
+# finite, or b = +inf)
+
+def _le(a, b, tol):
+    return b == INF or (a != INF and a <= b + tol)
+
+
+def _lt(a, b, tol):
+    return a != INF and (b == INF or a < b - tol)
+
+
+def ref_regular_on_W(F, W, mu) -> tuple:
+    """(holds, counterexample, lhs, rhs) of d(x, F_0^{-1}(y)) <= mu(delta)."""
+    for (x, y) in W:
+        lhs, rhs = F.dist_to_inverse(x, 0, y), _mu_inf(mu, F.delta(y, x))
+        if not _le(lhs, rhs, F.policy.tol_strict):
+            return False, (x, y), lhs, rhs
+    return True, None, 0.0, 0.0
+
+
+def ref_open_on_W(F, W, mu) -> tuple:
+    """(holds, counterexample, lhs, rhs) of y in F(B(x, t), 0) for every
+    t > mu(delta): y is in it iff d(x, F_0^{-1}(y)) < t, so only the
+    smallest candidate radius above mu(delta), an x-row distance or one
+    beyond the diameter, is compared."""
+    diam, tol = F.X.diameter(), F.policy.tol_strict
+    for (x, y) in W:
+        md = _mu_inf(mu, F.delta(y, x))
+        cands = [t for t in F.X.dist_row(x).tolist() + [md + diam + 1.0] if _lt(md, t, tol)]
+        lhs = F.dist_to_inverse(x, 0, y)
+        if cands and not lhs < min(cands):
+            return False, (x, y), lhs, min(cands)
+    return True, None, 0.0, 0.0
+
+
+def ref_strong_form(F, W, mu) -> bool:
+    """x in F_0^{-1}(y) where mu(delta) = 0, else d(x, F_0^{-1}(y)) <
+    mu(delta), on every pair of W with mu(delta) finite."""
+    for (x, y) in W:
+        md = _mu_inf(mu, F.delta(y, x))
+        if md != INF and not (F.contains(x, 0, y) if md == 0 else
+                              _lt(F.dist_to_inverse(x, 0, y), md, F.policy.tol_strict)):
+            return False
+    return True
+
+
+def ref_local_regularity(F, xbar, ybar, mu) -> tuple:
+    """(holds, r_U, r_V, note): the walk over every pair of ball radii,
+    largest r_U + r_V first, then largest r_U, each product of closed
+    balls checked against the pairs that fail ref_regular_on_W."""
+    bad = [(a, b) for a in range(F.X.n) for b in range(F.Y.n)
+           if not ref_regular_on_W(F, [(a, b)], mu)[0]]
+    dx, dy = F.X.dist_row(xbar).tolist(), F.Y.dist_row(ybar).tolist()
+    for ru, rv in sorted(((ru, rv) for ru in set(dx) for rv in set(dy)),
+                         key=lambda p: (-(p[0] + p[1]), -p[0], p[1])):
+        if not any(dx[a] <= ru + F.X.policy.tol_strict and
+                   dy[b] <= rv + F.Y.policy.tol_strict for a, b in bad):
+            trivial = ru == 0.0 and rv == 0.0
+            return (not trivial, ru, rv, "fails at resolution: only the singleton "
+                    "neighbourhood certifies" if trivial else "")
+    return False, 0.0, 0.0, "unreachable: singleton product must certify"
+
+
 def ref_best_modulus(F, W, k: float = 1.0, policy=DEFAULT_POLICY) -> tuple:
     """(k, lam*, achieved_at, n_pairs): the first pair at the largest ratio
     d(x, F^{-1}(y)) / d(y, F(x))^k, or lam* = inf at the first pair with

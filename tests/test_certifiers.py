@@ -1,17 +1,20 @@
 """Sufficient criteria as certificates: soundness and negative controls."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from regkit import certifiers, induction
+from regkit import certifiers, conventional
 from regkit.induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
                               run_induction, verify_preconditions)
+from regkit.instances import generate_instance, parse_instance
 from regkit.metric import FiniteMetricSpace
 from regkit.moduli import (AuxScheme, FunctionalModulus, ModulusError,
                            canonical_mu)
 from regkit.policy import DEFAULT_POLICY, INF
-from regkit.svmap import ParamSetValuedMap, TLadder
+from regkit.svmap import ParamSetValuedMap, PlainSetValuedMap, TLadder, embed_plain
 
 
 # -- positive family: every criterion certifies the chain instances ---------
@@ -191,7 +194,7 @@ def _image_space_by_sets(F, x, t, y, scheme, policy=DEFAULT_POLICY):
         rowx = F.X.dist_row(x)
         m, b = scheme.m(tau), scheme.b(tau)
         for u in F.inverse_at_level_idx(lev, y).tolist():
-            if not (u == x if radius <= 0 else lt(rowx[u], radius)):
+            if not (u == x if n == 0 else lt(rowx[u], radius)):
                 continue
             dy = min((yrow[j] for j in img0_of_ball(u, m)), default=INF)
             du = min((F.X.d(u, v) for v in F.inverse_at_level_idx(lev_next, y).tolist()),
@@ -216,7 +219,7 @@ def test_image_space_matches_set_derivation(seed, monkeypatch):
     for F, x, t, y, scheme in _random_starts(seed, twins=seed % 2 == 1):
         set1, step, n_set2 = _image_space_by_sets(F, x, t, y, scheme)
         for block in (1 << 20, 5):
-            monkeypatch.setattr(induction, "_BLOCK", block)
+            monkeypatch.setattr(conventional, "_BLOCK", block)
             cert = certifiers.certify_image_space(F, x, t, y, scheme)
             hyp = {h.name: h for h in cert.hypotheses}
             assert hyp["mutau+"].passed
@@ -359,6 +362,24 @@ def test_orbit_tail_certifies_under_image_space_and_khanh4():
                                 [(h.name, h.detail) for h in cert.hypotheses])
 
 
+def test_a_step_with_radius_at_most_0_searches_the_empty_ball():
+    """mu flat along the orbit (mu = 5) gives every step n >= 1 the radius
+    mu(t) - mu(tau) = 0, whose open ball is empty, as A3 reads it: on a
+    3-point line map whose x lies in every positive fibre and off the zero
+    fibre, neither khanh4+ nor image-space fails a step."""
+    X = FiniteMetricSpace.from_grid([0.0, 0.5, 1.0])
+    F = ParamSetValuedMap(X, FiniteMetricSpace.from_grid([0.0]), TLadder(np.array([0.0, 1.0])),
+                          graph=[(1, 0, 0)] + [(a, 1, 0) for a in range(3)], monotone=True)
+    scheme = AuxScheme(b=FunctionalModulus.linear(0.5), m=FunctionalModulus.linear(1.0))
+    for criterion, step in (("khanh4+", "net+++"), ("image", "set2+derived-step")):
+        cert = certifiers.CRITERIA[criterion].certify(F, 0, 1.0, 0, scheme=scheme,
+                                                      mu=lambda s: 5.0)
+        hyp = {h.name: h for h in cert.hypotheses}
+        assert hyp[step].passed and hyp[step].witness is None, hyp[step]
+        assert "set1" not in hyp or hyp["set1"].passed
+        assert cert.confirmed and not cert.sound   # mu++ and osc still fail
+
+
 # -- free-t wrappers ---------------------------------------------------------
 
 def test_free_t_sweep_on_chain():
@@ -395,20 +416,23 @@ def test_regular_open_agreement_on_random_param_maps():
 
 
 def _open_on_W_brute_force(F, W, mu):
-    """(holds, counterexample, lhs, rhs, detail): every candidate radius,
-    ascending, with y in F(B(x, t), 0) decided by membership queries."""
+    """(holds, counterexample, lhs, rhs): every candidate radius (the x-row
+    distances and one beyond the diameter), ascending, with y in
+    F(B(x, t), 0) decided by membership queries."""
     diam = F.X.diameter()
     for (x, y) in W:
         md = mu(F.delta(y, x))
         row = F.X.dist_row(x)
-        cands = set(float(v) for v in row) | set(F.ladder.levels.tolist())
-        cands.add(md + diam + 1.0)
-        for t in sorted(c for c in cands if c != INF and c > md):
+        cands = set(float(v) for v in row) | {md + diam + 1.0}
+        for t in sorted(c for c in cands if F.policy.lt(md, c)):
             if not any(row[xp] < t and F.contains(xp, 0, y)
                        for xp in range(F.X.n)):
-                return (False, (x, y), F.dist_to_inverse(x, 0, y), t,
-                        f"y not in F(B(x,{t}),0)")
-    return True, None, 0.0, 0.0, ""
+                return False, (x, y), F.dist_to_inverse(x, 0, y), t
+    return True, None, 0.0, 0.0
+
+
+def _query(F, W, mu):
+    return conventional.RegularityQuery(F, W, mu)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,9 +444,84 @@ def test_open_on_W_matches_every_radius(seed):
     W = W[:6]       # short, so that about a quarter of the verdicts pass
     for mu in (FunctionalModulus.linear(0.2), FunctionalModulus.linear(10.0),
                helpers.random_mu(rng)):
-        v = certifiers.check_open_on_W(F, W, mu)
-        assert (v.holds, v.counterexample, v.lhs, v.rhs, v.detail) == \
+        v = conventional.check_openness(_query(F, W, mu), F.policy)
+        assert (v.holds, v.counterexample, v.lhs, v.rhs) == \
             _open_on_W_brute_force(F, W, mu)
+
+
+def _param_audit_cases(rng):
+    """A random parametric map, and the open and closed embeddings of a
+    random plain map on a ladder with levels at distances, each with W."""
+    yield helpers.random_param_map(rng)
+    P = helpers.random_plain_map(rng, nx_max=12, ny_max=12)
+    dists = np.unique(P.Y.dist_row(int(rng.integers(0, P.Y.n))))
+    lad = TLadder(np.unique(np.concatenate([[0.0], dists[:4], [2 * P.Y.diameter() + 1]])))
+    W = helpers.random_W(rng, P, count=12)
+    for closed in (False, True):
+        yield embed_plain(P, lad, closed=closed), W
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1 << 20, 9]))
+def test_gathered_param_audits_match_the_per_pair_reference(seed, block):
+    """Regularity, openness and the strong form on the gathered record
+    against the per-pair loops, on verdict, witness, lhs and rhs, in one
+    block and in blocks of one pair."""
+    rng = np.random.default_rng(seed)
+    for F, W in _param_audit_cases(rng):
+        for mu in (FunctionalModulus.linear(0.5), helpers.random_mu(rng)):
+            with mock.patch.object(conventional, "_BLOCK", block):
+                audit = certifiers.equivalence_audit(F, W, mu)
+            for v, ref in ((audit.regular, helpers.ref_regular_on_W),
+                           (audit.open_, helpers.ref_open_on_W)):
+                assert (v.holds, v.counterexample, v.lhs, v.rhs) == ref(F, W, mu)
+            assert audit.strong_form_holds == helpers.ref_strong_form(F, W, mu)
+            nu = {w: float(rng.uniform(0, 3)) for w in W[::2]}
+            kept = [w for w in W if F.policy.lt(mu(F.delta(w[1], w[0])), nu.get(w, INF))]
+            v = certifiers.check_nu_regular_on_W(F, W, mu, nu)
+            assert (v.holds, v.counterexample, v.lhs, v.rhs) == \
+                helpers.ref_regular_on_W(F, kept, mu)
+
+
+def test_a_tie_within_tol_reads_the_same_in_both_settings():
+    """d(x, F^{-1}(y)) = 1 against mu(1) = 1 - 5e-13: regular and open for
+    the plain map and for its closed embedding alike."""
+    line = FiniteMetricSpace.from_grid([0.0, 1.0])
+    P = PlainSetValuedMap(line, line, {(0, 1), (1, 0)})
+    W, mu = [(0, 0)], FunctionalModulus.linear(1.0 - 5e-13)
+    t61 = conventional.equivalence_audit_T61(conventional.RegularityQuery(P, W, mu))
+    audit = certifiers.equivalence_audit(
+        embed_plain(P, TLadder(np.array([0.0, 1.0, 2.0])), closed=True), W, mu)
+    assert t61.metric_regular.holds and t61.open_.holds
+    assert audit.regular.holds and audit.open_.holds and audit.agree
+    # every pair holds at resolution, so the whole of X x Y is the neighbourhood
+    G = embed_plain(P, TLadder(np.array([0.0, 1.0, 2.0])), closed=True)
+    v = certifiers.check_local_regularity(G, 0, 1, mu)
+    assert (v.holds, v.r_U, v.r_V) == (True, 1.0, 1.0)
+
+
+def test_local_regularity_breaks_a_tie_of_radius_sums_by_r_U():
+    """Only (1, 1) fails, so the corners (1, 0) and (0, 1) both reach
+    r_U + r_V = 1; the larger r_U comes first, as the walk's key puts it."""
+    line = FiniteMetricSpace.from_grid([0.0, 1.0])
+    P = PlainSetValuedMap(line, line, {(0, 0), (0, 1), (1, 0)})
+    G = embed_plain(P, TLadder(np.array([0.0, 1.0, 2.0])), closed=True)
+    mu = FunctionalModulus.linear(0.5)
+    v = certifiers.check_local_regularity(G, 0, 0, mu)
+    assert (v.holds, v.r_U, v.r_V, v.at_resolution_note) == \
+        helpers.ref_local_regularity(G, 0, 0, mu) == (True, 1.0, 0.0, "")
+
+
+def test_strong_form_at_mu_zero_asks_membership():
+    """mu(delta) = 0 asks x in F_0^{-1}(y): a twin of x at distance 0 in
+    the fibre does not do."""
+    X = FiniteMetricSpace.from_grid([0.0, 0.0])
+    F = ParamSetValuedMap(X, FiniteMetricSpace.from_grid([0.0]), TLadder(np.array([0.0, 1.0])),
+                          graph=[(1, 0, 0), (0, 1, 0), (1, 1, 0)], monotone=True)
+    mu = FunctionalModulus.table([(0.0, 0.0), (2.0, 1.0)], interp="step")
+    audit = certifiers.equivalence_audit(F, [(0, 0)], mu)
+    assert audit.regular.holds and not audit.strong_form_holds
+    assert not helpers.ref_strong_form(F, [(0, 0)], mu)
 
 
 def test_regular_counterexample_is_genuine():
@@ -430,7 +529,7 @@ def test_regular_counterexample_is_genuine():
         rng = np.random.default_rng(seed)
         F, W = helpers.random_param_map(rng)
         mu = helpers.random_mu(rng)
-        v = certifiers.check_regular_on_W(F, W, mu)
+        v = conventional.check_metric_regularity(_query(F, W, mu), F.policy)
         if not v.holds:
             x, y = v.counterexample
             assert F.dist_to_inverse(x, 0, y) > mu(F.delta(y, x))
@@ -447,7 +546,7 @@ def test_nu_regular_reduction():
     nu_all = {pair: 0.0 for pair in W}
     assert certifiers.check_nu_regular_on_W(F, W, mu, nu_all).holds
     # nu = +inf keeps every pair: same verdict as the plain check
-    plain = certifiers.check_regular_on_W(F, W, mu)
+    plain = conventional.check_metric_regularity(_query(F, W, mu), F.policy)
     assert certifiers.check_nu_regular_on_W(F, W, mu, {}).holds == plain.holds
 
 
@@ -457,3 +556,20 @@ def test_local_regularity_on_chain():
     assert v.holds or "resolution" in v.at_resolution_note
     with pytest.raises(PreconditionError):
         certifiers.check_local_regularity(ci.F, ci.x, ci.y, ci.mu)
+
+
+def test_local_regularity_staircase_matches_the_radius_walk():
+    """(holds, r_U, r_V, note) of the staircase against the walk over
+    every radius pair, on param-monotone sizes 6-40 x seeds 0-24 at the
+    first three points of gph F_0, in one block and in blocks of 7."""
+    for size in range(6, 41):
+        for seed in range(25):
+            inst = parse_instance(generate_instance("param-monotone", size, seed))
+            F = inst.param
+            for x, _, y in F.graph[F.graph[:, 1] == 0][:3].tolist():
+                want = helpers.ref_local_regularity(F, x, y, inst.mu)
+                for block in (1 << 20, 7) if size % 5 == 0 else (1 << 20,):
+                    with mock.patch.object(conventional, "_BLOCK", block):
+                        v = certifiers.check_local_regularity(F, x, y, inst.mu)
+                    assert (v.holds, v.r_U, v.r_V, v.at_resolution_note) == want, \
+                        (size, seed, x, y)

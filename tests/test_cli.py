@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from regkit import cli
 from regkit.cli import EXIT_BUG, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from regkit.induction import PreconditionError
 from regkit.instances import (SIZE_CAPS, demo_polyopt_raw, generate_instance,
-                              save_instance)
+                              parse_instance, save_instance)
 from regkit.moduli import ModulusError
 
 
@@ -462,6 +463,30 @@ def test_regcheck_param_properties(tmp_path, capsys):
     raw["nu"] = [[x, y, 0.0] for x, y in raw["W"]]
     save_instance(raw, path)
     assert main(["regcheck", path, "--property", "nu-regular"]) == EXIT_PASS
+
+
+def test_regcheck_local(tmp_path, capsys):
+    """regcheck --property local on the file above: the row's radii are
+    the reference walk's, and a point pair off gph F_0 exits 2."""
+    raw = generate_instance("param-monotone", 10, 3)
+    path = str(tmp_path / "pm.json")
+    save_instance(raw, path)
+    inst = parse_instance(raw)
+    F, mu = inst.param, inst.mu
+    on = F.graph[F.graph[:, 1] == 0].tolist()
+    for x, _, y in on[:3]:
+        holds, r_U, r_V, note = helpers.ref_local_regularity(F, x, y, mu)
+        code = main(["regcheck", path, "--property", "local", "--x", str(x), "--y", str(y)])
+        assert code == (EXIT_PASS if holds else EXIT_FAIL)
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["check_id"] == "regcheck/local"
+        assert row["detail"] == f"r_U={r_U} r_V={r_V} {note}"
+    x, y = next((x, y) for x in range(F.X.n) for y in range(F.Y.n)
+                if [x, 0, y] not in on)
+    assert main(["regcheck", path, "--property", "local", "--x", str(x),
+                 "--y", str(y)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: (xbar={x}, ybar={y}) not on gph F_0"]
 
 
 def test_reports_are_deterministic_across_commands(evp_file, tmp_path):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import helpers
-from regkit import induction
+from regkit import conventional
 from regkit.induction import (LevelMap, PreconditionError, Seq, SequenceSpec,
                               run_induction, step_distances, verify_preconditions)
 from regkit.metric import FiniteMetricSpace
@@ -85,8 +85,9 @@ def test_precondition_failures_reported():
 @pytest.mark.parametrize("seed", range(20))
 def test_step_distances_match_brute_force(seed, monkeypatch):
     """The step's region and d(u, next fibre) against a brute force, with
-    radius 0 at an x outside fib, an empty fib, an empty next fibre and a
-    radius below tol, in one block and in blocks of 3 distances."""
+    step 0 at an x outside fib, a later step of radius <= 0, an empty fib,
+    an empty next fibre and a radius below tol, in one block and in blocks
+    of 3 distances."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 15))
     space = FiniteMetricSpace(metric="euclidean",
@@ -96,17 +97,18 @@ def test_step_distances_match_brute_force(seed, monkeypatch):
     subsets = [np.nonzero(rng.random(n) < p)[0] for p in (0.3, 0.7)]
     empty = np.empty(0, dtype=int)
     without_x = np.setdiff1d(np.arange(n), [x])
-    for fib, nxt, radius in [(f, g, r) for f in subsets + [empty, without_x]
-                             for g in subsets + [empty]
-                             for r in (0.0, 5e-13, float(rng.uniform(0.5, 3.0)))]:
-        # B(x, r): d(x, u) < r at resolution, a distance <= tol being 0
+    steps = [(0, 0.0), (1, 0.0), (1, -1.0), (1, 5e-13), (1, float(rng.uniform(0.5, 3.0)))]
+    for fib, nxt, (k, radius) in [(f, g, s) for f in subsets + [empty, without_x]
+                                  for g in subsets + [empty] for s in steps]:
+        # {x} at step 0, else B(x, r): d(x, u) < r at resolution, r > 0 and
+        # a distance <= tol being 0
         want = [u for u in fib.tolist() if
-                (u == x if radius == 0 else
-                 space.d(x, u) <= tol or space.d(x, u) < radius - tol)]
+                (u == x if k == 0 else radius > 0 and
+                 (space.d(x, u) <= tol or space.d(x, u) < radius - tol))]
         dists = [min((space.d(u, v) for v in nxt.tolist()), default=INF) for u in want]
         for block in (1 << 20, 3):
-            monkeypatch.setattr(induction, "_BLOCK", block)
-            got = step_distances(space, fib, nxt, x, radius, tol)
+            monkeypatch.setattr(conventional, "_BLOCK", block)
+            got = step_distances(space, fib, nxt, x, k, radius, tol)
             assert (got[0].tolist(), got[1].tolist()) == (want, dists)
 
 
