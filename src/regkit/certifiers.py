@@ -14,6 +14,10 @@ criteria read each step as one block, and decide each strict step and
 open ball, by the engine's `step_distances` and `strict_bound`; a step
 n >= 1 whose radius is <= 0 searches the empty ball, as the engine's A3.
 
+The decrease criterion, `certify_decrease` for F: X x R+ => Y and
+`certify_T64` for a plain F: X => Y, finds decrease partners by one
+blocked search over X (`_first_without_partner`).
+
 Regularity, openness, their strong form and nu-regularity on a set W
 are decided on `conventional`'s gathered record, under the map's policy,
 and local regularity reads its radii off one blocked pass over X x Y.
@@ -33,7 +37,7 @@ from .induction import (PreconditionError, row_minima, step_distances, step_fail
                         strict_bound)
 from .moduli import AuxScheme, FunctionalModulus, ModulusError, canonical_mu
 from .policy import DEFAULT_POLICY, INF, NumericPolicy
-from .svmap import ParamSetValuedMap, outer_semicontinuity_at_zero
+from .svmap import ParamSetValuedMap, PlainSetValuedMap, outer_semicontinuity_at_zero
 
 
 @dataclass
@@ -280,44 +284,67 @@ def certify_image_space(F: ParamSetValuedMap, x: int, t: float, y: int,
 
 # -- decrease-condition criterion ------------------------------------------
 
+def _first_without_partner(X, us: np.ndarray, targets: np.ndarray, vals: np.ndarray,
+                           tol: float) -> Optional[int]:
+    """The first i with no partner u' != us[i]: vals[u'] <= targets[i] -
+    d(us[i], u') at resolution, where vals[u'] = +inf is never one; None
+    when every us[i] has one.  Rows of X are read in `_blocks`."""
+    cand = vals < INF
+    for b in _blocks(us.size, X.n):
+        ok = cand & (vals <= targets[b, None] - X.dist_rows(us[b]) + tol)  # policy.le
+        ok[np.arange(ok.shape[0]), us[b]] = False
+        miss = np.flatnonzero(~ok.any(axis=1))
+        if miss.size:
+            return b.start + int(miss[0])
+    return None
+
+
 def certify_decrease(F: ParamSetValuedMap, x: int, t: float, y: int,
                      mu: FunctionalModulus,
                      policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
-    """Decrease criterion: every admissible (u, tau) has an improving (u', tau')."""
+    """Decrease criterion: every admissible (u, tau) has an improving
+    (u', tau'); the first without one, in (tau, u) order, is the witness."""
     cert = Certificate("decrease")
     if not (mu.continuous and mu.vanishes_only_at_zero):
         raise ModulusError("decrease criterion needs continuous mu vanishing only at 0")
     t_idx = _require_graph_point(F, x, t, y, policy)
-    tol = policy.tol_strict
-    mu_t = mu(t)
-
-    # all (u', tau') in F^{-1}(y): per point the best (smallest) mu(tau')
-    best_mu: dict[int, float] = {}
-    for k in range(len(F.ladder)):
-        val = mu(float(F.ladder.levels[k]))
-        for u in F.inverse_at_level_idx(k, y).tolist():
-            if val < best_mu.get(u, INF):
-                best_mu[u] = val
-
-    ok, wit, det = True, None, ""
-    rowx = F.X.dist_row(x)
-    for k in range(1, t_idx + 1):
-        tau = float(F.ladder.levels[k])
-        mu_tau = mu(tau)
-        for u in F.inverse_at_level_idx(k, y).tolist():
-            if not policy.le(rowx[u], mu_t - mu_tau):
-                continue
-            row_u = F.X.dist_row(u)
-            found = any(up != u and policy.le(mv, mu_tau - row_u[up])
-                        for up, mv in best_mu.items())
-            if not found:
-                ok, wit = False, (int(u), tau)
-                det = f"no decrease pair for (u={u}, tau={tau})"
-                break
-        if not ok:
-            break
-    cert.add("decrease", ok, det, wit)
+    mu_t, mus = mu(t), mu.each(F.ladder.levels)
+    k, u = _spread(lambda j: F.inverse_at_level_idx(j, y), range(len(F.ladder)))
+    best = np.full(F.X.n, INF)  # per point the smallest mu(tau') over F^{-1}(y)
+    np.minimum.at(best, u, mus[k])
+    adm = (k >= 1) & (k <= t_idx) & (F.X.dist_row(x)[u] <= mu_t - mus[k] + policy.tol_strict)
+    k, u = k[adm], u[adm]
+    i = _first_without_partner(F.X, u, mus[k], best, policy.tol_strict)
+    wit = None if i is None else (int(u[i]), float(F.ladder.levels[k[i]]))
+    cert.add("decrease", i is None,
+             "" if i is None else f"no decrease pair for (u={wit[0]}, tau={wit[1]})", wit)
     _confirm(cert, F, x, y, mu_t, strict=False, policy=policy)
+    return cert
+
+
+def certify_T64(F: PlainSetValuedMap, x: int, y: int, mu: FunctionalModulus,
+                policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
+    """Decrease criterion for a plain F: X => Y, in distance form.
+
+    Hypothesis: every u with d(y, F(u)) > 0 and d(x, u) <= mu(d(y, F(x)))
+    - mu(d(y, F(u))) has a u' != u with mu(d(y, F(u'))) <= mu(d(y, F(u)))
+    - d(u, u'); the first u without one is the witness (u, d(y, F(u))).
+    Conclusion: d(x, F^{-1}(y)) <= mu(d(y, F(x))).
+    """
+    cert = Certificate("decrease")
+    k, yp = _spread(F.image, range(F.X.n))
+    dvals = np.full(F.X.n, INF)  # d(y, F(u)) for every u
+    np.minimum.at(dvals, k, F.Y.dist_row(y)[yp])
+    if dvals[x] == INF:
+        raise PreconditionError("F(x) empty: decrease criterion needs d(y, F(x)) finite")
+    mu_t, mus = mu(float(dvals[x])), mu.each(dvals)
+    us = np.flatnonzero((dvals > policy.tol_strict) & (mus < INF)
+                        & (F.X.dist_row(x) <= mu_t - mus + policy.tol_strict))
+    i = _first_without_partner(F.X, us, mus[us], mus, policy.tol_strict)
+    cert.add("decrease", i is None,
+             witness=None if i is None else (int(us[i]), float(dvals[us[i]])))
+    cert.target, cert.bound, cert.strict = F.dist_to_preimage(x, y), mu_t, False
+    cert.confirmed = policy.le(cert.target, mu_t)
     return cert
 
 
@@ -426,7 +453,7 @@ def check_local_regularity(F: ParamSetValuedMap, xbar: int, ybar: int, mu) -> Lo
     b, nf[b] = d(xbar, a) of the nearest a with (a, b) failing; U(r_U) x
     V(r_V) holds iff r_U + tol lies below the minimum of nf over V(r_V),
     a prefix minimum over b by d(ybar, b).  Balls are closed at the
-    spaces' tolerance, as `ball_members` reads them.  Every subset of a
+    spaces' tolerance, d <= r + tol_strict.  Every subset of a
     finite metric space is a neighbourhood, so the singleton product
     always certifies; the verdict is "fails at resolution" when nothing
     larger does.

@@ -209,7 +209,7 @@ def cmd_optcond(args) -> int:
     if args.task == "cones":
         T = tangent_cone(opt.S, opt.xbar)
         rep.add("optcond/tangent", True, detail=f"{T.m} active rows")
-        if args.validate:
+        if inst.policy.validate:
             dirs = sample_directions(opt.n, 200, rng)
             agree = sum(
                 T.contains(d) == sampled_tangent_membership(

@@ -18,7 +18,8 @@ A query gathers its distances once, in W order (`_Pairs`), and mu of them
 once; each property is then decided with masks, every <= and < through
 the policy, and reports the first failing pair of W, as a loop over W
 would.  Every gathered read here, in `induction` and in `certifiers` is
-cut into blocks of at most _BLOCK distances by `_blocks`.
+cut into blocks of at most _BLOCK distances by `_blocks`.  The decrease
+criterion, in both settings, is in `certifiers`.
 """
 from __future__ import annotations
 
@@ -228,61 +229,6 @@ def equivalence_audit_T61(q: RegularityQuery,
     agree = mr.holds == op.holds == ho.holds
     return T61Audit(mr, op, ho, agree,
                     note="" if agree else "equivalence broken: inspect counterexamples")
-
-
-# -- decrease criterion for plain mappings ---------------------------------
-
-@dataclass
-class DecreaseCertificate:
-    hypothesis_holds: bool = False
-    witness: Optional[tuple] = None
-    target: float = INF
-    bound: float = INF
-    confirmed: bool = False
-
-    @property
-    def sound(self) -> bool:
-        return self.hypothesis_holds and self.confirmed
-
-
-def certify_T64(F: PlainSetValuedMap, x: int, y: int, mu: FunctionalModulus,
-                policy: NumericPolicy = DEFAULT_POLICY) -> DecreaseCertificate:
-    """Decrease criterion in distance form.
-
-    Hypothesis: for every u with d(y, F(u)) > 0 and
-    d(x, u) <= mu(d(y, F(x))) - mu(d(y, F(u))) there is u' != u with
-    mu(d(y, F(u'))) <= mu(d(y, F(u))) - d(u, u').
-    Conclusion: d(x, F^{-1}(y)) <= mu(d(y, F(x))).
-    """
-    cert = DecreaseCertificate()
-    t = F.dist_to_image(y, x)
-    if t == INF:
-        raise ValueError("F(x) empty: decrease criterion needs d(y, F(x)) finite")
-    mu_t = mu(t)
-
-    dvals = np.array([F.dist_to_image(y, u) for u in range(F.X.n)])
-    mu_vals = np.array([_mu_inf(mu, float(v)) for v in dvals])
-    rowx = F.X.dist_row(x)
-
-    ok, wit = True, None
-    for u in range(F.X.n):
-        if dvals[u] <= policy.tol_strict:
-            continue
-        if mu_vals[u] == INF or not policy.le(rowx[u], mu_t - mu_vals[u]):
-            continue
-        row_u = F.X.dist_row(u)
-        found = any(up != u and mu_vals[up] != INF
-                    and policy.le(mu_vals[up], mu_vals[u] - row_u[up])
-                    for up in range(F.X.n))
-        if not found:
-            ok, wit = False, (u, float(dvals[u]))
-            break
-    cert.hypothesis_holds = ok
-    cert.witness = wit
-    cert.target = F.dist_to_preimage(x, y)
-    cert.bound = mu_t
-    cert.confirmed = policy.le(cert.target, cert.bound)
-    return cert
 
 
 # -- best-modulus estimation -----------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite metric spaces: distances and balls.
+"""Finite metric spaces and their distances.
 
 Points are referenced by integer index.  A space is backed either by
 coordinate vectors with a norm metric (euclidean / manhattan / chebyshev)
@@ -222,30 +222,3 @@ class FiniteMetricSpace:
                   policy: NumericPolicy = DEFAULT_POLICY) -> "FiniteMetricSpace":
         pts = np.asarray(values, dtype=float).reshape(-1, 1)
         return cls(metric=metric, coords=pts, policy=policy)
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    center: int
-    radius: float
-    kind: str = "closed"  # "open" | "closed"
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise MetricError("negative ball radius")
-        if self.kind not in ("open", "closed"):
-            raise MetricError(f"bad ball kind {self.kind!r}")
-
-
-def ball_members(space: FiniteMetricSpace, ball: BallSpec) -> set[int]:
-    """Point indices inside the ball; open radius-0 is the singleton {center}."""
-    pol = space.policy
-    space._check(ball.center)
-    row = space.dist_row(ball.center)
-    if ball.kind == "open":
-        if ball.radius == 0:
-            return {ball.center}
-        mask = row < ball.radius - pol.tol_strict
-    else:
-        mask = row <= ball.radius + pol.tol_strict
-    return set(np.nonzero(mask)[0].tolist())

@@ -116,13 +116,6 @@ class FunctionalModulus:
         bps = self.breakpoints
         return bps[0] == (0.0, 0.0) and all(v > 0 for t, v in bps[1:])
 
-    @property
-    def strictly_increasing(self) -> bool:
-        if self.kind in ("linear", "power"):
-            return True
-        vs = [v for _, v in self.breakpoints]
-        return self.interp == "linear" and all(b > a for a, b in zip(vs, vs[1:]))
-
     @classmethod
     def linear(cls, kappa: float) -> "FunctionalModulus":
         return cls("linear", kappa=kappa)

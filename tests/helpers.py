@@ -22,7 +22,7 @@ import numpy as np
 
 from regkit.induction import LevelMap, Seq, SequenceSpec
 from regkit.metric import FiniteMetricSpace
-from regkit.moduli import AuxScheme, FunctionalModulus
+from regkit.moduli import AuxScheme, FunctionalModulus, ModulusError
 from regkit.policy import DEFAULT_POLICY, INF, NumericPolicy
 from regkit.svmap import ParamSetValuedMap, PlainSetValuedMap, TLadder
 
@@ -490,3 +490,77 @@ def ref_best_modulus(F, W, k: float = 1.0, policy=DEFAULT_POLICY) -> tuple:
         if ratio > lam:
             lam, arg = float(ratio), (x, y)
     return k, lam, arg, n
+
+
+# -- per-point reference for the decrease criterion --------------------------
+# the loops over X that certifiers' blocked partner search replaced; each
+# returns (holds, witness, detail, target, bound, confirmed)
+
+def ref_decrease_plain(F, x, y, mu, policy=DEFAULT_POLICY) -> tuple:
+    """Every u with d(y, F(u)) > 0 and d(x, u) <= mu(d(y, F(x))) -
+    mu(d(y, F(u))) has a u' != u with mu(d(y, F(u'))) <= mu(d(y, F(u))) -
+    d(u, u'); the witness is the first u without one."""
+    t = F.dist_to_image(y, x)
+    if t == INF:
+        raise ValueError("F(x) empty: decrease criterion needs d(y, F(x)) finite")
+    mu_t = mu(t)
+
+    dvals = np.array([F.dist_to_image(y, u) for u in range(F.X.n)])
+    mu_vals = np.array([_mu_inf(mu, float(v)) for v in dvals])
+    rowx = F.X.dist_row(x)
+
+    ok, wit = True, None
+    for u in range(F.X.n):
+        if dvals[u] <= policy.tol_strict:
+            continue
+        if mu_vals[u] == INF or not policy.le(rowx[u], mu_t - mu_vals[u]):
+            continue
+        row_u = F.X.dist_row(u)
+        found = any(up != u and mu_vals[up] != INF
+                    and policy.le(mu_vals[up], mu_vals[u] - row_u[up])
+                    for up in range(F.X.n))
+        if not found:
+            ok, wit = False, (u, float(dvals[u]))
+            break
+    target = F.dist_to_preimage(x, y)
+    return ok, wit, "", target, mu_t, policy.le(target, mu_t)
+
+
+def ref_decrease_param(F, x, t, y, mu, policy=DEFAULT_POLICY) -> tuple:
+    """Every (u, tau) of F^{-1}(y), 0 < tau <= t, with d(x, u) <= mu(t) -
+    mu(tau) has a (u', tau') of F^{-1}(y) with u' != u and mu(tau') <=
+    mu(tau) - d(u, u'); the witness is the first (u, tau) without one, in
+    (tau, u) order.  (x, t, y) must lie on the graph, with t > 0."""
+    if not (mu.continuous and mu.vanishes_only_at_zero):
+        raise ModulusError("decrease criterion needs continuous mu vanishing only at 0")
+    t_idx = F.ladder.index_of(t, policy.tol_strict)
+    assert t_idx > 0 and F.contains(x, t_idx, y)
+    mu_t = mu(t)
+
+    # all (u', tau') in F^{-1}(y): per point the best (smallest) mu(tau')
+    best_mu: dict[int, float] = {}
+    for k in range(len(F.ladder)):
+        val = mu(float(F.ladder.levels[k]))
+        for u in F.inverse_at_level_idx(k, y).tolist():
+            if val < best_mu.get(u, INF):
+                best_mu[u] = val
+
+    ok, wit, det = True, None, ""
+    rowx = F.X.dist_row(x)
+    for k in range(1, t_idx + 1):
+        tau = float(F.ladder.levels[k])
+        mu_tau = mu(tau)
+        for u in F.inverse_at_level_idx(k, y).tolist():
+            if not policy.le(rowx[u], mu_t - mu_tau):
+                continue
+            row_u = F.X.dist_row(u)
+            found = any(up != u and policy.le(mv, mu_tau - row_u[up])
+                        for up, mv in best_mu.items())
+            if not found:
+                ok, wit = False, (int(u), tau)
+                det = f"no decrease pair for (u={u}, tau={tau})"
+                break
+        if not ok:
+            break
+    target = F.dist_to_inverse(x, 0, y)
+    return ok, wit, det, target, mu_t, policy.le(target, mu_t)

@@ -234,8 +234,8 @@ def test_criterion_08_decrease_soundness():
     for seed in range(50):
         pc = helpers.make_plain_chain(seed)
         mu = FunctionalModulus.linear(pc.kappa)
-        cert = conventional.certify_T64(pc.F, pc.x, pc.y, mu)
-        if not cert.hypothesis_holds:
+        cert = certifiers.certify_T64(pc.F, pc.x, pc.y, mu)
+        if not cert.hypotheses_pass:
             continue
         verified += 1
         q = conventional.RegularityQuery(pc.F, pc.W, mu)

@@ -126,6 +126,85 @@ def test_decrease_detects_missing_partner():
     assert cert.confirmed
 
 
+# -- the decrease criterion against the per-point loops ----------------------
+
+def _decrease_outcome(run) -> tuple:
+    """(holds, witness, detail, target, bound, confirmed) of a certificate
+    or an oracle tuple, or ("raises", message) of the ValueError it raised."""
+    try:
+        out = run()
+    except ValueError as e:
+        return "raises", str(e)
+    if isinstance(out, tuple):
+        return out
+    (h,) = out.hypotheses
+    assert h.name == "decrease" and not out.strict
+    return h.passed, h.witness, h.detail, out.target, out.bound, out.confirmed
+
+
+def _assert_decrease_parity(records, certify, ref, monkeypatch) -> dict:
+    """Each record's outcome equals the oracle's, with X read in one block
+    and one row a block; returns the count of each verdict."""
+    seen = {}
+    for args in records:
+        want = _decrease_outcome(lambda: ref(*args))
+        for block in (1 << 20, 7):
+            monkeypatch.setattr(conventional, "_BLOCK", block)
+            assert _decrease_outcome(lambda: certify(*args)) == want, args[1:]
+        seen[want[0]] = seen.get(want[0], 0) + 1
+    return seen
+
+
+def _plain_decrease_records():
+    for seed in range(200):
+        pc = helpers.make_plain_chain(seed)
+        # at slope 1 each next chain point is a partner with no margin
+        for mu in (FunctionalModulus.linear(pc.kappa), FunctionalModulus.linear(1.0),
+                   FunctionalModulus.power(pc.kappa, 0.5)):
+            yield pc.F, pc.x, pc.y, mu
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        F = helpers.random_plain_map(rng, nx_max=15, ny_max=15)
+        mu = helpers.random_mu(rng)
+        for _ in range(5):
+            yield F, int(rng.integers(F.X.n)), int(rng.integers(F.Y.n)), mu
+
+
+def _param_decrease_records():
+    for seed in range(100):
+        ci = helpers.make_chain(seed)
+        # at slope 0.9 / (1 - r) each next chain point is a partner with no margin
+        for mu in (ci.mu, FunctionalModulus.linear(0.9 / (1.0 - ci.r)),
+                   FunctionalModulus.power(ci.kappa, 0.5)):
+            yield ci.F, ci.x, ci.t, ci.y, mu
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        F, _ = helpers.random_param_map(rng, n_max=12)
+        mu = helpers.random_mu(rng)
+        pts = F.graph[F.graph[:, 1] > 0].tolist()
+        for j in rng.choice(len(pts), size=min(6, len(pts)), replace=False).tolist():
+            a, lev, b = pts[j]
+            yield F, a, float(F.ladder.levels[lev]), b, mu
+
+
+def test_plain_decrease_matches_per_point_loop(monkeypatch):
+    """Verdict, witness, target, bound and confirmation of certify_T64
+    equal the per-point loop's on plain chains and random maps, and an
+    empty F(x) raises the same ValueError."""
+    seen = _assert_decrease_parity(_plain_decrease_records(), certifiers.certify_T64,
+                                   helpers.ref_decrease_plain, monkeypatch)
+    assert seen[True] and seen[False] and seen["raises"], seen
+
+
+def test_param_decrease_matches_per_point_loop(monkeypatch):
+    """The same for certify_decrease, witness and detail included, on
+    chains and random monotone maps; a discontinuous mu raises the same
+    ModulusError."""
+    seen = _assert_decrease_parity(_param_decrease_records(), certifiers.certify_decrease,
+                                   helpers.ref_decrease_param, monkeypatch)
+    assert seen[True] and seen[False] and seen["raises"], seen
+
+
 def test_image_space_set1_violation():
     """An extra level-0 point inside the Y-ball but outside the fibre."""
     ci = helpers.make_chain(8)

@@ -399,6 +399,18 @@ def test_optcond_tasks_on_demo(demo_file, tmp_path, capsys):
         assert outs[0] == outs[1], task
 
 
+def test_optcond_reads_validate_from_the_file(tmp_path, capsys):
+    # a file's policy.validate runs the cones oracle as --validate does
+    raw = demo_polyopt_raw()
+    raw["policy"] = {"seed": 0, "validate": True}
+    path = str(tmp_path / "demo-validate.json")
+    save_instance(raw, path)
+    assert main(["optcond", path, "--task", "cones"]) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["policy"]["validate"]
+    assert "optcond/oracle-agreement" in {r["check_id"] for r in doc["rows"]}
+
+
 def test_optcond_multipliers_miss_row(tmp_path, capsys):
     # the one candidate for the first critical triple of polyhedral-opt
     # size 6 seed 5 misses the exact rule gate: a fail row, not an error

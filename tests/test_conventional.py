@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from regkit import conventional
+from regkit import certifiers, conventional
 from regkit.moduli import FunctionalModulus, ModulusError
 from regkit.policy import DEFAULT_POLICY, INF, NumericPolicy
 from regkit.svmap import TLadder, embed_plain
@@ -80,8 +80,8 @@ def test_decrease_certifies_plain_chains():
     for seed in range(20):
         pc = helpers.make_plain_chain(seed)
         mu = FunctionalModulus.linear(pc.kappa)
-        cert = conventional.certify_T64(pc.F, pc.x, pc.y, mu)
-        assert cert.sound, (seed, cert.witness)
+        cert = certifiers.certify_T64(pc.F, pc.x, pc.y, mu)
+        assert cert.sound, (seed, cert.hypotheses[0].witness)
         assert cert.target == pytest.approx(pc.etas[0])
         # and the hypothesis conclusion holds across the whole chain
         q = conventional.RegularityQuery(pc.F, pc.W, mu)
@@ -92,13 +92,13 @@ def test_decrease_hypothesis_fails_without_partner():
     pc = helpers.make_plain_chain(1)
     # shrink mu so no admissible point can pay for its step
     mu = FunctionalModulus.linear(0.01)
-    cert = conventional.certify_T64(pc.F, pc.x, pc.y, mu)
+    cert = certifiers.certify_T64(pc.F, pc.x, pc.y, mu)
     # either nothing is admissible (hypothesis vacuously true and the
     # conclusion false) or a witness without partner is reported
-    if cert.hypothesis_holds:
+    if cert.hypotheses_pass:
         assert not cert.confirmed
     else:
-        assert cert.witness is not None
+        assert cert.hypotheses[0].witness is not None
 
 
 def test_decrease_requires_finite_start_distance():
@@ -107,8 +107,7 @@ def test_decrease_requires_finite_start_distance():
     F2 = PlainSetValuedMap(pc.F.X, pc.F.Y,
                            {(a, b) for (a, b) in pc.F.graph if a != pc.x})
     with pytest.raises(ValueError, match="empty"):
-        conventional.certify_T64(F2, pc.x, pc.y,
-                                 FunctionalModulus.linear(1.0))
+        certifiers.certify_T64(F2, pc.x, pc.y, FunctionalModulus.linear(1.0))
 
 
 # -- best-modulus estimation -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite metric spaces: axioms, balls, distances to sets."""
+"""Finite metric spaces: axioms, distances to sets."""
 import re
 import tracemalloc
 
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regkit.metric import (MATRIX_CAP, NORM_METRICS, BallSpec,
-                           FiniteMetricSpace, MetricError, PointIndexError,
-                           _pairwise, ball_members)
+from regkit.metric import (MATRIX_CAP, NORM_METRICS, FiniteMetricSpace,
+                           MetricError, PointIndexError, _pairwise)
 from regkit.policy import INF, NumericPolicy, RegkitError
 
 coords_1d = st.lists(st.floats(-50, 50), min_size=2, max_size=12)
@@ -94,18 +93,6 @@ def test_unknown_metric_rejected():
         FiniteMetricSpace(metric="cosine", coords=np.array([0.0, 1.0]))
     with pytest.raises(MetricError):
         FiniteMetricSpace(metric="euclidean")   # no coordinates
-
-
-def test_ball_semantics():
-    sp = FiniteMetricSpace.from_grid([0.0, 1.0, 2.0, 3.0])
-    assert ball_members(sp, BallSpec(0, 2.0, "closed")) == {0, 1, 2}
-    assert ball_members(sp, BallSpec(0, 2.0, "open")) == {0, 1}
-    assert ball_members(sp, BallSpec(1, 0.0, "open")) == {1}
-    assert ball_members(sp, BallSpec(1, 0.0, "closed")) == {1}
-    with pytest.raises(MetricError):
-        BallSpec(0, -1.0)
-    with pytest.raises(MetricError):
-        BallSpec(0, 1.0, "half-open")
 
 
 def test_index_bounds_checked():

@@ -52,14 +52,10 @@ def test_table_step_vs_linear():
     assert step(1.5) == 1.0 and lin(1.5) == pytest.approx(2.0)
     assert step(5.0) == 3.0 and lin(5.0) == 3.0       # clamp past the table
     assert lin.continuous and not step.continuous
-    assert lin.strictly_increasing and not step.strictly_increasing
     assert lin.vanishes_only_at_zero
 
 
 def test_table_flags_negative_cases():
-    flat = FunctionalModulus.table([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)],
-                                   interp="linear")
-    assert not flat.strictly_increasing
     positive = FunctionalModulus.table([(0.5, 1.0), (1.0, 2.0)], interp="linear")
     assert not positive.vanishes_only_at_zero
 
