@@ -21,22 +21,27 @@ cold one is what `solve_lp` returns.  `solve_lp` is a family of one.
 equality rows, validates it once and gives each member as `solve` would,
 in row order.
 
-An interval family has one free variable, a cost c that is not
-fine-grained and below HiGHS's infinite cost, no equality rows and rows
-+-x <= b_i only.  A member minimizes c x over [L, U], L the largest -b_i
-of a -1 row and U the smallest b_i of a +1 row, and is answered in closed
-form, as HiGHS answers it: infeasible when L > U; else L for c > 0 and U
-for c < 0, unbounded when that end is infinite, and for c = 0 the end
-nearer 0, L on a tie, or +0.0 with no rows; a zero optimum is -0.0.
+An interval family has one column whose every A_ub and A_eq entry is
++-1, a cost c that is not fine-grained and below HiGHS's infinite cost,
+and any bounds.  It reads each row, each side of an equality a x = b
+(a x <= b and -a x <= -b) and each finite bound (x <= hi, -x <= -lo) as
+a row +-x <= b_i.  A member minimizes c x over [L, U], L the largest
+-b_i of a -1 row and U the smallest b_i of a +1 row, and is answered in
+closed form, as HiGHS answers it: infeasible when L > U; else L for c > 0
+and U for c < 0, unbounded when that end is infinite, and for c = 0 the
+end nearer 0, L on a tie.  A zero optimum is -0.0, unless a column bound
+that is a zero gives that end (lo when lo = hi), whose bits it takes.
+With no rows at all HiGHS puts x at a column bound as given: lo for c > 0,
+hi for c < 0, and for c = 0 the first finite one of lo, hi and +0.0.
 HiGHS still decides every member within `_FINE` of a tolerance, where it
-reads the data by its tolerances, not exactly: b fine-grained or at
-HiGHS's infinite bound, 0 < L - U <= `_FINE`, a bound within `_FINE` of
-the tightest on its side, or c = 0 with |L| and |U| within `_FINE`.  The
-family builds its HiGHS model for the first such member and solves all
-of them cold.  The closed form is one array computation over a batch:
-[L, U] for every row by two masked minima, and the rule above as masks;
-the members it leaves to HiGHS are solved one by one.  `solve` is a batch
-of one.
+reads the data by its tolerances, not exactly: a b or bound that is
+fine-grained or at HiGHS's infinite bound, 0 < L - U <= `_FINE`, a bound
+within `_FINE` of the tightest on its side, or c = 0 with |L| and |U|
+within `_FINE`.  The family builds its HiGHS model for the first such
+member and solves all of them cold.  The closed form is one array
+computation over a batch: [L, U] for every row by two masked minima, and
+the rule above as masks; the members it leaves to HiGHS are solved one
+by one.  `solve` is a batch of one.
 
 HiGHS is reached through scipy's private `scipy.optimize._highspy._core`,
 loaded on the first solve from its file, so no regkit command imports the
@@ -91,6 +96,7 @@ def _highs() -> SimpleNamespace:
     options for method "highs": presolve on, dual simplex, silent.  Its
     fields: `core`, scipy's HiGHS module; `options`; `solver`; `statuses`,
     keyed by HiGHS model status, the LP status (see `_STATUS`) and message;
+    `optimal`, `infeasible` and `unbounded`, the entries of three of them;
     `refused`, the model status every member reports when HiGHS refuses
     the options, else None; `owner`, the family whose model the solver
     holds, if any; and `error`, HiGHS's status for a refused call."""
@@ -124,9 +130,12 @@ def _highs() -> SimpleNamespace:
                 for name, model in _core.HighsModelStatus.__members__.items()}
     refused = solver.getModelStatus() \
         if solver.passOptions(options) == error else None
+    model = _core.HighsModelStatus
     return SimpleNamespace(core=_core, options=options, solver=solver,
-                           statuses=statuses, refused=refused, owner=None,
-                           error=error)
+                           statuses=statuses, optimal=statuses[model.kOptimal],
+                           infeasible=statuses[model.kInfeasible],
+                           unbounded=statuses[model.kUnbounded],
+                           refused=refused, owner=None, error=error)
 
 
 @dataclass
@@ -201,7 +210,10 @@ class LPFamily:
 
     `bounds` is one (lo, hi) pair for all variables (None: that side
     unbounded; `bounds=None`: x free).  Invalid input raises
-    `LinSolveError`.
+    `LinSolveError`.  A family of one column whose A_ub and A_eq entries
+    are all +-1, with any bounds, is an interval family (see the module
+    docstring): it answers its members in closed form and builds its
+    HiGHS model only for a member that HiGHS must decide.
     """
 
     def __init__(self, c, A_ub=None, A_eq=None, bounds=None):
@@ -215,13 +227,30 @@ class LPFamily:
         hs = _highs()
         options, self._statuses = hs.options, hs.statuses
         self._c, self._A, self._lp = c, np.vstack([A_ub, A_eq]), None
-        self._up, self._inf = None, options.infinite_bound
-        if c.size == 1 and not self._m_eq and -self._lo == self._hi == np.inf \
-                and not _fine(c) and abs(c[0]) < options.infinite_cost \
-                and (np.abs(A_ub) == 1).all():
-            self._up = A_ub[:, 0] > 0       # an interval family: +x rows
+        self._sides, self._inf = None, options.infinite_bound
+        # a bound that is NaN or infinite on the wrong side is left to HiGHS,
+        # which refuses the model
+        if c.size == 1 and not _fine(c) and abs(c[0]) < options.infinite_cost \
+                and self._lo < np.inf and self._hi > -np.inf \
+                and (np.abs(self._A) == 1).all():
+            self._rows()
         else:
             self._build()
+
+    def _rows(self):
+        """An interval family's rows +-x <= b, in the order in which
+        `_interval` lays out their b: each row of A_ub; each equality
+        a x = b as a x <= b, then all of them as -a x <= -b; a finite lo as
+        -x <= -lo and a finite hi as x <= hi.  Also the bits of a zero
+        optimum at each end of [L, U]: that end's column bound when it is
+        a zero (lo when lo = hi), else -0.0."""
+        lo, hi = self._lo, self._hi
+        col = [-1.0] * (lo > -np.inf) + [1.0] * (hi < np.inf)
+        up = np.concatenate([self._A[:, 0], -self._A[self._m_ub:, 0], col]) > 0
+        self._sides = up, ~up
+        self._bnd = np.array([[-lo] * (lo > -np.inf) + [hi] * (hi < np.inf)])
+        first = next((b for b in (lo, hi) if b == 0.0), -0.0)
+        self._zero = tuple(first if b == 0.0 else -0.0 for b in (lo, hi))
 
     def _build(self):
         """The family's HiGHS model and scipy's re-check limits for it."""
@@ -249,7 +278,7 @@ class LPFamily:
         # a family whose c or matrix is fine-grained starts every member cold;
         # so does an interval family, whose HiGHS members are all within
         # _FINE of a tolerance
-        self._cold = self._up is not None or _fine(c) or _fine(values)
+        self._cold = self._sides is not None or _fine(c) or _fine(values)
         # scipy's re-check limits on x, on the slack of each ub row and on
         # the residual of each eq row, in that order
         tol = _FEAS_TOL
@@ -260,16 +289,20 @@ class LPFamily:
         # of that refusal, as scipy's LP function would
         self._refused = _highs().refused
 
-    def _interval(self, B: np.ndarray) -> list[Optional[LPResult]]:
+    def _interval(self, B_ub: np.ndarray,
+                  B_eq: np.ndarray) -> list[Optional[LPResult]]:
         """An interval family's members with right-hand sides the rows of
-        B, in closed form; None for each member HiGHS decides (see the
-        module docstring)."""
-        up = self._up
+        B_ub and B_eq, in closed form; None for each member HiGHS decides
+        (see the module docstring)."""
+        (up, down), hs = self._sides, _highs()
+        # the b of every row +-x <= b, as `_rows` lays them out
+        B = B_ub if up.size == self._m_ub else np.concatenate(
+            [B_ub, B_eq, -B_eq, self._bnd.repeat(len(B_ub), axis=0)], axis=1)
         # [L, U] = [lo, hi]: hi is the least b of a +x row, low that of a
         # -x row, and lo = -low
         least = np.minimum.reduce
-        hi = least(np.where(up, B, np.inf), axis=1, initial=np.inf)
-        low = least(np.where(up, np.inf, B), axis=1, initial=np.inf)
+        hi = least(B, axis=1, where=up, initial=np.inf)
+        low = least(B, axis=1, where=down, initial=np.inf)
         lo, mag = -low, np.abs(B)
         # how far each bound lies from the tightest on its side
         slack = B - np.where(up, hi[:, None], low[:, None])
@@ -279,20 +312,25 @@ class LPFamily:
             | (slack > 0.0) & (slack <= _FINE), axis=1) \
             | (gap > 0.0) & (gap <= _FINE)
         empty, c = lo > hi, float(self._c[0])
-        if c:
-            x = lo if c > 0 else hi
-        elif up.size:
-            # c = 0: the end nearer 0, lo on a tie
-            tie = np.abs(np.abs(lo) - np.abs(hi))
-            to_highs |= ~empty & (tie > 0.0) & (tie <= _FINE)
-            x = np.where(np.abs(hi) < np.abs(lo), hi, lo)
+        if not self._A.size:
+            # no rows: x at lo for c > 0, at hi for c < 0 and for c = 0 at
+            # the first finite one of lo, hi and +0.0, each as given
+            x = np.full(len(B), self._lo if c > 0 else self._hi if c < 0 else
+                        next((b for b in (self._lo, self._hi)
+                              if abs(b) < np.inf), 0.0))
         else:
-            x = np.zeros(len(B))        # no rows: +0.0
-        if up.size:                     # a zero end is -0.0, as HiGHS has it
-            x = np.where(x == 0.0, -0.0, x)
-        enum = _highs().core.HighsModelStatus
-        optimal, infeasible, unbounded = (self._statuses[model] for model in (
-            enum.kOptimal, enum.kInfeasible, enum.kUnbounded))
+            # lo for c > 0, hi for c < 0 and for c = 0 the end nearer 0, lo
+            # on a tie; a zero end has the bits of `_zero`
+            if c:
+                x, zero = (hi, self._zero[1]) if c < 0 else (lo, self._zero[0])
+            else:
+                at_hi = np.abs(hi) < np.abs(lo)
+                tie = np.abs(np.abs(lo) - np.abs(hi))
+                to_highs |= ~empty & (tie > 0.0) & (tie <= _FINE)
+                x = np.where(at_hi, hi, lo)
+                zero = np.where(at_hi, *self._zero[::-1])
+            x = np.where(x == 0.0, zero, x)
+        optimal, message = hs.optimal
         # + 0.0: HiGHS's objective at x = -0.0 is +0.0
         X, fun, out = x[:, None], (c * x + 0.0).tolist(), []
         for i, (h, e, end) in enumerate(zip(to_highs.tolist(), empty.tolist(),
@@ -300,10 +338,10 @@ class LPFamily:
             if h:
                 out.append(None)
             elif e or abs(end) == np.inf:
-                status, message = infeasible if e else unbounded
-                out.append(LPResult(status, None, None, message))
+                status, why = hs.infeasible if e else hs.unbounded
+                out.append(LPResult(status, None, None, why))
             else:
-                out.append(LPResult(optimal[0], X[i], fun[i], optimal[1]))
+                out.append(LPResult(optimal, X[i], fun[i], message))
         return out
 
     def _member(self, b_ub: np.ndarray, b_eq: np.ndarray) -> LPResult:
@@ -356,18 +394,19 @@ class LPFamily:
         function with method "highs" on the same program."""
         b_ub = _rhs(b_ub, self._m_ub, "ub")
         b_eq = _rhs(b_eq, self._m_eq, "eq")
-        res = None if self._up is None else self._interval(b_ub[None, :])[0]
+        res = None if self._sides is None else \
+            self._interval(b_ub[None, :], b_eq[None, :])[0]
         return self._member(b_ub, b_eq) if res is None else res
 
     def solve_many(self, B_ub) -> list[LPResult]:
         """The members whose b_ub are the rows of B_ub, of a family without
         equality rows, in row order: each one as `solve` gives it.  An
-        interval family answers all rows at once and solves the members
-        that HiGHS decides one by one, cold."""
+        interval family, bounded or not, answers all rows at once and
+        solves the members that HiGHS decides one by one, cold."""
         b_eq = _rhs(None, self._m_eq, "eq")
         B_ub = _matrix(B_ub, self._m_ub, "B_ub")
-        closed = [None] * len(B_ub) if self._up is None \
-            else self._interval(B_ub)
+        closed = [None] * len(B_ub) if self._sides is None \
+            else self._interval(B_ub, B_ub[:, :0])
         return [self._member(b, b_eq) if res is None else res
                 for res, b in zip(closed, B_ub)]
 

@@ -540,6 +540,21 @@ def test_failing_conventional_reports_match_golden_bytes(argv, golden, tmp_path)
         assert out.read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("task, flags", [
+    ("cones", ["--validate"]), ("critical", []), ("multipliers", []),
+    ("cq", []), ("claim2", []),
+])
+def test_optcond_demo_reports_match_golden_bytes(task, flags, demo_file,
+                                                 tmp_path):
+    # every optcond verdict rests on small LPs, so these pin the LP layer's
+    # answers on the demo byte for byte, not only run to run
+    out = tmp_path / "report.json"
+    assert main(["optcond", demo_file, "--task", task, *flags,
+                 "--out", str(out)]) == EXIT_PASS
+    with open(os.path.join(GOLDEN, f"demo_optcond_{task}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_modulus_fit_reads_the_run_tolerance(tmp_path):
     # d(y, F(x)) = 1e-9 counts as 0 under tol_strict = 1e-6, and x is at
     # distance 1 from F^{-1}(y), so no power modulus works: lam* = inf

@@ -350,9 +350,12 @@ def test_fine_grained_members_start_cold():
         assert fam.solve(b_ub).status == 0
         assert _iterations() == iterations
     # a member of another family in between hands that family's model to
-    # the solver, so the repeated coarse member starts cold
-    fam, other = LPFamily([1.0, 1.0], A_ub=A_ub), LPFamily([1.0], A_ub=[[-1.0]],
-                                                          bounds=(0, None))
+    # the solver, so the repeated coarse member starts cold; the other
+    # family has two columns, since one-column families with +-1 rows take
+    # the closed form and never reach the solver
+    fam = LPFamily([1.0, 1.0], A_ub=A_ub)
+    other = LPFamily([1.0, 1.0], A_ub=[[-1.0, -1.0]], bounds=(0, None))
+    assert other._lp is not None
     for family, b_ub in ((fam, [-1.0, -2.0, -1.0]), (other, [-1.0]),
                          (fam, [-1.5, -2.5, -1.0])):
         assert family.solve(b_ub).status == 0
@@ -427,11 +430,12 @@ def test_status_table_is_keyed_by_every_model_status():
         assert message.startswith(f"HiGHS model status {int(model)}: ")
 
 
-def _is_linprog(res, c, A_ub, b_ub):
-    """res is linprog(method="highs") on min cT x s.t. A_ub x <= b_ub, x
-    free: the same status, x bytes (the sign of a zero included) and
-    objective."""
-    ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None),
+def _is_linprog(res, c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None):
+    """res is linprog(method="highs") on min cT x s.t. A_ub x <= b_ub,
+    A_eq x = b_eq and bounds (None: x free): the same status, x bytes (the
+    sign of a zero included) and objective."""
+    ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=(None, None) if bounds is None else bounds,
                   method="highs")
     assert res.status == ref.status, (res.message, ref.message)
     if ref.x is None:
@@ -443,30 +447,41 @@ def _is_linprog(res, c, A_ub, b_ub):
 
 _gap = st.sampled_from([1e-7, _FINE]).flatmap(lambda g: st.floats(g / 2, 2 * g))
 _zero = st.sampled_from([0.0, -0.0])
+_sign = st.sampled_from([1.0, -1.0])
+_bound = st.sampled_from([None, 0.0, -0.0, 1.0, -1.0, 1e6, -1e6])
 
 
 @st.composite
-def _interval_families(draw):
-    """A family min c x s.t. +-x <= b_i (0-4 rows) and its members.
+def _interval_families(draw, max_eq=2):
+    """A family min c x s.t. +-x <= b_i (0-4 rows), +-x = e_j (0 to max_eq
+    rows) and lo <= x <= hi, and its members.
 
-    c is a signed zero, a gap (below and above _FINE) or coarse.  Each
-    member puts its bounds at a point t plus an offset: 0, +-g, a, a +- g
-    or coarse, with g within 2x of 1e-7 or of _FINE and a >= 0; so it
-    draws bounds of one side within g of each other, intervals empty by
-    g and, at t = 0, |L| within g of |U|.  A bound may be a signed zero.
+    c is a signed zero, a gap (below and above _FINE), -0.5 or coarse; lo
+    and hi are None, a signed zero, +-1 or +-1e6.  Each member puts its
+    b_i and e_j at a point t (coarse, or a finite lo or hi) plus an
+    offset: 0, +-g, a, a +- g or coarse, with g within 2x of 1e-7 or of
+    _FINE and a >= 0; so it draws bounds of one side within g of each
+    other or of lo or hi, intervals empty by g and, at t = 0, |L| within
+    g of |U|.  A b_i or e_j may be a signed zero.
     """
-    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), max_size=4))
-    c = draw(_zero | _gap | st.integers(-3, 3).map(float)
-             | st.floats(-5.0, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
+    signs = draw(st.lists(_sign, max_size=4))
+    eq = draw(st.lists(_sign, max_size=max_eq))
+    bounds = (draw(_bound), draw(_bound))
+    ends = [b for b in bounds if b is not None]
+    c = draw(_zero | _gap | st.integers(-3, 3).map(float) | st.just(-0.5)
+             | st.floats(-5.0, 5.0)) * draw(_sign)
     members = []
     for _ in range(draw(st.integers(1, 6))):
-        t = draw(_zero | st.integers(-3, 3).map(float) | st.floats(-5.0, 5.0))
+        t = draw(_zero | st.integers(-3, 3).map(float) | st.floats(-5.0, 5.0)
+                 | st.sampled_from(ends or [0.0]))
         g, a = draw(_gap), draw(st.floats(0.0, 3.0))
         off = st.sampled_from([0.0, g, -g, a, a + g, a - g]) \
             | st.floats(-3.0, 3.0)
-        members.append([draw(_zero | off.map(lambda o, s=s: s * t + o))
-                        for s in signs])
-    return c, np.array(signs).reshape(-1, 1), members
+        members.append(tuple(
+            [draw(_zero | off.map(lambda o, s=s: s * t + o)) for s in rows]
+            for rows in (signs, eq)))
+    return (c, np.array(signs).reshape(-1, 1), np.array(eq).reshape(-1, 1),
+            bounds, members)
 
 
 def _spy_on_highs(fam):
@@ -482,33 +497,37 @@ def _spy_on_highs(fam):
 
 def test_interval_members_match_linprog():
     # every member of an interval family, in closed form or on HiGHS, is
-    # linprog's answer; both paths must be taken, so the test is not vacuous
+    # linprog's answer, with or without equality rows and column bounds;
+    # both paths must be taken, so the test is not vacuous
     paths = {"closed": 0, "highs": 0}
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_interval_families())
     def check(family):
-        c, A_ub, members = family
-        fam = LPFamily([c], A_ub=A_ub)
+        c, A_ub, A_eq, bounds, members = family
+        fam = LPFamily([c], A_ub=A_ub, A_eq=A_eq, bounds=bounds)
         on_highs = _spy_on_highs(fam)
-        for b_ub in members:
-            res = fam.solve(b_ub)
+        for b_ub, b_eq in members:
+            res = fam.solve(b_ub, b_eq)
             paths["highs" if on_highs else "closed"] += 1
             on_highs.clear()
-            _is_linprog(res, [c], A_ub if b_ub else None, b_ub or None)
+            _is_linprog(res, [c], A_ub if b_ub else None, b_ub or None,
+                        A_eq if b_eq else None, b_eq or None, bounds)
 
     check()
     assert paths["closed"] > 0 and paths["highs"] > 0
 
 
 @settings(max_examples=200, deadline=None)
-@given(_interval_families())
+@given(_interval_families(max_eq=0))
 def test_solve_many_is_one_solve_per_member(family):
     # a batch gives each member bit for bit as one solve does, -0.0 and
     # the message included, and sends the same members to HiGHS
-    c, A_ub, members = family
-    batch, single = LPFamily([c], A_ub=A_ub), LPFamily([c], A_ub=A_ub)
+    c, A_ub, _, bounds, members = family
+    batch, single = (LPFamily([c], A_ub=A_ub, bounds=bounds)
+                     for _ in range(2))
     batch_highs, single_highs = _spy_on_highs(batch), _spy_on_highs(single)
+    members = [b_ub for b_ub, _ in members]
     many = batch.solve_many(np.array(members).reshape(len(members), -1))
     assert len(many) == len(members)
     for got, b_ub in zip(many, members):
@@ -579,6 +598,73 @@ def test_interval_family_builds_its_model_once_on_first_need():
         _is_linprog(fam.solve(b_ub), c, A_ub, b_ub)
         model = model or fam._lp
         assert model is not None and fam._lp is model
+
+
+@pytest.mark.parametrize("c,A_ub,b_ub,A_eq,b_eq,bounds,x", [
+    # no rows: x at a column bound as given, lo for c > 0, hi for c < 0,
+    # and for c = 0 the first finite one of lo, hi and +0.0 (here lo,
+    # though hi is nearer 0)
+    (0.0, None, None, None, None, (-2.0, 1.0), -2.0),
+    (0.0, None, None, None, None, (None, -0.0), -0.0),
+    (-1.0, None, None, None, None, (0.0, -0.0), -0.0),
+    (1.0, None, None, None, None, (-0.0, 3.0), -0.0),
+    # rows: a zero optimum takes the bits of a zero column bound at its
+    # end, lo when lo = hi, and is -0.0 where only a row gives it
+    (1.0, [[1.0]], [3.0], None, None, (0.0, None), 0.0),
+    (-1.0, [[1.0]], [0.0], None, None, (0.0, None), -0.0),
+    (-1.0, [[1.0]], [1.0], None, None, (0.0, -0.0), 0.0),
+    (-1.0, [[-1.0]], [1.0], None, None, (None, 0.0), 0.0),
+    (0.0, None, None, [[1.0]], [0.0], (0.0, None), 0.0),
+    (0.0, None, None, [[-1.0]], [-0.0], None, -0.0),
+    # an equality row is both of its sides; a box bounds the end
+    (0.0, None, None, [[1.0]], [3.0], (0.0, None), 3.0),
+    (1.0, [[1.0]], [5.0], None, None, (-1e6, 1e6), -1e6),
+    (-1.0, [[-1.0], [1.0]], [2.0, 4.0], [[1.0], [-1.0]], [3.0, -3.0],
+     (1.0, 4.0), 3.0),
+])
+def test_column_bounds_and_equalities_in_closed_form(c, A_ub, b_ub, A_eq,
+                                                     b_eq, bounds, x):
+    # clear-cut members: linprog's answer, bit for bit, with no HiGHS model
+    fam = LPFamily([c], A_ub=A_ub, A_eq=A_eq, bounds=bounds)
+    res = fam.solve(b_ub, b_eq)
+    assert res.status == 0 and res.x.tobytes() == np.array([x]).tobytes()
+    assert fam._lp is None
+    _is_linprog(res, [c], A_ub, b_ub, A_eq, b_eq, bounds)
+
+
+@pytest.mark.parametrize("c,b_eq,bounds,interval", [
+    # min -1e-7 x over x >= -2: unbounded, yet HiGHS reads the cost as 0
+    # and returns "optimal" at -2; the cost is fine-grained, so the family
+    # is not an interval family at all
+    (-1e-7, None, (-2.0, None), False),
+    # x = -1e-9 and x >= 0: empty by 1e-9, within HiGHS's tolerance; the
+    # right-hand side is fine-grained, so HiGHS decides the member
+    (0.0, [-1e-9], (0.0, None), True),
+    (1.0, [-1e-9], (0.0, None), True),
+    # a fine-grained bound; a bound HiGHS reads as infinite (unbounded)
+    (1.0, None, (5e-7, 3.0), True),
+    (-1.0, None, (None, 1e20), True),
+])
+def test_band_members_with_bounds_are_linprogs(c, b_eq, bounds, interval):
+    A_eq = None if b_eq is None else [[1.0]]
+    fam = LPFamily([c], A_eq=A_eq, bounds=bounds)
+    assert (fam._sides is not None) == interval
+    res = fam.solve(None, b_eq)
+    assert fam._lp is not None          # HiGHS decided it
+    _is_linprog(res, [c], None, None, A_eq, b_eq, bounds)
+    if not interval:
+        assert res.status == 0 and res.x[0] == -2.0
+
+
+@pytest.mark.parametrize("bounds", [(np.nan, None), (None, np.nan),
+                                    (np.inf, None), (None, -np.inf)])
+def test_bounds_highs_refuses_leave_the_interval_family(bounds):
+    # a bound that is NaN or infinite on the wrong side makes no interval
+    # family: HiGHS refuses the model, as it does for any other family
+    fam = LPFamily([1.0], A_ub=[[1.0]], bounds=bounds)
+    assert fam._sides is None
+    res = fam.solve([2.0])
+    assert res.status == 2 and res.message.endswith("Model error")
 
 
 def _fresh_python(code: str) -> list[str]:
