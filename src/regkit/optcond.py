@@ -736,14 +736,14 @@ class CQVerdict:
 def _cq_generators(inst: OptInstance, trip: CriticalTriple,
                    rng: np.random.Generator) -> np.ndarray:
     """The rows (z - d, w) of `check_cq`, z and w a slice point of TG2 and
-    of TH2 at one sampled x and d a point of A2(-D, zbar, k), in (z, w, d)
-    order per x; then the rows (p, 0), p a point of cone(D + zbar)."""
+    of TH2 at one sampled x and d the apex 0 or a point of A2(-D, zbar, k)
+    (only 0 when A2 is empty), in (z, w, d) order per x; then the rows
+    (p, 0), p a point of cone(D + zbar)."""
     sets = _triple_sets(inst, trip)
     xs = sample_cone_points(sets.S2.IT2, 32, rng)
-    ds = sample_cone_points(sets.A2, 8, rng) \
-        if sets.A2 is not None else np.zeros((1, inst.q))
-    if ds.shape[0] == 0:
-        ds = np.zeros((1, inst.q))
+    ds = np.zeros((1, inst.q))
+    if sets.A2 is not None:
+        ds = np.vstack([ds, sample_cone_points(sets.A2, 8, rng)])
     slicers = [_Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
                _Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
     q, r = inst.q, inst.r
@@ -859,17 +859,20 @@ def check_claim2(inst: OptInstance, trip: CriticalTriple, Hext, mu, theta: float
         rep.skipped.append("a second-order derivative set is empty")
         rep.vacuous = True
         return rep
+    # TH2's rows without an x-part read 0 <= 0 at w = 0: dropped, so that
+    # joint keeps every stacked row, in line with its tightening below
+    hx = np.abs(TH2.A[:, :n]).max(axis=1, initial=0.0) > 1e-12
     joint = Polyhedron(np.vstack([
         np.hstack([IT2.A, np.zeros((IT2.m, q))]),
-        np.hstack([TG2.A[:, :n], TG2.A[:, n:]]),
+        TG2.A,
         np.hstack([np.zeros((A2mD.m, n)), A2mD.A]),
-        np.hstack([TH2.A[:, :n], np.zeros((TH2.m, q))]),
-    ]), np.concatenate([IT2.b, TG2.b, A2mD.b - POLY_TOL, TH2.b]))
+        np.hstack([TH2.A[hx, :n], np.zeros((hx.sum(), q))]),
+    ]), np.concatenate([IT2.b, TG2.b, A2mD.b - POLY_TOL, TH2.b[hx]]))
     # the region is a cone but may have empty interior (equality-like row
     # pairs), so rejection sampling is hopeless: take LP vertices of an
     # eps-tightened, boxed copy under random objectives and rescale
     strict_rows = np.concatenate([np.ones(IT2.m), np.zeros(TG2.m),
-                                  np.ones(A2mD.m), np.zeros(TH2.m)])
+                                  np.ones(A2mD.m), np.zeros(hx.sum())])
     nv = n + q
     A_all = np.vstack([joint.A, np.eye(nv), -np.eye(nv)])
     b_all = np.concatenate([joint.b - 1e-6 * strict_rows, np.ones(2 * nv)])

@@ -201,7 +201,7 @@ def sampled_second_order_membership(P: Polyhedron, xbar, u, w,
     return LimitSample(gammas, ratios, bool(ratios.min(initial=np.inf) <= tol))
 
 
-# -- projection and sums ----------------------------------------------------
+# -- projection -------------------------------------------------------------
 
 def _dedupe(A: np.ndarray, b: np.ndarray):
     if A.shape[0] == 0:
@@ -253,50 +253,14 @@ def fourier_motzkin(A: np.ndarray, b: np.ndarray, eliminate: list[int]):
     return A, b
 
 
-def minkowski_sum(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
-    """{p + q : p in P, q in Q} via lifting to (x, q) and eliminating q."""
-    if P.dim != Q.dim:
-        raise PolyhedronError("dimension mismatch in sum")
-    n = P.dim
-    # constraints on (x, q): A_P (x - q) <= b_P,  A_Q q <= b_Q
-    A = np.vstack([
-        np.hstack([P.A, -P.A]),
-        np.hstack([np.zeros((Q.m, n)), Q.A]),
-    ])
-    b = np.concatenate([P.b, Q.b])
-    A2, b2 = fourier_motzkin(A, b, list(range(n, 2 * n)))
-    return Polyhedron(A2, b2)
-
-
 def cone_hull_shifted(D: Polyhedron, zbar) -> Polyhedron:
-    """Closed conic hull of D + zbar, for a polyhedral cone D containing -zbar.
-
-    cone(D + zbar) = D + R+ zbar because scaling absorbs the cone part;
-    polyhedral, hence already closed.  Computed by eliminating the ray
-    coefficient from the lifted system.
-    """
-    zbar = np.asarray(zbar, dtype=float)
-    n = D.dim
-    ray = Polyhedron(np.zeros((0, n)), np.zeros(0)) if not np.abs(zbar).any() \
-        else _ray_polyhedron(zbar)
-    return minkowski_sum(D, ray)
-
-
-def _ray_polyhedron(v: np.ndarray) -> Polyhedron:
-    """H-representation of the ray {t v : t >= 0}."""
-    n = v.size
-    # orthogonal complement rows force x parallel to v; one row forces t >= 0
-    basis = _orth_complement(v)
-    A = np.vstack([basis, -basis, -v[None, :] / np.linalg.norm(v)])
-    b = np.zeros(A.shape[0])
-    return Polyhedron(A, b)
-
-
-def _orth_complement(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    M = np.eye(v.size) - np.outer(v, v)
-    u, s, _ = np.linalg.svd(M)
-    return u.T[s > 1e-10]
+    """cl cone(D + zbar) = D + R+ zbar, for a polyhedral cone D containing
+    -zbar (scaling absorbs the cone part; polyhedral, hence closed): the x
+    with x - s zbar in D for some s >= 0, s eliminated from (x, s)."""
+    Az = D.A @ np.asarray(zbar, dtype=float)
+    A = np.vstack([np.column_stack([D.A, -Az]),
+                   np.append(np.zeros(D.dim), -1.0)])     # -s <= 0
+    return Polyhedron(*fourier_motzkin(A, np.append(D.b, 0.0), [D.dim]))
 
 
 def sample_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,8 +11,8 @@ import helpers
 from regkit import cli
 from regkit.cli import EXIT_BUG, EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from regkit.induction import PreconditionError
-from regkit.instances import (SIZE_CAPS, demo_polyopt_raw, generate_instance,
-                              parse_instance, save_instance)
+from regkit.instances import (SIZE_CAPS, _poly_raw, demo_polyopt_raw,
+                              generate_instance, parse_instance, save_instance)
 from regkit.moduli import ModulusError
 
 
@@ -397,6 +397,19 @@ def test_optcond_tasks_on_demo(demo_file, tmp_path, capsys):
                          "--out", str(out)]) == EXIT_PASS, task
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], task
+
+
+def test_optcond_claim2_where_H_ignores_x(tmp_path, capsys):
+    # H(x) = 0 x: the tangent rows of gph H have no x-part, and claim2
+    # keeps each of its stacked rows with its own tightening
+    raw = {"version": 1, "kind": "polyhedral-opt", "policy": {"seed": 0},
+           "poly": _poly_raw([[0, 0]], [[0, -1]], [[0, 1]], [[0, 0]])}
+    assert parse_instance(raw).opt.validate() == []
+    path = str(tmp_path / "h-free.json")
+    save_instance(raw, path)
+    assert main(["optcond", path, "--task", "claim2"]) in (EXIT_PASS,
+                                                           EXIT_FAIL)
+    assert json.loads(capsys.readouterr().out)["summary"]["error"] == 0
 
 
 def test_optcond_reads_validate_from_the_file(tmp_path, capsys):

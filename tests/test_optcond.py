@@ -280,33 +280,54 @@ def test_off_graph_base_rejected():
                                       np.zeros(2))
 
 
+def _minus_k_in_hull(D, zbar, k, tol=1e-9):
+    """-k in cl cone(D + zbar) = D + R+ zbar, read off D's rows as one
+    interval: is there s >= 0 with A_D (-k - s zbar) <= b_D?  Row i reads
+    -s c_i <= room_i, a bound on s on one side, or none when c_i = 0."""
+    c, room = D.A @ zbar, D.b + D.A @ k
+    up, down = c > tol, c < -tol
+    lo = np.max(-room[up] / c[up], initial=0.0)
+    hi = np.min(room[down] / -c[down], initial=np.inf)
+    return bool((room[~up & ~down] >= -tol).all() and lo <= hi + tol)
+
+
 def test_critical_directions_verified_on_demo():
-    # on the demo and on generated problems of sizes 2-6
+    # on the demo and on generated problems of sizes 2-6, seeds 0-7
     insts = [_demo()] + [
         parse_instance(generate_instance("polyhedral-opt", size, seed)).opt
-        for size in range(2, 7) for seed in (0, 1, 2)]
+        for size in range(2, 7) for seed in range(8)]
     counts = []
     for inst in insts:
-        trips = critical_directions(inst, n_dirs=32,
-                                    rng=np.random.default_rng(0))
+        trips = critical_directions(inst, n_dirs=16,
+                                    rng=np.random.default_rng(1))
         Fp, Gp = inst.F_plus(), inst.G_plus()
         TH = tangent_cone(inst.H.graph,
                           np.concatenate([inst.xbar, np.zeros(inst.r)]))
         TV = tangent_cone(Fp.graph, np.concatenate([inst.xbar, inst.ybar]))
         TK = tangent_cone(Gp.graph, np.concatenate([inst.xbar, inst.zbar]))
-        big = optcond.cone_hull_shifted(inst.D, inst.zbar)
         for trip in trips:
             # re-verify every membership from scratch, on the graphs'
-            # tangent cones, at 1e-9
+            # tangent cones and D's rows, at 1e-9
             assert TH.contains(np.concatenate([trip.u, np.zeros(inst.r)]))
             assert TV.contains(np.concatenate([trip.u, trip.v]))
             assert inst.Q.contains(-trip.v)
             # -v lies on a facet of Q
             assert (np.abs(inst.Q.A @ -trip.v - inst.Q.b) <= 1e-9).any()
             assert TK.contains(np.concatenate([trip.u, trip.k]))
-            assert big.contains(-trip.k)
+            assert _minus_k_in_hull(inst.D, inst.zbar, trip.k), trip
         counts.append(len(trips))
     assert all(counts), counts
+
+
+def test_D_hull_is_D_at_the_origin():
+    # cl cone(D + 0) = D, not the whole space, on the demo and on
+    # generated problems, whose zbar is 0
+    for inst in [_demo()] + [
+            parse_instance(generate_instance("polyhedral-opt", size, 0)).opt
+            for size in range(2, 7)]:
+        assert not inst.zbar.any()
+        H = inst.D_hull()
+        assert np.array_equal(H.A, inst.D.A) and np.array_equal(H.b, inst.D.b)
 
 
 def test_multipliers_on_demo():
@@ -336,18 +357,13 @@ def test_multipliers_on_demo():
         assert found > 0
 
 
-@pytest.mark.parametrize("size,seed", [(None, 1), (None, 1009), (5, 46),
-                                       (6, 20)])
+@pytest.mark.parametrize("size,seed", [(5, 46), (6, 20)])
 def test_multipliers_where_sampled_tuples_missed(size, seed):
-    # the demo's second triple has u = (0, 1), v = 0, k = 1 and an empty
-    # A2(-D, zbar, k), so the rule is vacuous there; on 5/46 and 6/20 the
-    # multipliers' exact margin lies within 1e-9 of 0.  The search draws
-    # nothing from its rng.
-    inst = _demo() if size is None else parse_instance(
-        generate_instance("polyhedral-opt", size, seed)).opt
-    trips = critical_directions(inst, n_dirs=16,
-                                rng=np.random.default_rng(seed))
-    trip = trips[1] if size is None else trips[0]
+    # on 5/46 and 6/20 the multipliers' exact margin lies within 1e-9 of
+    # 0.  The search draws nothing from its rng.
+    inst = parse_instance(generate_instance("polyhedral-opt", size, seed)).opt
+    trip = critical_directions(inst, n_dirs=16,
+                               rng=np.random.default_rng(seed))[0]
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     mult = find_multipliers(inst, trip, n_samples=16, rng=rng)
@@ -358,8 +374,6 @@ def test_multipliers_where_sampled_tuples_missed(size, seed):
     verdict = check_multiplier_rule(inst, trip, mult, n_samples=64,
                                     rng=np.random.default_rng(2))
     assert verdict.holds and verdict.margin >= -1e-9
-    if size is None:
-        assert a2_of_minus_D(inst, trip.k) is None and margin == np.inf
 
 
 def test_triple_sets_are_built_once_per_instance(monkeypatch):
@@ -450,11 +464,74 @@ def test_check_cq_on_demo():
             assert v.rank < v.needed or v.missing is not None
 
 
+def _exact_cq_margins(inst, trip):
+    """The second-order CQ decided by one LP per signed axis e of Z x W,
+    sharing no code with check_cq: max s <= 1 over (x, z, w, d, p, t, s)
+    with IT2 x + s <= 0, (x, z) in TG2, (x, w) in TH2, d in A2(-D, zbar,
+    k) (d = 0 when A2 is empty, as check_cq reads it), p in D, t >= 0 and
+    (z - d + p + t zbar, w) = e.  The CQ holds iff every axis reaches
+    s > 0; -inf marks an infeasible axis."""
+    sets = optcond._triple_sets(inst, trip)
+    n, q, r = inst.n, inst.q, inst.r
+    IT2, TG2, TH2, A2, D = sets.S2.IT2, sets.TG2, sets.TH2, sets.A2, inst.D
+    if TG2 is None or TH2 is None:
+        return [-np.inf]
+    if A2 is None:
+        A2 = Polyhedron(np.vstack([np.eye(q), -np.eye(q)]), np.zeros(2 * q))
+    ends = np.cumsum([0, n, q, r, q, q, 1, 1])  # x, z, w, d, p, t, s
+    x, z, w, d, p, t, s = (slice(a, b) for a, b in zip(ends, ends[1:]))
+
+    def rows(*parts):
+        out = np.zeros((len(parts[0][1]), ends[-1]))
+        for cols, block in parts:
+            out[:, cols] = block
+        return out
+
+    A_ub = np.vstack([rows((x, IT2.A), (s, np.ones((IT2.m, 1)))),
+                      rows((x, TG2.A[:, :n]), (z, TG2.A[:, n:])),
+                      rows((x, TH2.A[:, :n]), (w, TH2.A[:, n:])),
+                      rows((d, A2.A)), rows((p, D.A))])
+    b_ub = np.concatenate([IT2.b, TG2.b, TH2.b, A2.b, D.b])
+    eye = np.eye(q)
+    A_eq = np.vstack([rows((z, eye), (d, -eye), (p, eye),
+                           (t, inst.zbar[:, None])),
+                      rows((w, np.eye(r)))])
+    bounds = [(None, None)] * ends[-1]
+    bounds[t.start], bounds[s.start] = (0, None), (None, 1)
+    c = -rows((s, np.ones((1, 1))))[0]
+    margins = []
+    for e in np.vstack([np.eye(q + r), -np.eye(q + r)]):
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=e,
+                      bounds=bounds, method="highs")
+        margins.append(-res.fun if res.status == 0 else -np.inf)
+    return margins
+
+
+def test_sampled_cq_pass_implies_the_exact_cq():
+    # check_cq as `regkit optcond --task cq` runs it, on the demo and on
+    # the 40 generated problems of sizes 2-6, seeds 0-7: a sampled pass
+    # exhibits every axis in the cone, so the exact CQ holds there too
+    raws = [demo_polyopt_raw()] + [
+        generate_instance("polyhedral-opt", size, seed)
+        for size in range(2, 7) for seed in range(8)]
+    passed = 0
+    for raw in raws:
+        parsed = parse_instance(raw)
+        inst, rng = parsed.opt, np.random.default_rng(parsed.policy.seed)
+        trip = critical_directions(inst, rng=rng)[0]
+        if check_cq(inst, trip, rng=rng).holds:
+            passed += 1
+            margins = _exact_cq_margins(inst, trip)
+            assert min(margins) > 1e-9, (raw.get("meta"), margins)
+    assert passed > 0
+
+
 @pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 5), (4, 3),
                                        (5, 1), (6, 2)])
 def test_cq_generators_match_one_row_per_tuple(size, seed):
     # the broadcast blocks of check_cq's generator matrix are, bit for bit,
-    # one concatenation (z - d, w) per (z, w, d), then (p, 0) per D-point
+    # one concatenation (z - d, w) per (z, w, d), d the apex 0 first, then
+    # (p, 0) per D-point
     inst = parse_instance(demo_polyopt_raw() if size == 0 else
                           generate_instance("polyhedral-opt", size, seed)).opt
     checked = 0
@@ -464,10 +541,9 @@ def test_cq_generators_match_one_row_per_tuple(size, seed):
         rng = np.random.default_rng(7)
         sets = optcond._triple_sets(inst, trip)
         xs = sample_cone_points(sets.S2.IT2, 32, rng)
-        ds = sample_cone_points(sets.A2, 8, rng) \
-            if sets.A2 is not None else np.zeros((1, inst.q))
-        if ds.shape[0] == 0:
-            ds = np.zeros((1, inst.q))
+        ds = [np.zeros(inst.q)]
+        if sets.A2 is not None:
+            ds += list(sample_cone_points(sets.A2, 8, rng))
         slicers = [optcond._Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
                    optcond._Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
         gens = [np.concatenate([z - d, w])

@@ -4,9 +4,8 @@ import pytest
 
 from regkit.linsolve import in_cone_of
 from regkit.polyhedra import (Polyhedron, PolyhedronError, cone_hull_shifted,
-                              fourier_motzkin, minkowski_sum,
-                              normal_cone_generators, sample_cone_points,
-                              sample_directions,
+                              fourier_motzkin, normal_cone_generators,
+                              sample_cone_points, sample_directions,
                               sampled_second_order_membership,
                               sampled_tangent_membership, second_order_sets,
                               tangent_cone)
@@ -179,13 +178,6 @@ def test_projection_matches_lp_oracle():
             assert sh.contains(p, tol=1e-7) == lifted.feasible, seed
 
 
-def test_minkowski_sum_of_boxes():
-    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-    small = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), 0.5 * np.ones(4))
-    S = minkowski_sum(box, small)
-    assert S.contains([1.5, -1.5]) and not S.contains([1.6, 0.0])
-
-
 def test_cone_hull_shifted():
     # D = R- x {0} shifted by zbar = (1, 1): hull contains D and the ray
     D = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
@@ -196,6 +188,9 @@ def test_cone_hull_shifted():
     assert H.contains(2.0 * z)
     assert H.contains([-1.0, 0.5])          # d + t z combinations
     assert not H.contains([0.0, -1.0])
+    # at zbar = 0 the hull is D itself, not the whole space
+    H0 = cone_hull_shifted(D, np.zeros(2))
+    assert np.array_equal(H0.A, D.A) and np.array_equal(H0.b, D.b)
 
 
 def test_sample_cone_points_stay_inside():
