@@ -241,9 +241,13 @@ def cmd_optcond(args) -> int:
                         margin=verdict.margin,
                         detail=f"rhs={verdict.rhs} " + "; ".join(verdict.notes))
         elif args.task == "cq":
-            v = optcond.check_cq(opt, trip, rng=rng)
-            rep.add("optcond/cq", v.holds,
-                    detail=f"rank {v.rank}/{v.needed}")
+            v = optcond.check_cq(opt, trip)
+            detail = f"{v.reached}/{2 * v.needed} signed axes reached"
+            if v.missing is not None:
+                j = int(np.flatnonzero(v.missing)[0])     # e_j of Z x W
+                sign = "-" if v.missing[j] < 0 else "+"
+                detail += f"; first missing {sign}e{j + 1}"
+            rep.add("optcond/cq", v.holds, detail=detail)
         else:
             ext = optcond.BallExtension(
                 opt.H, opt.xbar + 0.1 * sample_directions(opt.n, 16, rng))

@@ -30,7 +30,8 @@ over the closed second-order set of S through LP duality and solves one
 linear program per sign pattern of w*.  Its candidates are judged by two
 oracles that share none of that program: `exact_rule_margin`, the primal
 joint LP at fixed multipliers, and `check_multiplier_rule`, the rule at
-sampled points of the strict set.
+sampled points of the strict set.  Nor does `check_cq` sample: it decides
+the constraint qualification by one LP family, one member per signed axis.
 """
 from __future__ import annotations
 
@@ -174,20 +175,6 @@ class _Slicer:
                           self.family.solve_many(B) if ok.any() else ()):
             vals[i], args[i] = res.minimum()
         return vals, args
-
-    def points(self, B: np.ndarray) -> list[Optional[np.ndarray]]:
-        """A few points of the slice with right-hand side b, for each row
-        b of B: None when b is 0 as `Polyhedron.is_cone` reads it, for the
-        caller to sample `cone`, which has the slice's matrix; else one LP
-        point (c = 0), or none when the slice is empty."""
-        lp = ~(np.abs(B) <= 1e-12).all(axis=1)
-        out = [None] * len(B)
-        for i, res in zip(np.flatnonzero(lp).tolist(),
-                          self.family.solve_many(B[lp])):
-            pt = res.minimum()[1]
-            out[i] = pt[None, :] if pt is not None \
-                else np.zeros((0, self.cone.dim))
-        return out
 
 
 def _joint_second_order_graph(E: PolyMapSpec, xbar, ebar, u,
@@ -489,20 +476,6 @@ def _triple_sets(inst: OptInstance, trip: CriticalTriple) -> _TripleSets:
         TH2=_joint_second_order_graph(inst.H, inst.xbar, zero, trip.u, zero)))
 
 
-def _slice_points(slicers: list[_Slicer], xs: np.ndarray,
-                  rng: np.random.Generator) -> list[list[np.ndarray]]:
-    """Per x of xs at which no slice is known empty, each slicer's points
-    at x (`_Slicer.points`), the cone samples drawn from rng in x order,
-    then slicer order."""
-    rhs = [s.rhs(xs) for s in slicers]
-    ok = np.logical_and.reduce([o for o, _ in rhs])
-    if not ok.any():
-        return []
-    pts = [s.points(B[ok[o]]) for s, (o, B) in zip(slicers, rhs)]
-    return [[sample_cone_points(s.cone, 4, rng) if p is None else p
-             for s, p in zip(slicers, row)] for row in zip(*pts)]
-
-
 def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
                           mult: Multipliers, n_samples: int = 32,
                           rng: Optional[np.random.Generator] = None
@@ -561,6 +534,15 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
                        argmin=arg, n_samples=used.size, notes=notes)
 
 
+def _lay(width: int, *blocks) -> np.ndarray:
+    """Rows of `width` columns, zero but for each (start, M) of blocks,
+    whose columns M fills from column start on; every M has as many rows."""
+    rows = np.zeros((blocks[0][1].shape[0], width))
+    for start, M in blocks:
+        rows[:, start:start + M.shape[1]] = M
+    return rows
+
+
 def _joint_rule_system(inst: OptInstance, sets: _TripleSets):
     """Inequality system over (x, y, z, w) whose slice at x gives the
     three left-hand-side sets of the rule; None when some derivative set
@@ -571,18 +553,11 @@ def _joint_rule_system(inst: OptInstance, sets: _TripleSets):
     n, p, q, r = inst.n, inst.p, inst.q, inst.r
     A2S = sets.S2.A2
     nvar = n + p + q + r
-
-    def block(T, lo, hi):
-        rows = np.zeros((T.m, nvar))
-        rows[:, :n] = T.A[:, :n]
-        rows[:, lo:hi] = T.A[:, n:]
-        return rows
-
     A_ub = np.vstack([
-        np.hstack([A2S.A, np.zeros((A2S.m, p + q + r))]),
-        block(TF, n, n + p),
-        block(TG, n + p, n + p + q),
-        block(TH, n + p + q, nvar),
+        _lay(nvar, (0, A2S.A)),
+        _lay(nvar, (0, TF.A[:, :n]), (n, TF.A[:, n:])),
+        _lay(nvar, (0, TG.A[:, :n]), (n + p, TG.A[:, n:])),
+        _lay(nvar, (0, TH.A[:, :n]), (n + p + q, TH.A[:, n:])),
     ])
     b_ub = np.concatenate([A2S.b, TF.b, TG.b, TH.b])
     return A_ub, b_ub
@@ -725,69 +700,61 @@ def find_multipliers(inst: OptInstance, trip: CriticalTriple,
 @dataclass
 class CQVerdict:
     holds: bool
-    rank: int
-    needed: int
+    reached: int                   # signed axes reached, in axis order
+    needed: int                    # q + r, the dimension of Z x W
     missing: Optional[np.ndarray] = None
-
-    def __bool__(self):
-        return self.holds
-
-
-def _cq_generators(inst: OptInstance, trip: CriticalTriple,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The rows (z - d, w) of `check_cq`, z and w a slice point of TG2 and
-    of TH2 at one sampled x and d the apex 0 or a point of A2(-D, zbar, k)
-    (only 0 when A2 is empty), in (z, w, d) order per x; then the rows
-    (p, 0), p a point of cone(D + zbar)."""
-    sets = _triple_sets(inst, trip)
-    xs = sample_cone_points(sets.S2.IT2, 32, rng)
-    ds = np.zeros((1, inst.q))
-    if sets.A2 is not None:
-        ds = np.vstack([ds, sample_cone_points(sets.A2, 8, rng)])
-    slicers = [_Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
-               _Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
-    q, r = inst.q, inst.r
-    blocks = []
-    for zs, ws in _slice_points(slicers, xs, rng):
-        shape = (len(zs), len(ws), len(ds))
-        block = np.empty(shape + (q + r,))
-        block[..., :q] = zs[:, None, None, :] - ds[None, None, :, :]
-        block[..., q:] = ws[None, :, None, :]
-        blocks.append(block.reshape(-1, q + r))
-    pts = sample_cone_points(inst.D_hull(), 16, rng)
-    blocks.append(np.hstack([pts, np.zeros((len(pts), r))]))
-    return np.vstack(blocks)
 
 
 def check_cq(inst: OptInstance, trip: CriticalTriple,
              rng: Optional[np.random.Generator] = None) -> CQVerdict:
-    """Positive-spanning test for the second-order constraint qualification.
+    """The second-order constraint qualification, decided by one LP family.
 
-    Collects sampled generators of cone((D2G+ - A2(-D, zbar, k),
-    D2H)(IT2(S, xbar, u))) plus cone(D + zbar) x {0}, then asks whether
-    each signed coordinate axis of Z x W lies in their conic hull; a
-    rank check fails fast when the generators do not even span linearly.
+    The CQ asks whether cone((D2G+ - A2(-D, zbar, k), D2H)(IT2(S, xbar,
+    u))) + cl cone(D + zbar) x {0} is all of Z x W, that is, whether it
+    contains every signed axis e of Z x W (+e1, -e1, +e2, ...).  The member
+    of axis e maximizes s over (x, z, w, d, p, t, s) subject to IT2 x + s
+    <= 0, (x, z) in TG2, (x, w) in TH2, d in A2(-D, zbar, k) (d = 0 when
+    A2 is empty), p in D, t >= 0, s <= 1 and (z - d + p + t zbar, w) = e;
+    only b_eq changes from axis to axis.  The axis is reached when s >
+    `POLY_TOL`, the one tolerance at which memberships are read, so that
+    x lies in the strict second-order set of S.  The first axis not
+    reached, infeasible included, is returned as `missing`; every axis is
+    missing when TG2 or TH2 is empty.  `rng` is accepted for existing
+    callers and ignored: the check draws nothing.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    Gm = _cq_generators(inst, trip, rng)
-    needed = inst.q + inst.r
-    if not len(Gm):
-        return CQVerdict(False, 0, needed)
-    rank = int(np.linalg.matrix_rank(Gm, tol=POLY_TOL))
-    if rank < needed:
-        return CQVerdict(False, rank, needed)
-    # e in cone(Gm) as `linsolve.in_cone_of` asks it, one member per axis,
-    # over the distinct rows of Gm in first-occurrence order: the same cone
-    distinct = Gm[np.sort(np.unique(Gm, axis=0, return_index=True)[1])]
-    axes = linsolve.LPFamily(np.zeros(len(distinct)), A_eq=distinct.T,
-                             bounds=(0, None))
-    for j in range(needed):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(needed)
-            e[j] = sgn
-            if axes.solve(b_eq=e).status != 0:
-                return CQVerdict(False, rank, needed, missing=e)
-    return CQVerdict(True, rank, needed)
+    sets = _triple_sets(inst, trip)
+    IT2, TG2, TH2, A2 = sets.S2.IT2, sets.TG2, sets.TH2, sets.A2
+    n, q, r = inst.n, inst.q, inst.r
+    axes = [sgn * e for e in np.eye(q + r) for sgn in (1.0, -1.0)]
+    if TG2 is None or TH2 is None:
+        return CQVerdict(False, 0, q + r, axes[0])
+    if A2 is None:
+        A2 = Polyhedron(np.vstack([np.eye(q), -np.eye(q)]), np.zeros(2 * q))
+    # the columns of x, z, w, d, p, t and s start at these
+    x, z, w, d, p, t, s, width = np.cumsum([0, n, q, r, q, q, 1, 1])
+    A_ub = np.vstack([
+        _lay(width, (x, IT2.A), (s, np.ones((IT2.m, 1)))),
+        _lay(width, (x, TG2.A[:, :n]), (z, TG2.A[:, n:])),
+        _lay(width, (x, TH2.A[:, :n]), (w, TH2.A[:, n:])),
+        _lay(width, (d, A2.A)),
+        _lay(width, (p, inst.D.A)),
+        # -t <= 0 and s <= 1 as rows: a family has one bounds pair
+        _lay(width, (t, np.diag([-1.0, 1.0])))])
+    b_ub = np.concatenate([IT2.b, TG2.b, TH2.b, A2.b, inst.D.b, [0.0, 1.0]])
+    A_eq = np.vstack([
+        _lay(width, (z, np.eye(q)), (d, -np.eye(q)), (p, np.eye(q)),
+             (t, inst.zbar[:, None])),
+        _lay(width, (w, np.eye(r)))])
+    c = np.zeros(width)
+    c[s] = -1.0                      # maximize s
+    family = linsolve.LPFamily(c, A_ub=A_ub, A_eq=A_eq)
+    for i, e in enumerate(axes):
+        res = family.solve(b_ub=b_ub, b_eq=e)
+        if res.status not in (0, 2):
+            raise OptError(f"CQ axis LP failed with status {res.status}")
+        if res.status == 2 or -res.fun <= POLY_TOL:
+            return CQVerdict(False, i, q + r, e)
+    return CQVerdict(True, len(axes), q + r)
 
 
 # -- the lower-estimate construction ----------------------------------------

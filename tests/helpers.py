@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from regkit import linsolve, optcond
 from regkit.induction import LevelMap, Seq, SequenceSpec
 from regkit.metric import FiniteMetricSpace
 from regkit.moduli import AuxScheme, FunctionalModulus, ModulusError
-from regkit.policy import DEFAULT_POLICY, INF, NumericPolicy
+from regkit.policy import DEFAULT_POLICY, INF, POLY_TOL, NumericPolicy
+from regkit.polyhedra import sample_cone_points
 from regkit.svmap import ParamSetValuedMap, PlainSetValuedMap, TLadder
 
 
@@ -564,3 +566,37 @@ def ref_decrease_param(F, x, t, y, mu, policy=DEFAULT_POLICY) -> tuple:
             break
     target = F.dist_to_inverse(x, 0, y)
     return ok, wit, det, target, mu_t, policy.le(target, mu_t)
+
+
+# -- a sampled, one-way oracle for the second-order CQ -----------------------
+
+def sampled_cq(inst, trip, rng: np.random.Generator) -> bool:
+    """Every signed axis of Z x W in the cone of sampled generators of
+    cone((D2G+ - A2(-D, zbar, k), D2H)(IT2(S, xbar, u))) + cl cone(D +
+    zbar) x {0}.
+
+    The generators are (z - d, w) for one LP point z of the TG2 slice and
+    one w of the TH2 slice at each sampled x of the strict set IT2, with d
+    the apex 0 or a sample of A2 (only 0 when A2 is empty), and (p, 0) for
+    samples p of cl cone(D + zbar).  Each is a point of the cone, so a
+    pass shows the CQ; a fail shows nothing.
+    """
+    sets = optcond._triple_sets(inst, trip)
+    n, q, r = inst.n, inst.q, inst.r
+    IT2, TG2, TH2, A2 = sets.S2.IT2, sets.TG2, sets.TH2, sets.A2
+    gens = [np.concatenate([p, np.zeros(r)])
+            for p in sample_cone_points(inst.D_hull(), 16, rng)]
+    if TG2 is not None and TH2 is not None:
+        ds = [np.zeros(q)]
+        if A2 is not None:
+            ds += list(sample_cone_points(A2, 8, rng))
+        for x in sample_cone_points(IT2, 32, rng):
+            if IT2.m and not (IT2.A @ x < -POLY_TOL).all():
+                continue
+            z, w = (linsolve.feasible_point(T.dim - n, T.A[:, n:],
+                                            T.b - T.A[:, :n] @ x).point
+                    for T in (TG2, TH2))
+            if z is not None and w is not None:
+                gens += [np.concatenate([z - d, w]) for d in ds]
+    return all(linsolve.in_cone_of(np.array(gens), sgn * e)
+               for e in np.eye(q + r) for sgn in (1.0, -1.0))

@@ -399,6 +399,21 @@ def test_optcond_tasks_on_demo(demo_file, tmp_path, capsys):
         assert outs[0] == outs[1], task
 
 
+@pytest.mark.parametrize("size,seed", [(4, 3), (4, 4), (4, 5), (5, 1),
+                                       (5, 7), (6, 1), (6, 2), (6, 3)])
+def test_optcond_cq_passes_where_the_exact_cq_holds(size, seed, tmp_path,
+                                                    capsys):
+    # the CQ holds at the first critical triple of each problem (the exact
+    # per-axis LPs reach s = 1 on every axis), where sampled generators of
+    # the cone miss an axis
+    path = str(tmp_path / "opt.json")
+    save_instance(generate_instance("polyhedral-opt", size, seed), path)
+    assert main(["optcond", path, "--task", "cq"]) == EXIT_PASS
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["verdict"] == "pass"
+    assert row["detail"] == "4/4 signed axes reached"
+
+
 def test_optcond_claim2_where_H_ignores_x(tmp_path, capsys):
     # H(x) = 0 x: the tangent rows of gph H have no x-part, and claim2
     # keeps each of its stacked rows with its own tightening

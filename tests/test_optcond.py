@@ -1,10 +1,9 @@
 """Second-order optimality machinery on polyhedral problem data."""
-from itertools import product
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import helpers
 from regkit import optcond
 from regkit.instances import demo_polyopt_raw, generate_instance, parse_instance
 from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
@@ -13,7 +12,6 @@ from regkit.optcond import (BallExtension, CriticalTriple, Multipliers,
                             critical_directions, exact_rule_margin,
                             find_multipliers, second_order_graph_derivative)
 from regkit import linsolve
-from regkit.linsolve import in_cone_of
 from regkit.polyhedra import Polyhedron, sample_cone_points, tangent_cone
 from regkit.policy import POLY_TOL
 
@@ -59,9 +57,6 @@ def test_empty_value_set_is_left_to_its_lp():
     assert isinstance(V, Polyhedron) and V.is_empty()
     assert E.dist_to_value(np.zeros(1), x) == np.inf
     assert optcond._Slicer(E.graph, 1, np.ones(1)).minimum([x])[0][0] == np.inf
-    zero = optcond._Slicer(E.graph, 1, np.zeros(1))
-    ok, B = zero.rhs([x])
-    assert ok[0] and zero.points(B)[0].shape == (0, 1)
 
 
 def _triple_cones(size, seed):
@@ -163,82 +158,55 @@ def test_slice_families_match_one_member_solves(size, seed):
 @pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 5), (4, 3),
                                        (5, 1)])
 def test_cq_axis_family_matches_one_lp_per_axis(size, seed, monkeypatch):
-    # check_cq asks every signed axis as a member of one family on the
-    # distinct rows of Gm; its verdict and first missing axis must be those
-    # of one fresh in_cone_of per axis, in the same order (CQ fails on the
-    # last three)
+    # check_cq builds one family and asks every signed axis as a member of
+    # it, drawing nothing from its rng; its verdict, axes reached and first
+    # missing axis must be those of one cold linprog per axis on the same
+    # program, in the same order (the CQ fails on (3, 0) and (3, 5))
     inst = parse_instance(demo_polyopt_raw() if size == 0 else
                           generate_instance("polyhedral-opt", size, seed)).opt
-    made = []
+    made, rhs = [], []
 
     class Recording(linsolve.LPFamily):
         def __init__(self, c, A_ub=None, A_eq=None, bounds=None):
             super().__init__(c, A_ub, A_eq, bounds)
-            if bounds == (0, None):
-                made.append(np.asarray(A_eq).T)
+            made.append((c, A_ub, A_eq, bounds))
+
+        def solve(self, b_ub=None, b_eq=None):
+            rhs.append(b_ub)
+            return super().solve(b_ub, b_eq)
 
     monkeypatch.setattr(linsolve, "LPFamily", Recording)
-    asked = 0
+    verdicts = []
     for k in range(2):
         for trip in critical_directions(inst, n_dirs=16,
                                         rng=np.random.default_rng(k)):
+            optcond._triple_sets(inst, trip)
             made.clear()
-            v = check_cq(inst, trip, rng=np.random.default_rng(k))
-            if not made:            # no generators, or rank < q + r
-                assert not v.holds and v.missing is None
-                continue
-            (Gm,) = made
-            axes = []
+            rhs.clear()
+            rng = np.random.default_rng(k)
+            state = rng.bit_generator.state
+            v = check_cq(inst, trip, rng=rng)
+            assert rng.bit_generator.state == state
+            ((c, A_ub, A_eq, bounds),) = made
+            assert bounds is None               # every column free
+            reached, missing = 0, None
             for j in range(v.needed):
                 for sgn in (1.0, -1.0):
-                    axes.append(np.zeros(v.needed))
-                    axes[-1][j] = sgn
-            missing = next((e for e in axes if not in_cone_of(Gm, e)), None)
-            assert v.holds == (missing is None)
-            if missing is not None:
-                assert np.array_equal(v.missing, missing)
-            asked += 1
-    assert asked > 0
-
-
-def _cq_over_every_row(inst, trip, rng):
-    """check_cq's (holds, rank, missing) with the axis members solved over
-    the whole generator matrix, repeated rows included."""
-    Gm = optcond._cq_generators(inst, trip, rng)
-    needed = inst.q + inst.r
-    rank = int(np.linalg.matrix_rank(Gm, tol=POLY_TOL)) if len(Gm) else 0
-    if rank < needed:
-        return False, rank, None
-    axes = linsolve.LPFamily(np.zeros(len(Gm)), A_eq=Gm.T, bounds=(0, None))
-    for j in range(needed):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(needed)
-            e[j] = sgn
-            if axes.solve(b_eq=e).status != 0:
-                return False, rank, e
-    return True, rank, None
-
-
-def test_cq_over_distinct_generators_keeps_the_verdict():
-    # check_cq solves over the distinct rows of Gm: holds, rank and the first
-    # missing axis are those of the members solved over every row
-    cases = [(0, 0)] + [(size, seed) for size in range(2, 7) for seed in range(4)]
-    repeated = 0
-    for size, seed in cases:
-        inst = parse_instance(demo_polyopt_raw() if size == 0 else
-                              generate_instance("polyhedral-opt", size, seed)).opt
-        for trip in critical_directions(inst, n_dirs=16,
-                                        rng=np.random.default_rng(seed)):
-            v = check_cq(inst, trip, rng=np.random.default_rng(5))
-            holds, rank, missing = _cq_over_every_row(
-                inst, trip, np.random.default_rng(5))
-            assert (v.holds, v.rank) == (holds, rank)
+                    e = np.zeros(v.needed)
+                    e[j] = sgn
+                    res = linprog(c, A_ub=A_ub, b_ub=rhs[0], A_eq=A_eq,
+                                  b_eq=e, bounds=(None, None), method="highs")
+                    if missing is None and res.status == 0 \
+                            and -res.fun > POLY_TOL:
+                        reached += 1
+                    elif missing is None:
+                        missing = e
+            assert (v.holds, v.reached) == (missing is None, reached)
             assert (v.missing is None) == (missing is None)
             if missing is not None:
                 assert np.array_equal(v.missing, missing)
-            Gm = optcond._cq_generators(inst, trip, np.random.default_rng(5))
-            repeated += len(np.unique(Gm, axis=0)) < len(Gm)
-    assert repeated > 0
+            verdicts.append(v.holds)
+    assert verdicts
 
 
 def test_rule_system_is_a_cone_and_needs_no_phase_one(monkeypatch):
@@ -392,7 +360,7 @@ def test_triple_sets_are_built_once_per_instance(monkeypatch):
     mult = find_multipliers(inst, trip, rng=np.random.default_rng(1))
     assert mult is not None and calls["second_order_sets"] == 2
     check_multiplier_rule(inst, trip, mult, rng=np.random.default_rng(2))
-    check_cq(inst, trip, rng=np.random.default_rng(3))
+    check_cq(inst, trip)
     assert calls == {"second_order_sets": 2, "graph_plus_cone": 2}
     sets = optcond._triple_sets(inst, trip)
     assert optcond._triple_sets(inst, trip) is sets
@@ -446,22 +414,21 @@ def test_critical_directions_stay_in_tangent_cone_of_S(size, seed, rng_seed):
         assert TS.contains(trip.u)
         find_multipliers(inst, trip, n_samples=16,
                          rng=np.random.default_rng(1))
-        check_cq(inst, trip, rng=np.random.default_rng(2))
+        check_cq(inst, trip)
 
 
 def test_check_cq_on_demo():
     inst = _demo()
     trips = critical_directions(inst, n_dirs=16,
                                 rng=np.random.default_rng(0))
-    verdicts = [check_cq(inst, t, rng=np.random.default_rng(3))
-                for t in trips]
+    verdicts = [check_cq(inst, t) for t in trips]
     # the demo's constraints are surjective linear maps: CQ should hold
     # for at least one critical triple
     assert any(v.holds for v in verdicts)
     for v in verdicts:
         assert v.needed == inst.q + inst.r
         if not v.holds:
-            assert v.rank < v.needed or v.missing is not None
+            assert v.missing is not None
 
 
 def _exact_cq_margins(inst, trip):
@@ -508,53 +475,26 @@ def _exact_cq_margins(inst, trip):
 
 
 def test_sampled_cq_pass_implies_the_exact_cq():
-    # check_cq as `regkit optcond --task cq` runs it, on the demo and on
-    # the 40 generated problems of sizes 2-6, seeds 0-7: a sampled pass
-    # exhibits every axis in the cone, so the exact CQ holds there too
+    # on the first triple of `regkit optcond --task cq` for the demo and
+    # the 40 generated problems of sizes 2-6, seeds 0-7: check_cq reads
+    # what the exact per-axis LPs read, both ways, and the sampled route of
+    # `helpers.sampled_cq`, which exhibits every axis in the cone when it
+    # passes, never passes where check_cq fails
     raws = [demo_polyopt_raw()] + [
         generate_instance("polyhedral-opt", size, seed)
         for size in range(2, 7) for seed in range(8)]
-    passed = 0
+    sampled = 0
     for raw in raws:
         parsed = parse_instance(raw)
         inst, rng = parsed.opt, np.random.default_rng(parsed.policy.seed)
         trip = critical_directions(inst, rng=rng)[0]
-        if check_cq(inst, trip, rng=rng).holds:
-            passed += 1
-            margins = _exact_cq_margins(inst, trip)
-            assert min(margins) > 1e-9, (raw.get("meta"), margins)
-    assert passed > 0
-
-
-@pytest.mark.parametrize("size,seed", [(0, 0), (3, 0), (3, 5), (4, 3),
-                                       (5, 1), (6, 2)])
-def test_cq_generators_match_one_row_per_tuple(size, seed):
-    # the broadcast blocks of check_cq's generator matrix are, bit for bit,
-    # one concatenation (z - d, w) per (z, w, d), d the apex 0 first, then
-    # (p, 0) per D-point
-    inst = parse_instance(demo_polyopt_raw() if size == 0 else
-                          generate_instance("polyhedral-opt", size, seed)).opt
-    checked = 0
-    for trip in critical_directions(inst, n_dirs=16,
-                                    rng=np.random.default_rng(seed)):
-        Gm = optcond._cq_generators(inst, trip, np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        sets = optcond._triple_sets(inst, trip)
-        xs = sample_cone_points(sets.S2.IT2, 32, rng)
-        ds = [np.zeros(inst.q)]
-        if sets.A2 is not None:
-            ds += list(sample_cone_points(sets.A2, 8, rng))
-        slicers = [optcond._Slicer(sets.TG2, inst.n, np.zeros(inst.q)),
-                   optcond._Slicer(sets.TH2, inst.n, np.zeros(inst.r))]
-        gens = [np.concatenate([z - d, w])
-                for zs, ws in optcond._slice_points(slicers, xs, rng)
-                for z, w, d in product(zs, ws, ds)]
-        gens += [np.concatenate([pt, np.zeros(inst.r)])
-                 for pt in sample_cone_points(inst.D_hull(), 16, rng)]
-        ref = np.array(gens).reshape(-1, inst.q + inst.r)
-        assert Gm.shape == ref.shape and Gm.tobytes() == ref.tobytes()
-        checked += len(ref) > 0
-    assert checked > 0
+        holds = check_cq(inst, trip).holds
+        margins = _exact_cq_margins(inst, trip)
+        assert holds == (min(margins) > POLY_TOL), (raw.get("meta"), margins)
+        if helpers.sampled_cq(inst, trip, rng):
+            sampled += 1
+            assert holds, raw.get("meta")
+    assert sampled > 0
 
 
 def test_one_highs_solver_per_process(monkeypatch):
@@ -578,7 +518,7 @@ def test_one_highs_solver_per_process(monkeypatch):
                 solved += 1
                 assert check_multiplier_rule(
                     inst, trip, mult, rng=np.random.default_rng(2)).holds
-            check_cq(inst, trip, rng=np.random.default_rng(3))
+            check_cq(inst, trip)
         assert solved > 0
     finally:
         linsolve._highs.cache_clear()
