@@ -17,9 +17,9 @@ So does a member whose c, matrix or right-hand side holds a nonzero entry
 below `_FINE` = 1e-6 in magnitude: near HiGHS's feasibility tolerances of
 1e-7 a warm and a cold solve can give different statuses or optima, and a
 cold one is what `solve_lp` returns.  `solve_lp` is a family of one.
-`LPFamily.solve_many` takes a batch of b_ub rows for a family without
-equality rows, validates it once and gives each member as `solve` would,
-in row order.
+`LPFamily.minima` takes a batch of b_ub rows for a family without
+equality rows, validates it once and gives each member's minimum and
+minimizer as `solve(b_ub).minimum()` would, in row order.
 
 An interval family has one column whose every A_ub and A_eq entry is
 +-1, a cost c that is not fine-grained and below HiGHS's infinite cost,
@@ -289,12 +289,14 @@ class LPFamily:
         # of that refusal, as scipy's LP function would
         self._refused = _highs().refused
 
-    def _interval(self, B_ub: np.ndarray,
-                  B_eq: np.ndarray) -> list[Optional[LPResult]]:
-        """An interval family's members with right-hand sides the rows of
-        B_ub and B_eq, in closed form; None for each member HiGHS decides
-        (see the module docstring)."""
-        (up, down), hs = self._sides, _highs()
+    def _interval(self, B_ub: np.ndarray, B_eq: np.ndarray) -> tuple:
+        """(to_highs, values, X) for an interval family's members with
+        right-hand sides the rows of B_ub and B_eq, in closed form (see the
+        module docstring): to_highs marks the members HiGHS decides; for
+        the others, values holds min c x as `LPResult.minimum` reads it
+        (+inf when infeasible, -inf when unbounded) and X the minimizer of
+        an optimal member, one row each."""
+        up, down = self._sides
         # the b of every row +-x <= b, as `_rows` lays them out
         B = B_ub if up.size == self._m_ub else np.concatenate(
             [B_ub, B_eq, -B_eq, self._bnd.repeat(len(B_ub), axis=0)], axis=1)
@@ -330,19 +332,10 @@ class LPFamily:
                 x = np.where(at_hi, hi, lo)
                 zero = np.where(at_hi, *self._zero[::-1])
             x = np.where(x == 0.0, zero, x)
-        optimal, message = hs.optimal
         # + 0.0: HiGHS's objective at x = -0.0 is +0.0
-        X, fun, out = x[:, None], (c * x + 0.0).tolist(), []
-        for i, (h, e, end) in enumerate(zip(to_highs.tolist(), empty.tolist(),
-                                            x.tolist())):
-            if h:
-                out.append(None)
-            elif e or abs(end) == np.inf:
-                status, why = hs.infeasible if e else hs.unbounded
-                out.append(LPResult(status, None, None, why))
-            else:
-                out.append(LPResult(optimal, X[i], fun[i], message))
-        return out
+        values = np.where(empty, np.inf, np.where(np.abs(x) == np.inf,
+                                                  -np.inf, c * x + 0.0))
+        return to_highs, values, x[:, None]
 
     def _member(self, b_ub: np.ndarray, b_eq: np.ndarray) -> LPResult:
         """One member on HiGHS: warm from the last member when the solver
@@ -394,21 +387,32 @@ class LPFamily:
         function with method "highs" on the same program."""
         b_ub = _rhs(b_ub, self._m_ub, "ub")
         b_eq = _rhs(b_eq, self._m_eq, "eq")
-        res = None if self._sides is None else \
-            self._interval(b_ub[None, :], b_eq[None, :])[0]
-        return self._member(b_ub, b_eq) if res is None else res
+        if self._sides is not None:
+            (to_highs,), (value,), X = self._interval(b_ub[None], b_eq[None])
+            if not to_highs:
+                hs = _highs()
+                status, message = hs.optimal if abs(value) < np.inf else \
+                    hs.infeasible if value > 0 else hs.unbounded
+                return LPResult(status, X[0], float(value), message) \
+                    if status == 0 else LPResult(status, None, None, message)
+        return self._member(b_ub, b_eq)
 
-    def solve_many(self, B_ub) -> list[LPResult]:
-        """The members whose b_ub are the rows of B_ub, of a family without
-        equality rows, in row order: each one as `solve` gives it.  An
-        interval family, bounded or not, answers all rows at once and
-        solves the members that HiGHS decides one by one, cold."""
+    def minima(self, B_ub) -> tuple[np.ndarray, list]:
+        """(values, argmins) of the members whose b_ub are the rows of B_ub,
+        of a family without equality rows, in row order: each as
+        `solve(b_ub).minimum()` gives it.  An interval family answers all
+        rows at once and solves the members HiGHS decides one by one, cold."""
         b_eq = _rhs(None, self._m_eq, "eq")
         B_ub = _matrix(B_ub, self._m_ub, "B_ub")
-        closed = [None] * len(B_ub) if self._sides is None \
-            else self._interval(B_ub, B_ub[:, :0])
-        return [self._member(b, b_eq) if res is None else res
-                for res, b in zip(closed, B_ub)]
+        values, argmins = np.empty(len(B_ub)), [None] * len(B_ub)
+        to_highs = np.ones(len(B_ub), dtype=bool)
+        if self._sides is not None:
+            to_highs, values, X = self._interval(B_ub, B_ub[:, :0])
+            argmins = [None if abs(v) == np.inf else x
+                       for v, x in zip(values.tolist(), X)]
+        for i in np.flatnonzero(to_highs).tolist():
+            values[i], argmins[i] = self._member(B_ub[i], b_eq).minimum()
+        return values, argmins
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):

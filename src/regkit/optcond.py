@@ -45,7 +45,7 @@ import numpy as np
 from . import linsolve
 from .policy import POLY_TOL, RegkitError
 from .polyhedra import (Polyhedron, SecondOrderSets, cone_hull_shifted,
-                        fourier_motzkin, normal_cone_generators,
+                        fourier_motzkin, matvecs, normal_cone_generators,
                         sample_cone_points, sample_directions,
                         sampled_second_order_membership, second_order_sets,
                         tangent_cone)
@@ -146,9 +146,8 @@ class _Slicer:
         whose slice is not known empty, and R holds, in order, their
         slices' raw right-hand sides, each x's own product with T's
         x-part."""
-        raw = np.empty((len(xs), self._b.size))
-        for i, x in enumerate(xs):
-            raw[i] = self._b - self._Ax @ np.asarray(x, dtype=float)
+        X = np.asarray(xs, dtype=float).reshape(len(xs), self._Ax.shape[1])
+        raw = self._b - matvecs(self._Ax, X)
         ok = ~(raw[:, ~self._keep] < -POLY_TOL).any(axis=1)
         return ok, raw[ok][:, self._keep]
 
@@ -171,9 +170,10 @@ class _Slicer:
         (+inf, None) over the empty set, (-inf, None) when unbounded."""
         vals, args = np.full(len(xs), np.inf), [None] * len(xs)
         ok, B = self.rhs(xs)
-        for i, res in zip(np.flatnonzero(ok).tolist(),
-                          self.family.solve_many(B) if ok.any() else ()):
-            vals[i], args[i] = res.minimum()
+        if ok.any():
+            vals[ok], found = self.family.minima(B)
+            for i, arg in zip(np.flatnonzero(ok).tolist(), found):
+                args[i] = arg
         return vals, args
 
 
@@ -346,14 +346,18 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
     `POLY_TOL`.  An empty list is a valid outcome.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    cands = [np.zeros(inst.n)]
-    cands += [e for e in np.eye(inst.n)] + [-e for e in np.eye(inst.n)]
-    cands += list(sample_directions(inst.n, n_dirs, rng))
+    cands = np.vstack([np.zeros(inst.n), np.eye(inst.n), -np.eye(inst.n),
+                       sample_directions(inst.n, n_dirs, rng)])
 
-    # first-order cones at the base point, sliced per candidate u
+    # first-order cones at the base point; u in TS and (u, 0) in TH for all
+    # candidates at once, as `Polyhedron.contains` reads them (the zeros
+    # stay: TH.A[:, :n] @ u would sum in another order)
     TS = tangent_cone(inst.S, inst.xbar)
     TH = tangent_cone(inst.H.graph,
                       np.concatenate([inst.xbar, np.zeros(inst.r)]))
+    padded = np.hstack([cands, np.zeros((len(cands), inst.r))])
+    cands = cands[(matvecs(TS.A, cands) - TS.b <= POLY_TOL).all(axis=1)
+                  & (matvecs(TH.A, padded) - TH.b <= POLY_TOL).all(axis=1)]
     sv = _Slicer(_graph_tangent_cone(inst.F_plus(), inst.xbar, inst.ybar),
                  inst.n)
     sk = _Slicer(_graph_tangent_cone(inst.G_plus(), inst.xbar, inst.zbar),
@@ -362,10 +366,6 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
 
     out: list[CriticalTriple] = []
     for u in cands:
-        if not TS.contains(u):
-            continue
-        if not TH.contains(np.concatenate([u, np.zeros(inst.r)])):
-            continue
         DV = sv.at(u)
         if DV is None:
             continue
@@ -391,7 +391,7 @@ def critical_directions(inst: OptInstance, n_dirs: int = 64,
         if not (DV.contains(v) and inst.Q.contains(-v) and (inst.Q.m == 0 or (
                 np.abs(inst.Q.A @ -v - inst.Q.b) <= POLY_TOL).any())):
             continue
-        out += [CriticalTriple(u=np.asarray(u, float), v=v, k=k)
+        out += [CriticalTriple(u=u.copy(), v=v, k=k)
                 for k in kcands if DK.contains(k) and big_cone.contains(-k)]
     return out
 
@@ -518,7 +518,7 @@ def check_multiplier_rule(inst: OptInstance, trip: CriticalTriple,
 
     slicers = sets.slicers(inst.n, (mult.v_star, mult.k_star, mult.w_star))
     if IT2.m:
-        xs = [x for x in xs if (IT2.A @ x < -POLY_TOL).all()]
+        xs = xs[(matvecs(IT2.A, xs) < -POLY_TOL).all(axis=1)]
     (fy, ay), (gz, az), (hw, aw) = (s.minimum(xs) for s in slicers)
     lhs = fy + gz + hw
     # inf + (-inf) is NaN: an empty set wins, vacuous at that x

@@ -35,16 +35,16 @@ class Polyhedron:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if A.shape[0] != b.shape[0]:
             raise PolyhedronError("A/b row mismatch")
-        norms = np.linalg.norm(A, axis=1)
+        # np.linalg.norm(A, axis=1) without its wrappers, bit for bit
+        norms = np.sqrt(np.add.reduce(A * A, axis=1))
         keep = norms > 1e-14
-        bad = (~keep) & (b < -1e-12)
-        if bad.any():
-            raise PolyhedronError("zero row with negative bound: empty system")
-        A, b, norms = A[keep], b[keep], norms[keep]
-        if A.size:
-            A = A / norms[:, None]
-            b = b / norms
-        self.A, self.b = A, b
+        if not keep.all():
+            if (~keep & (b < -1e-12)).any():
+                raise PolyhedronError(
+                    "zero row with negative bound: empty system")
+            A, b, norms = A[keep], b[keep], norms[keep]
+        # the divisions copy, so A and b never alias the caller's arrays
+        self.A, self.b = A / norms[:, None], b / norms
 
     @property
     def dim(self) -> int:
@@ -115,6 +115,12 @@ class Polyhedron:
     @classmethod
     def orthant(cls, n: int) -> "Polyhedron":
         return cls(-np.eye(n), np.zeros(n))
+
+
+def matvecs(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ x for every row x of X, bit for bit: one BLAS matrix-vector
+    product per x (X @ A.T, one matrix product, sums in another order)."""
+    return (A[None] @ X[:, :, None])[..., 0]
 
 
 # -- first-order cones ------------------------------------------------------
@@ -214,8 +220,12 @@ def _dedupe(A: np.ndarray, b: np.ndarray):
         return A, b
     M = np.hstack([A / norms[:, None], (b / norms)[:, None]])
     key = np.round(M / POLY_TOL).astype(np.int64)
-    _, idx = np.unique(key, axis=0, return_index=True)
-    idx = np.sort(idx)
+    # the first row of each run of equal keys in a stable sort is the first
+    # occurrence of that key, as np.unique(key, axis=0, return_index=True)
+    order = np.lexsort(key.T)
+    run = key[order]
+    first = np.concatenate([[True], (run[1:] != run[:-1]).any(axis=1)])
+    idx = np.sort(order[first])
     return A[idx], b[idx]
 
 

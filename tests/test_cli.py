@@ -583,6 +583,21 @@ def test_optcond_demo_reports_match_golden_bytes(task, flags, demo_file,
         assert out.read_bytes() == fh.read()
 
 
+def test_optcond_sampled_margin_matches_golden_bytes(tmp_path):
+    # the demo's rule margin reads 0.0; this problem's sampled margin does
+    # not, so it pins the slice right-hand sides and the strict-sample
+    # filter to their last bit (a matrix product X @ A.T in place of one
+    # matrix-vector product per x changes this report)
+    inst, out = tmp_path / "inst.json", tmp_path / "report.json"
+    save_instance(generate_instance("polyhedral-opt", 4, 1), str(inst))
+    assert main(["optcond", str(inst), "--task", "multipliers",
+                 "--out", str(out)]) == EXIT_PASS
+    with open(os.path.join(
+            GOLDEN, "polyhedral_opt_4_seed1_optcond_multipliers.json"),
+            "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_modulus_fit_reads_the_run_tolerance(tmp_path):
     # d(y, F(x)) = 1e-9 counts as 0 under tol_strict = 1e-6, and x is at
     # distance 1 from F^{-1}(y), so no power modulus works: lam* = inf

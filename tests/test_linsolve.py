@@ -400,10 +400,20 @@ def test_family_rejects_bad_right_hand_sides():
     for family, B in ((fam, [[0.0, 0.0]]), (ub, [[0.0, np.nan]]),
                       (ub, [[0.0, 0.0, 0.0]]), (ub, [0.0, 0.0])):
         with pytest.raises(LinSolveError):
-            family.solve_many(B)
+            family.minima(B)
 
 
-def test_solve_many_solves_other_families_in_order():
+def _is_minimum_of(value, arg, ref):
+    """(value, arg) is ref.minimum() bit for bit, -0.0 included."""
+    ref_value, ref_arg = ref.minimum()
+    assert isinstance(value, np.float64)
+    assert value.tobytes() == np.float64(ref_value).tobytes()
+    assert (arg is None) == (ref_arg is None)
+    if arg is not None:
+        assert (arg.shape, arg.tobytes()) == (ref_arg.shape, ref_arg.tobytes())
+
+
+def test_minima_solves_other_families_in_order():
     # a family that is not an interval family solves a batch member by
     # member, warm or cold as one solve after another would
     A_ub = [[-1.0, 0.5], [0.5, -1.0], [-1.0, -1.0]]
@@ -411,11 +421,12 @@ def test_solve_many_solves_other_families_in_order():
          [1.0, 1.0, -3.0]]
     batch, single = LPFamily([1.0, 1.0], A_ub=A_ub), \
         LPFamily([1.0, 1.0], A_ub=A_ub)
-    for got, b_ub in zip(batch.solve_many(B), B, strict=True):
-        ref = single.solve(b_ub)
-        assert (got.status, got.fun, got.message) == \
-            (ref.status, ref.fun, ref.message)
-        assert got.x.tobytes() == ref.x.tobytes()
+    batch_highs, single_highs = _spy_on_highs(batch), _spy_on_highs(single)
+    values, args = batch.minima(B)
+    assert len(values) == len(args) == len(B)
+    for value, arg, b_ub in zip(values, args, B):
+        _is_minimum_of(value, arg, single.solve(b_ub))
+    assert batch_highs == single_highs == B
 
 
 def test_status_table_is_keyed_by_every_model_status():
@@ -520,23 +531,18 @@ def test_interval_members_match_linprog():
 
 @settings(max_examples=200, deadline=None)
 @given(_interval_families(max_eq=0))
-def test_solve_many_is_one_solve_per_member(family):
-    # a batch gives each member bit for bit as one solve does, -0.0 and
-    # the message included, and sends the same members to HiGHS
+def test_minima_is_one_solve_per_member(family):
+    # a batch gives each member's minimum and minimizer bit for bit as one
+    # solve does, -0.0 included, and sends the same members to HiGHS
     c, A_ub, _, bounds, members = family
     batch, single = (LPFamily([c], A_ub=A_ub, bounds=bounds)
                      for _ in range(2))
     batch_highs, single_highs = _spy_on_highs(batch), _spy_on_highs(single)
     members = [b_ub for b_ub, _ in members]
-    many = batch.solve_many(np.array(members).reshape(len(members), -1))
-    assert len(many) == len(members)
-    for got, b_ub in zip(many, members):
-        ref = single.solve(b_ub)
-        assert (got.status, got.message) == (ref.status, ref.message)
-        assert (None if got.x is None else got.x.tobytes()) == \
-            (None if ref.x is None else ref.x.tobytes())
-        assert (got.fun is None) == (ref.fun is None)
-        assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes()
+    values, args = batch.minima(np.array(members).reshape(len(members), -1))
+    assert len(values) == len(args) == len(members)
+    for value, arg, b_ub in zip(values, args, members):
+        _is_minimum_of(value, arg, single.solve(b_ub))
     assert batch_highs == single_highs
 
 

@@ -59,6 +59,46 @@ def test_empty_value_set_is_left_to_its_lp():
     assert optcond._Slicer(E.graph, 1, np.ones(1)).minimum([x])[0][0] == np.inf
 
 
+def test_slicer_minimum_on_no_points_and_on_known_empty_slices():
+    # gph E = {(x, y) : x >= 0, y <= 1}: the row -x <= 0 has no y-part, so
+    # every slice at x < 0 is known empty and no LP is solved
+    E = Polyhedron(np.array([[-1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]))
+    s = optcond._Slicer(E, 1, np.ones(1))
+    asked = []
+    minima = s.family.minima
+    s.family.minima = lambda B: asked.append(B) or minima(B)
+    for xs in ([], np.zeros((0, 1))):
+        vals, args = s.minimum(xs)
+        assert vals.shape == (0,) and args == []
+    vals, args = s.minimum(np.array([[-1.0], [-2.0]]))
+    assert vals.tolist() == [np.inf, np.inf] and args == [None, None]
+    assert asked == []
+    # a None cone has every slice empty
+    vals, args = optcond._Slicer(None, 1).minimum([[0.0], [1.0]])
+    assert vals.tolist() == [np.inf, np.inf] and args == [None, None]
+    # mixed: one known empty, one solved (min y over y <= 1 is unbounded)
+    vals, args = s.minimum(np.array([[-1.0], [1.0]]))
+    assert vals.tolist() == [np.inf, -np.inf] and args == [None, None]
+    assert len(asked) == 1 and asked[0].shape == (1, 1)
+
+
+def test_rule_with_every_sample_on_the_boundary_is_vacuous(monkeypatch):
+    # samples on the boundary of IT2 (x = 0 reads IT2.A x = 0, not < 0)
+    # are all dropped, so the inequality is vacuous at sampling resolution
+    inst = parse_instance(generate_instance("polyhedral-opt", 3, 0)).opt
+    trip = critical_directions(inst, n_dirs=16,
+                               rng=np.random.default_rng(0))[0]
+    mult = find_multipliers(inst, trip)
+    assert optcond._triple_sets(inst, trip).S2.IT2.m > 0 and mult is not None
+    monkeypatch.setattr(optcond, "sample_cone_points",
+                        lambda C, count, rng: np.zeros((count, C.dim)))
+    verdict = check_multiplier_rule(inst, trip, mult, n_samples=8)
+    assert verdict.holds and verdict.margin == np.inf
+    assert verdict.n_samples == 0 and verdict.argmin is None
+    assert verdict.notes[-1] == \
+        "no admissible sample: inequality vacuous at resolution"
+
+
 def _triple_cones(size, seed):
     """(inst, sets, T, dim e, rng) for each derivative cone T of each
     critical triple of the demo (size 0) or a generated problem."""

@@ -1,11 +1,14 @@
 """Polyhedral cone calculus against containment and sampled-limit oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regkit.linsolve import in_cone_of
-from regkit.polyhedra import (Polyhedron, PolyhedronError, cone_hull_shifted,
-                              fourier_motzkin, normal_cone_generators,
-                              sample_cone_points, sample_directions,
+from regkit.policy import POLY_TOL
+from regkit.polyhedra import (Polyhedron, PolyhedronError, _dedupe,
+                              cone_hull_shifted, fourier_motzkin, matvecs,
+                              normal_cone_generators, sample_cone_points,
+                              sample_directions,
                               sampled_second_order_membership,
                               sampled_tangent_membership, second_order_sets,
                               tangent_cone)
@@ -44,6 +47,102 @@ def test_construction_normalizes_and_validates():
     # vacuous zero rows are dropped
     Q = Polyhedron(np.zeros((1, 2)), np.array([1.0]))
     assert Q.m == 0 and Q.contains([100.0, -100.0])
+
+
+_small = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+                   st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 5), st.data())
+def test_construction_is_the_norm_reference_on_copies(m, n, data):
+    # rows normalized by np.linalg.norm and zero rows dropped, bit for bit,
+    # into arrays that never share memory with the caller's
+    A = np.array(data.draw(st.lists(st.lists(_small, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)),
+                 dtype=float).reshape(m, n)
+    b = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=m,
+                                    max_size=m)))
+    norms = np.linalg.norm(A, axis=1)
+    keep = norms > 1e-14
+    P = Polyhedron(A, b)
+    assert P.A.shape == (keep.sum(), n)
+    assert P.A.tobytes() == (A[keep] / norms[keep, None]).tobytes()
+    assert P.b.tobytes() == (b[keep] / norms[keep]).tobytes()
+    assert P.A is not A and not np.shares_memory(P.A, A)
+    assert P.b is not b and not np.shares_memory(P.b, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 8), st.integers(0, 70),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_matvecs_is_one_matrix_vector_product_per_point(m, n, k, extra, seed):
+    # the stacked product equals A @ x row by row, bit for bit; a guard
+    # against numpy drift, since the slice right-hand sides rest on it.
+    # extra > 0 makes A a column slice of a wider matrix, as a slicer's
+    # x-part is
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n + extra))[:, :n]
+    X = rng.normal(size=(k, n)) * rng.choice([1e-9, 1.0, 1e6], size=(k, 1))
+    got = matvecs(A, X)
+    assert got.shape == (k, m)
+    assert got.tobytes() == np.array([A @ x for x in X]).reshape(k, m).tobytes()
+
+
+def _dedupe_reference(A, b):
+    """The first row of each rounded key, in input order, from a dict; zero
+    rows with b >= -1e-12 are vacuous and dropped."""
+    norms = np.linalg.norm(A, axis=1)
+    first = {}
+    for i, (row, rhs, norm) in enumerate(zip(A, b, norms)):
+        if norm <= 1e-12 and rhs >= -1e-12:
+            continue
+        key = np.round(np.append(row, rhs) / norm / POLY_TOL).astype(np.int64)
+        first.setdefault(tuple(key.tolist()), i)
+    idx = sorted(first.values())
+    return A[idx], b[idx]
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """(A, b) whose rows repeat each other exactly, scaled or within
+    POLY_TOL, with zero rows that are vacuous (0 <= b) or not."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["new", "copy", "scaled", "near",
+                                     "vacuous", "zero"]))
+        if kind in ("copy", "scaled", "near") and rows:
+            a, rhs = rows[draw(st.integers(0, len(rows) - 1))]
+            if kind == "scaled":
+                t = draw(st.sampled_from([0.5, 2.0, 3.0, 1e3]))
+                a, rhs = a * t, rhs * t
+            elif kind == "near":
+                a = a + np.array(draw(st.lists(
+                    st.floats(-1e-12, 1e-12), min_size=n, max_size=n)))
+        elif kind == "vacuous":
+            a, rhs = np.zeros(n), draw(st.floats(0.0, 3.0))
+        elif kind == "zero":
+            a, rhs = np.zeros(n), draw(st.floats(-3.0, -1e-9))
+        else:
+            a = np.array(draw(st.lists(st.integers(-3, 3).map(float),
+                                       min_size=n, max_size=n)))
+            rhs = draw(st.integers(-3, 3).map(float))
+        rows.append((a, rhs))
+    return (np.array([a for a, _ in rows]).reshape(len(rows), n),
+            np.array([rhs for _, rhs in rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_repeats())
+def test_dedupe_keeps_the_first_row_of_each_key(system):
+    A, b = system
+    # a zero row with b < 0 divides by a zero norm in both, to the same key
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, ref = _dedupe(A, b), _dedupe_reference(A, b)
+    assert got[0].shape == ref[0].shape
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
 
 
 def test_linf_distance_properties():
